@@ -315,11 +315,11 @@ def symmetrization_campaign(config: FlowCampaignConfig):
     }
     reports: dict[str, FlowReport] = {}
     findings: list[str] = []
-    for name, region in battery.items():
+    for index, (name, region) in enumerate(battery.items()):
         report = run_flow(space, region, RandomThroughPole(),
                           max_steps=config.max_steps,
                           stop_epsilon=config.hausdorff_threshold,
-                          seed=child_seed(config.seed, hash(name) % 1000),
+                          seed=child_seed(config.seed, index),
                           metrics=config.metrics)
         reports[name] = report
         for prev, cur in zip(report.steps, report.steps[1:]):

@@ -256,6 +256,10 @@ def validate_hyperplane(space: Space, h: Hyperplane) -> None:
     p = h.normal
     if p.shape != (space.ambient_dim,):
         raise ValueError(f"normal must have length {space.ambient_dim}, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"hyperplane normal must be finite, got {p.tolist()}")
+    if not math.isfinite(h.offset):
+        raise ValueError(f"hyperplane offset must be finite, got {h.offset}")
     q = form(space, p, p)
     if space.curvature == HYPERBOLIC:
         if q >= 0.0:
@@ -317,6 +321,8 @@ class Ball:
 def validate_ball(space: Space, b: Ball) -> None:
     """Raise ValueError unless b is a valid ball of the space."""
     check_point(space, b.center)
+    if not math.isfinite(b.radius):
+        raise ValueError(f"ball radius must be finite, got {b.radius}")
     if b.radius <= 0.0:
         raise ValueError(f"ball radius must be positive, got {b.radius}")
     if space.curvature == SPHERICAL and b.radius > math.pi:

@@ -2,8 +2,10 @@
 
 A region is an immutable CSG tree over geodesic balls and half spaces, plus
 symmetrization nodes realizing the two-point rearrangement.  Membership is
-evaluated exactly (no discretization); all randomness is confined to the
-sampled metrics, which quote their own standard errors.
+evaluated exactly (no discretization) by an evaluator compiled once per query
+from the tree; each Symmetrized level at most doubles the inner queries.  All
+randomness is confined to the sampled metrics, which quote their own standard
+errors.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .geometry import (
 )
 from .rng import substream
 
-#: chained Symmetrized nodes double membership queries per level; cap the chain
+#: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
 
 
@@ -125,31 +127,43 @@ def validate_region(space: Space, region) -> None:
         raise ValueError(f"unknown region node {type(region).__name__}")
 
 
-def _ball_gram_contains(space: Space, balls, pts):
-    """Membership of pts in each of several balls at once, shape (N, M).
+def _ball_group(space: Space, balls):
+    """Membership of pts in each of several balls at once, as pts -> (N, M) mask.
 
-    Compares in form space (cos r / cosh r thresholds) so every ball leaf in a
+    Centers and thresholds are packed once, at compile time.  Comparisons are
+    in form space (cos r on S, cosh r on H, r^2 on R), so every ball leaf in a
     tree goes through the identical arithmetic.
     """
     centers = np.stack([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
     if space.curvature == SPHERICAL:
-        g = np.einsum("nd,md->nm", pts, centers)
-        return g >= np.cos(radii)[None, :]
+        centers_t = np.ascontiguousarray(centers.T)
+        cos_r = np.cos(radii)[None, :]
+        return lambda pts: pts @ centers_t >= cos_r
     if space.curvature == EUCLIDEAN:
-        out = np.empty((pts.shape[0], len(balls)), dtype=bool)
-        for j, b in enumerate(balls):
-            d = pts - b.center
-            out[:, j] = np.einsum("nd,nd->n", d, d) <= b.radius * b.radius
-        return out
-    g = np.einsum("n,m->nm", pts[:, -1], centers[:, -1]) - np.einsum(
-        "nd,md->nm", pts[:, :-1], centers[:, :-1]
-    )
-    return g <= np.cosh(radii)[None, :]
+        leaves = [(b.center, b.radius * b.radius) for b in balls]
+
+        def euclidean(pts):
+            out = np.empty((pts.shape[0], len(leaves)), dtype=bool)
+            for j, (c, r2) in enumerate(leaves):
+                d = pts - c
+                out[:, j] = np.einsum("nd,nd->n", d, d) <= r2
+            return out
+
+        return euclidean
+    axis = centers[:, -1]
+    rest = centers[:, :-1]
+    cosh_r = np.cosh(radii)[None, :]
+
+    def hyperbolic(pts):
+        g = np.einsum("n,m->nm", pts[:, -1], axis) - np.einsum("nd,md->nm", pts[:, :-1], rest)
+        return g <= cosh_r
+
+    return hyperbolic
 
 
-def _plane_values(space: Space, plane: Hyperplane, pts):
-    """Form values against the plane as one matvec (sign-adjusted for B)."""
+def _plane_form(space: Space, plane: Hyperplane):
+    """pts -> form values against the plane as one matvec (sign-adjusted for B)."""
     p = plane.normal
     if space.curvature == HYPERBOLIC:
         q = np.empty_like(p)
@@ -157,75 +171,88 @@ def _plane_values(space: Space, plane: Hyperplane, pts):
         q[-1] = p[-1]
     else:
         q = p
-    v = pts @ q
     if space.curvature == EUCLIDEAN:
-        v = v - plane.offset
-    return v
+        offset = plane.offset
+        return lambda pts: pts @ q - offset
+    return lambda pts: pts @ q
 
 
-def _contains(space: Space, region, pts):
+def compile_region(space: Space, region):
+    """Walk the tree once and return its exact membership evaluator.
+
+    The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
+    Union and Intersection nodes test their ball children as one packed
+    group, then visit the other children only on the rows still undecided.
+    A Symmetrized node calls its inner evaluator at most twice per batch, so
+    a chain of depth d costs at most 2^d inner calls.
+    """
     if isinstance(region, Ball):
-        return _ball_gram_contains(space, [region], pts)[:, 0]
+        group = _ball_group(space, [region])
+        return lambda pts: group(pts)[:, 0]
     if isinstance(region, HalfSpace):
-        v = _plane_values(space, region.plane, pts)
-        return region.plane.orientation * v >= -SIDE_TOL
-    if isinstance(region, Union):
-        res = np.zeros(pts.shape[0], dtype=bool)
+        values = _plane_form(space, region.plane)
+        orientation = region.plane.orientation
+        return lambda pts: orientation * values(pts) >= -SIDE_TOL
+    if isinstance(region, (Union, Intersection)):
         balls = [c for c in region.children if isinstance(c, Ball)]
-        rest = [c for c in region.children if not isinstance(c, Ball)]
-        if balls:
-            res = _ball_gram_contains(space, balls, pts).any(axis=1)
-        for child in rest:
-            idx = np.flatnonzero(~res)
-            if idx.size == 0:
-                break
-            res[idx] = _contains(space, child, pts[idx])
-        return res
-    if isinstance(region, Intersection):
-        res = np.ones(pts.shape[0], dtype=bool)
-        balls = [c for c in region.children if isinstance(c, Ball)]
-        rest = [c for c in region.children if not isinstance(c, Ball)]
-        if balls:
-            res = _ball_gram_contains(space, balls, pts).all(axis=1)
-        for child in rest:
-            idx = np.flatnonzero(res)
-            if idx.size == 0:
-                break
-            res[idx] = _contains(space, child, pts[idx])
-        return res
+        group = _ball_group(space, balls) if balls else None
+        rest = [compile_region(space, c) for c in region.children if not isinstance(c, Ball)]
+        is_union = isinstance(region, Union)
+
+        def boolean(pts):
+            if group is not None:
+                res = group(pts).any(axis=1) if is_union else group(pts).all(axis=1)
+            else:
+                res = np.full(pts.shape[0], not is_union)
+            for child in rest:
+                # a union settles rows already inside, an intersection rows outside
+                idx = np.flatnonzero(res != is_union)
+                if idx.size == 0:
+                    break
+                res[idx] = child(pts[idx])
+            return res
+
+        return boolean
     if isinstance(region, Difference):
-        res = _contains(space, region.a, pts)
-        idx = np.flatnonzero(res)
-        if idx.size:
-            res[idx] = ~_contains(space, region.b, pts[idx])
-        return res
+        a = compile_region(space, region.a)
+        b = compile_region(space, region.b)
+
+        def difference(pts):
+            res = a(pts)
+            idx = np.flatnonzero(res)
+            if idx.size:
+                res[idx] = ~b(pts[idx])
+            return res
+
+        return difference
     if isinstance(region, Symmetrized):
-        # Hot path of nested symmetrization chains: one matvec per visit, and
-        # only the rows whose first membership query does not settle the
-        # boolean get mirrored.  Mirrors skip renormalization; the drift per
-        # reflection is ~1e-16 against membership tolerances of 1e-10.
+        inner = compile_region(space, region.inner)
         plane = region.plane
-        v = _plane_values(space, plane, pts)
+        values = _plane_form(space, plane)
         p = plane.normal
         if space.curvature == HYPERBOLIC:
             qq = p[-1] * p[-1] - p[:-1] @ p[:-1]
         else:
             qq = p @ p
         scale = 2.0 / qq
-        on_plus = plane.orientation * v >= -SIDE_TOL
-        res = np.empty(pts.shape[0], dtype=bool)
-        for idx, is_plus in ((np.flatnonzero(on_plus), True),
-                             (np.flatnonzero(~on_plus), False)):
-            if idx.size == 0:
-                continue
-            sub = pts[idx]
-            a = _contains(space, region.inner, sub)
-            need = np.flatnonzero(a != is_plus)
+        orientation = plane.orientation
+
+        def symmetrized(pts):
+            # x is in the symmetrization iff (x in A or sigma x in A) on H^+ and
+            # (x in A and sigma x in A) on H^-; the first query settles every
+            # row whose answer agrees with its side, and only the others get
+            # mirrored.  Mirrors skip renormalization; the drift per
+            # reflection is ~1e-16 against membership tolerances of 1e-10.
+            v = values(pts)
+            on_plus = orientation * v >= -SIDE_TOL
+            res = inner(pts)
+            need = np.flatnonzero(res != on_plus)
             if need.size:
-                mirrors = sub[need] - (scale * v[idx[need]])[:, None] * p
-                a[need] = _contains(space, region.inner, mirrors)
-            res[idx] = a
-        return res
+                mirrors = pts[need] - (scale * v[need])[:, None] * p
+                res[need] = inner(mirrors)
+            return res
+
+        return symmetrized
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 
@@ -235,36 +262,14 @@ def contains(space: Space, region, x, depth_cap: int = DEFAULT_DEPTH_CAP):
     Points exactly on a symmetrization plane use the H^+ rule (closed half
     space).  Accepts a single point (returns bool) or an (N, d) batch.
     """
-    if symmetrized_depth(region) > depth_cap:
-        raise RegionDepthError(
-            f"symmetrized nesting {symmetrized_depth(region)} exceeds cap {depth_cap}"
-        )
+    depth = symmetrized_depth(region)
+    if depth > depth_cap:
+        raise RegionDepthError(f"symmetrized nesting {depth} exceeds cap {depth_cap}")
+    evaluate = compile_region(space, region)
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
-        return bool(_contains(space, region, pts[None, :])[0])
-    return _contains(space, region, pts)
-
-
-def make_membership_oracle(space: Space, region, memoize: bool = False, quantum: float = 2.0**-40):
-    """Single-point membership callable, optionally memoized on quantized coordinates.
-
-    Memoization trades exactness at quantum-scale coordinate collisions for
-    speed; it is off by default (correctness first).
-    """
-    if not memoize:
-        return lambda x: contains(space, region, x)
-    cache: dict = {}
-
-    def oracle(x):
-        key = tuple(np.round(np.asarray(x, dtype=float) / quantum).astype(np.int64).tolist())
-        hit = cache.get(key)
-        if hit is None:
-            hit = contains(space, region, x)
-            cache[key] = hit
-        return hit
-
-    oracle.cache = cache
-    return oracle
+        return bool(evaluate(pts[None, :])[0])
+    return evaluate(pts)
 
 
 def _merge_two_balls(space: Space, a: Ball, b: Ball) -> Ball:
@@ -478,14 +483,6 @@ def diameter(space: Space, cloud):
         raise ValueError("diameter of an empty cloud")
     best, bi, bj, _ = _pairwise_extremes(space, pts)
     return best, pts[bi].copy(), pts[bj].copy()
-
-
-def mean_nn_spacing(space: Space, cloud) -> float:
-    """Mean nearest-neighbor distance of the samples (0 for fewer than 2 points)."""
-    pts = _as_points(cloud)
-    if pts.shape[0] < 2:
-        return 0.0
-    return _pairwise_extremes(space, pts)[3]
 
 
 def hausdorff(space: Space, a, b, chunk: int = 512) -> float:

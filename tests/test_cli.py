@@ -191,6 +191,24 @@ class TestUsageErrors:
         bad.write_text(json.dumps(doc))
         assert main(["diameter", "--region", str(bad), "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("space, node", [
+        ("sphere", {"kind": "ball", "center": [0, 0, 1], "radius": math.nan}),
+        ("hyperbolic", {"kind": "ball", "center": [0, 0, 1], "radius": math.inf}),
+        ("sphere", {"kind": "intersection", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "halfspace", "normal": [math.nan, 0, 0], "orientation": 1}]}),
+    ], ids=["nan-radius", "inf-radius", "nan-normal"])
+    def test_non_finite_region_value_rejected(self, tmp_path, capsys, space, node):
+        curvature = {"sphere": 1, "hyperbolic": -1}[space]
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps({"space": {"curvature": curvature, "dim": 2}, "region": node}))
+        rc = main(["volume", "--space", space, "--dim", "2", "--region", str(bad),
+                   "--samples", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_workers_env_validated(self, monkeypatch, cap_file):
         monkeypatch.setenv("ISODIAM_WORKERS", "zero")
         with pytest.raises(SystemExit):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isodiam
 from isodiam.experiments import (
     CampaignConfig,
     FlowCampaignConfig,
@@ -153,3 +158,29 @@ class TestSymmetrizationCampaign:
             assert len(report.steps) >= 1
         # no volume-drift or diameter findings at these scales
         assert not any("drift" in f or "diameter" in f for f in findings)
+
+    def test_reports_independent_of_hash_seed(self, tmp_path):
+        # str hashes are salted per process; no flow seed may depend on one
+        script = (
+            "from isodiam.experiments import FlowCampaignConfig, symmetrization_campaign\n"
+            "from isodiam.symmetrize import MetricsConfig\n"
+            "config = FlowCampaignConfig(seed=170, max_steps=2, hausdorff_threshold=0.0,\n"
+            "    metrics=MetricsConfig(cloud_density=300.0, volume_samples=2000,\n"
+            "                          identity_check_points=100, rebase_depth=6))\n"
+            "reports, _ = symmetrization_campaign(config)\n"
+            "for name, report in reports.items():\n"
+            "    report.write_csv(name + '.csv')\n"
+            "    report.write_json(name + '.json')\n"
+        )
+        src = str(Path(isodiam.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed-{hash_seed}"
+            out.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script], cwd=out, env=env, check=True,
+                           timeout=300)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]

@@ -372,3 +372,11 @@ class TestValidation:
             validate_ball(S2, Ball(E, 3.5))
         with pytest.raises(ValueError):
             validate_ball(S2, Ball(E, -0.1))
+
+    def test_hyperplane_must_be_finite(self):
+        with pytest.raises(ValueError, match="normal must be finite"):
+            validate_hyperplane(S2, Hyperplane(np.array([math.nan, 0.0, 0.0]), 1))
+        with pytest.raises(ValueError, match="normal must be finite"):
+            validate_hyperplane(H2, Hyperplane(np.array([math.inf, 0.0, 0.0]), 1))
+        with pytest.raises(ValueError, match="offset must be finite"):
+            validate_hyperplane(Space.euclidean(2), Hyperplane(np.array([1.0, 0.0]), 1, math.nan))

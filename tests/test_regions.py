@@ -30,7 +30,6 @@ from isodiam.regions import (
     contains,
     diameter,
     hausdorff,
-    make_membership_oracle,
     sample,
     symmetrized_depth,
     uniform_in_ball,
@@ -136,20 +135,6 @@ class TestContains:
         batch = contains(space, ball, pts)
         each = np.array([contains(space, ball, p) for p in pts])
         assert np.array_equal(batch, each)
-
-
-class TestMembershipOracle:
-    def test_memoized_oracle_caches(self):
-        oracle = make_membership_oracle(S2, Ball(E, 0.5), memoize=True)
-        assert oracle(E) is True or oracle(E) == True  # noqa: E712
-        assert len(oracle.cache) == 1
-        oracle(E)
-        assert len(oracle.cache) == 1
-
-    def test_unmemoized_matches(self):
-        oracle = make_membership_oracle(S2, Ball(E, 0.5))
-        pts = random_points(S2, 20, seed=45)
-        assert [oracle(p) for p in pts] == list(contains(S2, Ball(E, 0.5), pts))
 
 
 class TestBoundingBall:
