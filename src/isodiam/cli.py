@@ -9,7 +9,6 @@ assertion-level findings (a verify campaign violation), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -37,18 +36,6 @@ def _space_args(p: argparse.ArgumentParser) -> None:
 
 def _get_space(args) -> Space:
     return Space(_SPACES[args.space], args.dim)
-
-
-def _workers_env() -> int:
-    """Worker-count knob; validated but never allowed to change results."""
-    raw = os.environ.get("ISODIAM_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"ISODIAM_WORKERS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise SystemExit("ISODIAM_WORKERS must be at least 1")
-    return w
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +254,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _workers_env()
     try:
         return _DISPATCH[args.command](args)
     except RegionFormatError as exc:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .geometry import (
-    EUCLIDEAN,
     SPHERICAL,
     Ball,
     Space,
@@ -143,8 +142,12 @@ class NoHemisphereError(ValueError):
     """Spherical hull operations require an open-hemisphere certificate."""
 
 
-def _to_affine_model(space: Space, pts: np.ndarray, extra=None):
-    """Rotate (sphere) and project points into the affine model plane."""
+def _to_affine_model(space: Space, pts: np.ndarray, extra: np.ndarray | None = None):
+    """Rotate (sphere) and project points into the affine model plane.
+
+    Returns the projected points, the rotated points, and ``extra`` rotated
+    alongside them but not projected (None when not given).
+    """
     if space.curvature == SPHERICAL:
         cert = hemisphere_center(pts)
         if cert is None:
@@ -152,9 +155,8 @@ def _to_affine_model(space: Space, pts: np.ndarray, extra=None):
         rot = _householder_to_base(cert.z / np.linalg.norm(cert.z))
         pts = pts @ rot.T
         if extra is not None:
-            extra = np.asarray(extra, dtype=float) @ rot.T
-    proj = project_gnomonic(space, pts)
-    return (proj, pts, extra) if extra is not None else (proj, pts, None)
+            extra = extra @ rot.T
+    return project_gnomonic(space, pts), pts, extra
 
 
 def hull_contains(space: Space, cloud, query, tol: float = 1e-9) -> bool:
@@ -162,19 +164,11 @@ def hull_contains(space: Space, cloud, query, tol: float = 1e-9) -> bool:
 
     Answered by linear feasibility in the projected affine model, which is
     exact because central projection maps geodesic segments to straight ones.
+    A spherical query outside the certificate's open hemisphere is outside.
     """
-    pts = _as_points(cloud)
-    query = np.asarray(query, dtype=float)
-    if space.curvature == SPHERICAL:
-        cert = hemisphere_center(pts)
-        if cert is None:
-            raise NoHemisphereError("no open-hemisphere certificate for the samples")
-        if float(query @ cert.z) <= 0.0:
-            return False
-        rot = _householder_to_base(cert.z / np.linalg.norm(cert.z))
-        pts = pts @ rot.T
-        query = rot @ query
-    P = project_gnomonic(space, pts)
+    P, _, query = _to_affine_model(space, _as_points(cloud), np.asarray(query, dtype=float))
+    if space.curvature == SPHERICAL and query[-1] <= 0.0:
+        return False
     q = project_gnomonic(space, query)
     a_eq = np.vstack([P.T, np.ones(P.shape[0])])
     b_eq = np.append(q, 1.0)
@@ -202,11 +196,7 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     wts = rng.standard_exponential((int(hull_samples), k))
     wts /= wts.sum(axis=1, keepdims=True)
     combos = np.einsum("mk,mkd->md", wts, proj[idx])
-    if space.curvature == EUCLIDEAN:
-        mapped = combos
-    else:
-        mapped = normalize_to_space(space, combos)
-    hull_pts = np.vstack([frame_pts, mapped])
+    hull_pts = np.vstack([frame_pts, normalize_to_space(space, combos)])
     d1, _, _ = diameter(space, hull_pts)
     return d0, d1
 

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -124,19 +124,28 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
+        """Load a config document; ValueError names any unknown, missing or mistyped key."""
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: campaign config must be a JSON object")
+        kinds = {f.name: f for f in fields(cls)}
+        for key, value in raw.items():
+            if key not in kinds:
+                raise ValueError(f"{path}: unknown campaign config key '{key}'")
+            kind = kinds[key].type
+            # bool is an int subclass, so a flag and a number are told apart first
+            accepted = {"int": int, "float": (int, float), "bool": bool}[kind]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+                raise ValueError(f"{path}: campaign config key '{key}' must be {kind}, "
+                                 f"got {value!r}")
+        missing = [k for k, f in kinds.items() if f.default is MISSING and k not in raw]
+        if missing:
+            raise ValueError(f"{path}: campaign config lacks {', '.join(missing)}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "curvature": self.curvature, "dim": self.dim, "D": self.D,
-            "trials": self.trials, "seed": self.seed,
-            "volume_samples": self.volume_samples,
-            "region_density": self.region_density, "complexity": self.complexity,
-            "include_exact_ball": self.include_exact_ball,
-            "sigma_threshold": self.sigma_threshold,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,10 @@ def check_point(space: Space, x, tol: float = POINT_TOL) -> None:
         raise ValueError(f"expected ambient dimension {space.ambient_dim}, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point has non-finite coordinates")
-    if space.curvature == SPHERICAL:
-        if np.any(np.abs(form(space, x, x) - 1.0) > tol):
-            raise ValueError("point is not on the unit sphere within tolerance")
-    elif space.curvature == HYPERBOLIC:
-        if np.any(np.abs(form(space, x, x) - 1.0) > tol):
-            raise ValueError("point is not on the hyperboloid within tolerance")
-        if np.any(x[..., -1] < 1.0 - tol):
-            raise ValueError("point is not on the upper hyperboloid sheet")
+    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, x, x) - 1.0) > tol):
+        raise ValueError(f"point is not on the {space.name} quadric within tolerance")
+    if space.curvature == HYPERBOLIC and np.any(x[..., -1] < 1.0 - tol):
+        raise ValueError("point is not on the upper hyperboloid sheet")
 
 
 def tangent_norm(space: Space, v):

@@ -57,10 +57,25 @@ def _need(node: dict, key: str, path: str):
     return node[key]
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", np.ndarray: "a list of numbers"}
+
+
+def _field(node: dict, key: str, path: str, kind, default=None):
+    """node[key] as a float, an int or a float array; errors name the path and field."""
+    value = _need(node, key, path) if default is None else node.get(key, default)
+    try:
+        out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+        if kind is not int or out == value:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise RegionFormatError(f"{path}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _plane_from(node: dict, path: str) -> Hyperplane:
-    normal = np.asarray(_need(node, "normal", path), dtype=float)
-    orientation = int(_need(node, "orientation", path))
-    offset = float(node.get("offset", 0.0))
+    normal = _field(node, "normal", path, np.ndarray)
+    orientation = _field(node, "orientation", path, int)
+    offset = _field(node, "offset", path, float, default=0.0)
     if orientation not in (-1, 1):
         raise RegionFormatError(f"{path}: orientation must be +1 or -1, got {orientation}")
     return Hyperplane(normal, orientation, offset)
@@ -71,10 +86,10 @@ def region_from_dict(node: dict, path: str = "region"):
         raise RegionFormatError(f"{path}: expected an object, got {type(node).__name__}")
     kind = _need(node, "kind", path)
     if kind == "ball":
-        radius = float(_need(node, "radius", path))
+        radius = _field(node, "radius", path, float)
         if radius <= 0.0:
             raise RegionFormatError(f"{path}: ball radius must be positive, got {radius}")
-        return Ball(np.asarray(_need(node, "center", path), dtype=float), radius)
+        return Ball(_field(node, "center", path, np.ndarray), radius)
     if kind == "halfspace":
         return HalfSpace(_plane_from(node, path))
     if kind in ("union", "intersection"):

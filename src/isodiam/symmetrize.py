@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import bisect
@@ -117,22 +117,17 @@ def choose_hyperplane(space: Space, strategy, cloud, rng: np.random.Generator,
     raise TypeError(f"unknown strategy {type(strategy).__name__}")
 
 
-def two_point_symmetrize(space: Space, h: Hyperplane, region, cloud=None):
+def two_point_symmetrize(space: Space, h: Hyperplane, region):
     """Two-point symmetrization of the region with respect to the hyperplane.
 
     Returns the Symmetrized node; membership follows the union rule on H^+
     and the intersection rule on H^-.  A ball whose center lies on the plane
-    is its own symmetrization and is returned unchanged.  With a sample cloud
-    supplied, spherical inputs get their diameter hypothesis checked
-    (warning-level).
+    is its own symmetrization and is returned unchanged.  The spherical
+    diameter hypothesis is checked by the flow, from the metrics it already
+    records for the region's sample cloud.
     """
     validate_hyperplane(space, h)
     bounding_ball(space, region)
-    if space.curvature == SPHERICAL and cloud is not None and len(cloud) >= 2:
-        d, _, _, spacing = _pairwise_extremes(space, cloud.points)
-        if d + 2.0 * spacing >= math.pi:
-            warnings.warn("sampled diameter is not below pi; symmetrization properties "
-                          "are not guaranteed", SphericalDiameterWarning, stacklevel=2)
     if isinstance(region, Ball) and side(space, h, region.center) == 0:
         return region
     return Symmetrized(h, region)
@@ -284,33 +279,48 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     return Difference(env, balls) if dense else balls
 
 
+def _measure(space: Space, region, metrics: MetricsConfig, seed: int, step: int,
+             reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
+             rebased: bool):
+    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record."""
+    cloud = sample(space, region, metrics.cloud_density, child_seed(seed, step, 0))
+    diam, _, _, spacing = _pairwise_extremes(space, cloud.points)
+    h = hausdorff(space, cloud, reference_cloud)
+    rec = FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
+                   spacing=spacing, plane=plane, rebased=rebased)
+    return rec, cloud
+
+
 def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
               step: int, reference_cloud: PointCloud, prev_cloud: PointCloud,
-              prev_volume: float):
+              prev: FlowStep):
     """One symmetrization step with its metric record.
 
-    Returns (new region, FlowStep, fresh sample cloud of the new region).
+    ``prev`` is the record measured on ``prev_cloud``; on the sphere, a
+    sampled diameter plus twice the spacing of at least pi warns with
+    SphericalDiameterWarning.  Returns (new region, FlowStep, fresh sample
+    cloud of the new region).
     Re-bases the region to a calibrated ball union when the symmetrized chain
     would exceed the configured depth.
     """
+    if space.curvature == SPHERICAL and prev.diameter + 2.0 * prev.spacing >= math.pi:
+        warnings.warn("sampled diameter is not below pi; symmetrization properties "
+                      "are not guaranteed", SphericalDiameterWarning, stacklevel=2)
     rng = substream(seed, step, 3)
     plane = choose_hyperplane(space, strategy, prev_cloud, rng, step=step - 1)
     base = region
     rebased = False
-    candidate = two_point_symmetrize(space, plane, base, cloud=prev_cloud)
+    candidate = two_point_symmetrize(space, plane, base)
     if symmetrized_depth(candidate) > metrics.rebase_depth:
-        base = _rebase_approximation(space, region, prev_volume, metrics, seed, step)
-        candidate = two_point_symmetrize(space, plane, base, cloud=prev_cloud)
+        base = _rebase_approximation(space, region, prev.volume.value, metrics, seed, step)
+        candidate = two_point_symmetrize(space, plane, base)
         rebased = True
     if metrics.identity_check_points > 0:
         _check_counting_identity(space, plane, base, candidate,
                                  metrics.identity_check_points, child_seed(seed, step, 4))
-    cloud = sample(space, candidate, metrics.cloud_density, child_seed(seed, step, 0))
     vol = volume_estimate(space, candidate, metrics.volume_samples, child_seed(seed, step, 1))
-    diam, _, _, spacing = _pairwise_extremes(space, cloud.points)
-    h = hausdorff(space, cloud, reference_cloud)
-    rec = FlowStep(step=step, volume=vol, diameter=diam, hausdorff_to_reference=h,
-                   spacing=spacing, plane=plane, rebased=rebased)
+    rec, cloud = _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
+                          plane, rebased)
     return candidate, rec, cloud
 
 
@@ -362,28 +372,19 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
         raise ValueError("initial region has zero estimated volume")
     ref_ball = Ball(pole, equal_volume_radius(space, vol0.value))
     ref_cloud = sample(space, ref_ball, metrics.cloud_density, child_seed(seed, 0, 2))
-    cloud = sample(space, initial, metrics.cloud_density, child_seed(seed, 0, 0))
-    diam0, _, _, spacing0 = _pairwise_extremes(space, cloud.points)
-    h0 = hausdorff(space, cloud, ref_cloud)
-    steps = [FlowStep(step=0, volume=vol0, diameter=diam0, hausdorff_to_reference=h0,
-                      spacing=spacing0, plane=None, rebased=False)]
+    rec, cloud = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
+    steps = [rec]
     config = {
         "strategy": _strategy_echo(space, strategy),
-        "metrics": {
-            "cloud_density": metrics.cloud_density,
-            "volume_samples": metrics.volume_samples,
-            "identity_check_points": metrics.identity_check_points,
-            "rebase_depth": metrics.rebase_depth,
-            "rebase_centers": metrics.rebase_centers,
-        },
+        "metrics": asdict(metrics),
         "max_steps": max_steps,
     }
     region = initial
-    converged = h0 < stop_epsilon
+    converged = rec.hausdorff_to_reference < stop_epsilon
     step = 1
     while not converged and step <= max_steps:
         region, rec, cloud = flow_step(space, region, strategy, metrics, seed, step,
-                                       ref_cloud, cloud, steps[-1].volume.value)
+                                       ref_cloud, cloud, rec)
         steps.append(rec)
         converged = rec.hausdorff_to_reference < stop_epsilon
         step += 1

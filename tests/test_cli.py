@@ -209,14 +209,49 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
-    def test_workers_env_validated(self, monkeypatch, cap_file):
-        monkeypatch.setenv("ISODIAM_WORKERS", "zero")
-        with pytest.raises(SystemExit):
-            main(["diameter", "--region", cap_file, "--seed", "1"])
+    @pytest.mark.parametrize("node, expected", [
+        ({"kind": "union", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": "wide"}]},
+         "region.children[0]: radius must be a number, got 'wide'"),
+        ({"kind": "intersection", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "halfspace", "normal": [1, 0, 0], "orientation": math.nan}]},
+         "region.children[1]: orientation must be an integer, got nan"),
+        ({"kind": "symmetrized", "normal": [1, 0, 0], "orientation": 1.5,
+          "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}},
+         "region: orientation must be an integer, got 1.5"),
+        ({"kind": "difference", "a": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+          "b": {"kind": "ball", "center": [0, "x", 1], "radius": 0.2}},
+         "region.b: center must be a list of numbers"),
+    ], ids=["string-radius", "nan-orientation", "fractional-orientation", "string-center"])
+    def test_unconvertible_region_field_named(self, tmp_path, capsys, node, expected):
+        bad = tmp_path / "field.json"
+        bad.write_text(json.dumps({"space": {"curvature": 1, "dim": 2}, "region": node}))
+        rc = main(["volume", "--space", "sphere", "--dim", "2", "--region", str(bad),
+                   "--samples", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert expected in captured.err
 
-    def test_workers_env_never_changes_results(self, monkeypatch, cap_file, capsys):
-        main(["diameter", "--region", cap_file, "--density", "300", "--seed", "2"])
-        base = capsys.readouterr().out
-        monkeypatch.setenv("ISODIAM_WORKERS", "8")
-        main(["diameter", "--region", cap_file, "--density", "300", "--seed", "2"])
-        assert capsys.readouterr().out == base
+    @pytest.mark.parametrize("extra, expected", [
+        ({"bogus": 3}, "unknown campaign config key 'bogus'"),
+        ({"trials": "two"}, "campaign config key 'trials' must be int, got 'two'"),
+        ({"include_exact_ball": 1}, "key 'include_exact_ball' must be bool"),
+    ], ids=["unknown-key", "string-trials", "int-flag"])
+    def test_malformed_verify_config(self, tmp_path, capsys, extra, expected):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
+                                   "seed": 11, **extra}))
+        out = tmp_path / "v.csv"
+        rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert expected in captured.err
+        assert not out.exists()
+
+    def test_verify_config_missing_key(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "campaign config lacks seed" in capsys.readouterr().err

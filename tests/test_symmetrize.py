@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from isodiam.symmetrize import (
     FixedSchedule,
     MetricsConfig,
     RandomThroughPole,
+    FlowStep,
     SphericalDiameterWarning,
     choose_hyperplane,
     equal_volume_radius,
@@ -92,13 +94,6 @@ class TestTwoPointSymmetrize:
         lhs = contains(S2, tau, pts).astype(int) + contains(S2, tau, mirrored).astype(int)
         rhs = contains(S2, x, pts).astype(int) + contains(S2, x, mirrored).astype(int)
         assert np.array_equal(lhs, rhs)
-
-    def test_spherical_diameter_warning(self):
-        h = plane_through_pole(S2)
-        big = Ball(geodesic_point(S2, E, EX, 0.2), 2.2)
-        cloud = sample(S2, big, 300.0, seed=113)
-        with pytest.warns(SphericalDiameterWarning):
-            two_point_symmetrize(S2, h, big, cloud=cloud)
 
     def test_symmetrized_pair_bound_exact(self, space):
         # min(d(x, y), d(x, sigma y)) never exceeds the source diameter bound
@@ -182,14 +177,49 @@ class TestFlow:
         ref_cloud = sample(S2, Ball(E, 0.65), 400.0, seed=121)
         cloud = sample(S2, region, 400.0, seed=122)
         vol = volume_estimate(S2, region, 2000, seed=123)
+        prev = FlowStep(step=0, volume=vol, diameter=1.4, hausdorff_to_reference=0.3,
+                        spacing=0.05, plane=None, rebased=False)
         new_region, rec, new_cloud = flow_step(
             S2, region, RandomThroughPole(), FAST, seed=124, step=1,
-            reference_cloud=ref_cloud, prev_cloud=cloud, prev_volume=vol.value)
+            reference_cloud=ref_cloud, prev_cloud=cloud, prev=prev)
         assert rec.step == 1
         assert rec.plane is not None
         assert symmetrized_depth(new_region) == 1
         assert rec.volume.std_error > 0
         assert len(new_cloud) > 0
+
+    def test_spherical_diameter_warning(self):
+        # a radius-2.2 cap has diameter above pi: its one step warns once
+        big = Ball(geodesic_point(S2, E, EX, 0.2), 2.2)
+        with pytest.warns(SphericalDiameterWarning) as record:
+            run_flow(S2, big, RandomThroughPole(), max_steps=1, stop_epsilon=0.0,
+                     seed=113, metrics=FAST)
+        assert sum(issubclass(w.category, SphericalDiameterWarning) for w in record) == 1
+
+    def test_small_cap_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SphericalDiameterWarning)
+            report = run_flow(S2, Ball(geodesic_point(S2, E, EX, 0.2), 0.9),
+                              RandomThroughPole(), max_steps=2, stop_epsilon=0.0,
+                              seed=113, metrics=FAST)
+        assert len(report.steps) == 3
+
+    def test_one_pairwise_pass_per_cloud(self, monkeypatch):
+        # step 0 and each of the k steps measure one cloud, once each
+        import isodiam.symmetrize as sym
+        real = sym._pairwise_extremes
+        calls = []
+
+        def counting(space, pts, *args, **kwargs):
+            calls.append(len(pts))
+            return real(space, pts, *args, **kwargs)
+
+        monkeypatch.setattr(sym, "_pairwise_extremes", counting)
+        k = 4
+        report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=k,
+                          stop_epsilon=0.0, seed=131, metrics=FAST)
+        assert len(report.steps) == k + 1
+        assert len(calls) == k + 1
 
     def test_diameter_trace_non_increasing_with_slack(self):
         region = Difference(Ball(E, 0.75), Ball(geodesic_point(S2, E, EX, 0.4), 0.25))
