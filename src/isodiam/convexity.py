@@ -25,6 +25,7 @@ from .geometry import (
     normalize_to_space,
     project_gnomonic,
     tangent_toward,
+    validate_ball,
 )
 from .regions import _as_points, diameter, uniform_in_ball
 from .rng import substream
@@ -51,19 +52,18 @@ def _affine_minimizer(A: np.ndarray) -> np.ndarray:
     return sol[:k]
 
 
-def min_norm_point(points, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+def min_norm_point(points) -> np.ndarray:
     """Point of the Euclidean convex hull closest to the origin (Wolfe's method).
 
     Maintains an affinely independent active set; major cycles add the most
-    violating vertex, minor cycles walk back into the simplex.  Terminates at
-    duality gap <= tol; returns the zero vector when the hull contains the
-    origin.
+    violating vertex, minor cycles walk back into the simplex.  Terminates
+    when the duality gap <z, z> - min_i <z, p_i> is at most 1e-10 (relative
+    to max(1, <z, z>)), or after 16 (N + d) + 64 major cycles; returns the
+    zero vector when the hull contains the origin.
 
     Parameters
     ----------
     points : array-like, shape (N, d)
-    tol : float
-        Bound on the duality gap <z, z> - min_i <z, p_i>.
 
     Returns
     -------
@@ -72,18 +72,15 @@ def min_norm_point(points, tol: float = 1e-10, max_iter: int | None = None) -> n
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) array of points")
-    n = P.shape[0]
-    if max_iter is None:
-        max_iter = 16 * (n + P.shape[1]) + 64
     start = int(np.argmin(np.einsum("nd,nd->n", P, P)))
     active = [start]
     w = np.array([1.0])
     z = P[start].copy()
-    for _ in range(max_iter):
+    for _ in range(16 * (P.shape[0] + P.shape[1]) + 64):
         dots = P @ z
         zz = float(z @ z)
         j = int(np.argmin(dots))
-        if zz - dots[j] <= tol * max(1.0, zz):
+        if zz - dots[j] <= 1e-10 * max(1.0, zz):
             break
         if j in active:
             break
@@ -159,7 +156,7 @@ def _to_affine_model(space: Space, pts: np.ndarray, extra: np.ndarray | None = N
     return project_gnomonic(space, pts), pts, extra
 
 
-def hull_contains(space: Space, cloud, query, tol: float = 1e-9) -> bool:
+def hull_contains(space: Space, cloud, query) -> bool:
     """Whether query lies in the geodesic convex hull of the samples.
 
     Answered by linear feasibility in the projected affine model, which is
@@ -173,7 +170,7 @@ def hull_contains(space: Space, cloud, query, tol: float = 1e-9) -> bool:
     a_eq = np.vstack([P.T, np.ones(P.shape[0])])
     b_eq = np.append(q, 1.0)
     res = linprog(np.zeros(P.shape[0]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options={"primal_feasibility_tolerance": tol})
+                  method="highs", options={"primal_feasibility_tolerance": 1e-9})
     return res.status == 0
 
 
@@ -185,6 +182,8 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     back to the space, plus the original samples themselves.  Spherical clouds
     must have sampled diameter at most pi/2.
     """
+    if hull_samples < 1:
+        raise ValueError(f"hull_samples must be at least 1, got {hull_samples}")
     pts = _as_points(cloud)
     d0, _, _ = diameter(space, pts)
     if space.curvature == SPHERICAL and d0 > math.pi / 2.0 + 1e-9:
@@ -207,6 +206,7 @@ def ball_convexity_probe(space: Space, ball: Ball, trials: int, seed: int):
     Returns the violation count and a witness pair when one exists.  Convex
     balls give zero violations; spherical balls of radius in [pi/2, pi) do not.
     """
+    validate_ball(space, ball)
     rng = substream(seed)
     xs = uniform_in_ball(space, ball, rng, size=int(trials))
     ys = uniform_in_ball(space, ball, rng, size=int(trials))

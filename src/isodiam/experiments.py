@@ -30,22 +30,20 @@ from .regions import (
     uniform_in_ball,
     volume_estimate,
 )
-from .rng import substream
-from .symmetrize import (
-    FlowReport,
-    MetricsConfig,
-    RandomThroughPole,
-    child_seed,
-    run_flow,
-)
+from .rng import child_seed, substream
+from .symmetrize import FlowReport, MetricsConfig, RandomThroughPole, run_flow
 
 
 class RegionGenerationError(RuntimeError):
     """Random admissible-region generation failed after bounded retries."""
 
 
+#: fresh draws random_admissible_region makes before it gives up
+_GENERATION_ATTEMPTS = 20
+
+
 def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
-                             density: float = 600.0, max_retries: int = 20):
+                             density: float = 600.0):
     """Random CSG region whose sampled diameter is at most D.
 
     Builds a union/intersection/difference combination of up to ``complexity``
@@ -58,7 +56,7 @@ def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
         raise ValueError(f"invalid diameter bound {D}")
     pole = space.base_point
     half = D / 2.0
-    for attempt in range(max_retries):
+    for attempt in range(_GENERATION_ATTEMPTS):
         rng = substream(seed, attempt, 0)
         k = int(rng.integers(1, complexity + 1))
         if k == 1:
@@ -100,7 +98,7 @@ def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
             trimmed = Intersection((trimmed,) + guards)
         if ok:
             return trimmed
-    raise RegionGenerationError(f"no admissible region after {max_retries} attempts")
+    raise RegionGenerationError(f"no admissible region after {_GENERATION_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,12 @@ class CampaignConfig:
     complexity: int = 4
     include_exact_ball: bool = True
     sigma_threshold: float = 3.0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.complexity < 1:
+            raise ValueError(f"complexity must be at least 1, got {self.complexity}")
 
     @property
     def space(self) -> Space:
@@ -248,6 +252,8 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     """
     if D <= 0.0 or (space.curvature == 1 and D >= math.pi):
         raise ValueError(f"invalid diameter bound {D}")
+    if candidate_count < 1:
+        raise ValueError(f"candidate_count must be at least 1, got {candidate_count}")
     pole = space.base_point
     env = Ball(pole, D)
     v_env = ball_volume(space, D)
@@ -266,29 +272,29 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     vol = v_env * frac
     sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
     deficit = ball_volume(space, D / 2.0) - vol
-    cloud = PointCloud(points=accepted[:count], weight=v_env / candidate_count,
-                       density=candidate_count / v_env, seed=int(seed))
+    cloud = PointCloud(points=accepted[:count], weight=v_env / candidate_count)
     return cloud, deficit, sigma
 
 
-def dented_ball_region(space: Space, outer: float = 0.8, dent_offset: float = 0.45,
-                       dent_radius: float = 0.25):
-    """Ball at the pole with a smaller interior ball removed."""
+def dented_ball_region(space: Space):
+    """Ball of radius 0.8 at the pole minus the ball of radius 0.25 centred 0.45
+    along the first axis."""
     pole = space.base_point
     axis = np.zeros(space.ambient_dim)
     axis[0] = 1.0
-    dent_center = geodesic_point(space, pole, axis, dent_offset)
-    return Difference(Ball(pole, outer), Ball(dent_center, dent_radius))
+    dent_center = geodesic_point(space, pole, axis, 0.45)
+    return Difference(Ball(pole, 0.8), Ball(dent_center, 0.25))
 
 
-def two_caps_region(space: Space, cap_radius: float = 0.52, separation: float = 0.17):
-    """Union of two congruent balls mirror-placed around the pole."""
+def two_caps_region(space: Space):
+    """Union of two balls of radius 0.52 centred 0.17 either way along the first
+    axis from the pole."""
     pole = space.base_point
     axis = np.zeros(space.ambient_dim)
     axis[0] = 1.0
-    c1 = geodesic_point(space, pole, axis, separation)
-    c2 = geodesic_point(space, pole, -axis, separation)
-    return Union((Ball(c1, cap_radius), Ball(c2, cap_radius)))
+    c1 = geodesic_point(space, pole, axis, 0.17)
+    c2 = geodesic_point(space, pole, -axis, 0.17)
+    return Union((Ball(c1, 0.52), Ball(c2, 0.52)))
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,6 @@ class FlowCampaignConfig:
     dim: int = 2
     seed: int = 0
     max_steps: int = 200
-    stop_epsilon: float = 0.0
     hausdorff_threshold: float = 0.1
     metrics: MetricsConfig = field(default_factory=lambda: MetricsConfig(
         cloud_density=2500.0, volume_samples=12000, rebase_depth=9))

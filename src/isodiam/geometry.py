@@ -96,16 +96,16 @@ def form(space: Space, x, y):
     return np.sum(x * y, axis=-1)
 
 
-def check_point(space: Space, x, tol: float = POINT_TOL) -> None:
+def check_point(space: Space, x) -> None:
     """Raise ValueError unless x satisfies the Point invariant of the space."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.ambient_dim:
         raise ValueError(f"expected ambient dimension {space.ambient_dim}, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point has non-finite coordinates")
-    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, x, x) - 1.0) > tol):
+    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, x, x) - 1.0) > POINT_TOL):
         raise ValueError(f"point is not on the {space.name} quadric within tolerance")
-    if space.curvature == HYPERBOLIC and np.any(x[..., -1] < 1.0 - tol):
+    if space.curvature == HYPERBOLIC and np.any(x[..., -1] < 1.0 - POINT_TOL):
         raise ValueError("point is not on the upper hyperboloid sheet")
 
 
@@ -118,11 +118,11 @@ def tangent_norm(space: Space, v):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def is_unit_tangent(space: Space, base, vec, tol: float = POINT_TOL) -> bool:
+def is_unit_tangent(space: Space, base, vec) -> bool:
     """True when vec is tangent to the quadric at base and has unit length."""
-    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, vec, base)) > tol):
+    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, vec, base)) > POINT_TOL):
         return False
-    return bool(np.all(np.abs(tangent_norm(space, vec) - 1.0) <= tol))
+    return bool(np.all(np.abs(tangent_norm(space, vec) - 1.0) <= POINT_TOL))
 
 
 def distance(space: Space, x, y):
@@ -274,10 +274,10 @@ def plane_eval(space: Space, h: Hyperplane, x):
     return v
 
 
-def side(space: Space, h: Hyperplane, x, tol: float = SIDE_TOL):
+def side(space: Space, h: Hyperplane, x):
     """Which closed half space contains x: +1, -1, or 0 on the hyperplane itself."""
     v = plane_eval(space, h, x)
-    s = np.where(np.abs(v) <= tol, 0, np.sign(h.orientation * v)).astype(int)
+    s = np.where(np.abs(v) <= SIDE_TOL, 0, np.sign(h.orientation * v)).astype(int)
     return int(s) if s.ndim == 0 else s
 
 
@@ -387,6 +387,8 @@ def ball_volume(space: Space, r: float) -> float:
     relative tolerance 1e-12.
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"radius must be finite, got {r}")
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     if space.curvature == SPHERICAL and r > math.pi + 1e-12:

@@ -38,6 +38,8 @@ from .rng import substream
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
+#: rows of the distance matrix the pairwise metrics hold at once
+_CHUNK = 512
 
 
 class UnboundedRegionError(ValueError):
@@ -256,15 +258,15 @@ def compile_region(space: Space, region):
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 
-def contains(space: Space, region, x, depth_cap: int = DEFAULT_DEPTH_CAP):
+def contains(space: Space, region, x):
     """Exact membership of x in the region.
 
     Points exactly on a symmetrization plane use the H^+ rule (closed half
     space).  Accepts a single point (returns bool) or an (N, d) batch.
     """
     depth = symmetrized_depth(region)
-    if depth > depth_cap:
-        raise RegionDepthError(f"symmetrized nesting {depth} exceeds cap {depth_cap}")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise RegionDepthError(f"symmetrized nesting {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     evaluate = compile_region(space, region)
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -341,8 +343,6 @@ class PointCloud:
 
     points: np.ndarray
     weight: float
-    density: float
-    seed: int
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -407,7 +407,7 @@ def sample(space: Space, region, density: float, seed: int) -> PointCloud:
     if pts.shape[0] == 0:
         warnings.warn("rejection sampling accepted no points; region may be empty",
                       EmptyRegionWarning, stacklevel=2)
-    return PointCloud(points=pts, weight=1.0 / density, density=density, seed=int(seed))
+    return PointCloud(points=pts, weight=1.0 / density)
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -441,7 +441,7 @@ def _decode_gram(space: Space, g):
     return np.sqrt(g)
 
 
-def _pairwise_extremes(space: Space, pts: np.ndarray, chunk: int = 512):
+def _pairwise_extremes(space: Space, pts: np.ndarray):
     """Max pairwise distance with an attaining pair, plus mean nearest-neighbor spacing."""
     n = pts.shape[0]
     if n == 1:
@@ -452,8 +452,8 @@ def _pairwise_extremes(space: Space, pts: np.ndarray, chunk: int = 512):
     best = far_fill
     bi = bj = 0
     nn = np.full(n, near_fill)
-    for i0 in range(0, n, chunk):
-        block = pts[i0:i0 + chunk]
+    for i0 in range(0, n, _CHUNK):
+        block = pts[i0:i0 + _CHUNK]
         g = _gram_distance_chunk(space, block, pts)
         rows = np.arange(block.shape[0])
         g[rows, i0 + rows] = far_fill
@@ -465,9 +465,9 @@ def _pairwise_extremes(space: Space, pts: np.ndarray, chunk: int = 512):
             bi, bj = i0 + r, c
         g[rows, i0 + rows] = near_fill
         if descending:
-            nn[i0:i0 + chunk] = np.maximum(nn[i0:i0 + chunk], g.max(axis=1))
+            nn[i0:i0 + _CHUNK] = np.maximum(nn[i0:i0 + _CHUNK], g.max(axis=1))
         else:
-            nn[i0:i0 + chunk] = np.minimum(nn[i0:i0 + chunk], g.min(axis=1))
+            nn[i0:i0 + _CHUNK] = np.minimum(nn[i0:i0 + _CHUNK], g.min(axis=1))
     diam = float(_decode_gram(space, best))
     spacing = float(np.mean(_decode_gram(space, nn)))
     return diam, bi, bj, spacing
@@ -485,7 +485,7 @@ def diameter(space: Space, cloud):
     return best, pts[bi].copy(), pts[bj].copy()
 
 
-def hausdorff(space: Space, a, b, chunk: int = 512) -> float:
+def hausdorff(space: Space, a, b) -> float:
     """Hausdorff distance between two sample sets: the max of the directed max-mins."""
     pa = _as_points(a)
     pb = _as_points(b)
@@ -495,8 +495,8 @@ def hausdorff(space: Space, a, b, chunk: int = 512) -> float:
 
     def directed(x, y):
         worst = np.inf if descending else -np.inf
-        for i0 in range(0, x.shape[0], chunk):
-            g = _gram_distance_chunk(space, x[i0:i0 + chunk], y)
+        for i0 in range(0, x.shape[0], _CHUNK):
+            g = _gram_distance_chunk(space, x[i0:i0 + _CHUNK], y)
             # nearest neighbor per row, then the worst row
             row_near = g.max(axis=1) if descending else g.min(axis=1)
             worst = min(worst, row_near.min()) if descending else max(worst, row_near.max())

@@ -3,7 +3,7 @@
 A flow repeatedly symmetrizes a region across strategy-chosen hyperplanes and
 tracks Monte Carlo metrics per step: volume (preserved), sampled diameter
 (non-increasing), and Hausdorff distance to the reference ball, the
-equal-volume ball at the tracked pole.  Convergence is an experimental
+equal-volume ball at the base point.  Convergence is an experimental
 observation, never asserted as a guarantee.
 """
 
@@ -42,14 +42,13 @@ from .regions import (
     _pairwise_extremes,
     bounding_ball,
     contains,
-    diameter,
     hausdorff,
     sample,
     symmetrized_depth,
     uniform_in_ball,
     volume_estimate,
 )
-from .rng import substream
+from .rng import child_seed, substream
 
 
 class SphericalDiameterWarning(UserWarning):
@@ -60,18 +59,12 @@ class FlowInvariantError(RuntimeError):
     """A per-step exact invariant (the counting identity) failed."""
 
 
-@dataclass(frozen=True, eq=False)
 class FarthestPairBisector:
-    """Bisector of the diameter-attaining sample pair, pole kept in H^+."""
-
-    pole: np.ndarray | None = None
+    """Bisector of the diameter-attaining sample pair, base point kept in H^+."""
 
 
-@dataclass(frozen=True, eq=False)
 class RandomThroughPole:
-    """Uniform random hyperplane through the pole, random orientation."""
-
-    pole: np.ndarray | None = None
+    """Uniform random hyperplane through the base point, random orientation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,25 +80,23 @@ class FixedSchedule:
 Strategy = FarthestPairBisector | RandomThroughPole | FixedSchedule
 
 
-def strategy_pole(space: Space, strategy) -> np.ndarray:
-    pole = getattr(strategy, "pole", None)
-    return space.base_point if pole is None else np.asarray(pole, dtype=float)
-
-
-def choose_hyperplane(space: Space, strategy, cloud, rng: np.random.Generator,
+def choose_hyperplane(space: Space, strategy, pair, rng: np.random.Generator,
                       step: int = 0) -> Hyperplane:
-    """Next symmetrization hyperplane under the strategy."""
+    """Next symmetrization hyperplane under the strategy.
+
+    ``pair`` is the diameter-attaining sample pair (x, y) of the current
+    region's cloud, or None when that cloud has fewer than two points; only
+    the farthest-pair strategy reads it.
+    """
+    pole = space.base_point
     if isinstance(strategy, FarthestPairBisector):
-        if cloud is None or len(cloud) < 2:
+        if pair is None:
             raise ValueError("farthest-pair strategy needs at least two sample points")
-        _, x, y = diameter(space, cloud)
-        h = bisector(space, x, y)
-        pole = strategy_pole(space, strategy)
+        h = bisector(space, *pair)
         if side(space, h, pole) < 0:
             h = h.flipped()
         return h
     if isinstance(strategy, RandomThroughPole):
-        pole = strategy_pole(space, strategy)
         u = random_unit_tangent(space, pole, rng)
         orientation = 1 if rng.random() < 0.5 else -1
         offset = float(np.dot(pole, u)) if space.curvature == EUCLIDEAN else 0.0
@@ -219,12 +210,6 @@ class FlowReport:
             fh.write("\n")
 
 
-def child_seed(seed: int, *path: int) -> int:
-    """Derived integer seed for the (seed, path) coordinate."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _check_counting_identity(space: Space, plane: Hyperplane, inner, wrapped,
                              n_points: int, seed: int) -> None:
     """Exact pointwise identity behind volume preservation; raises on failure."""
@@ -282,24 +267,29 @@ def _rebase_approximation(space: Space, region, target_volume: float,
 def _measure(space: Space, region, metrics: MetricsConfig, seed: int, step: int,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
              rebased: bool):
-    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record."""
+    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record.
+
+    Returns the record and the cloud's diameter-attaining pair, or None for
+    fewer than two points.
+    """
     cloud = sample(space, region, metrics.cloud_density, child_seed(seed, step, 0))
-    diam, _, _, spacing = _pairwise_extremes(space, cloud.points)
+    diam, bi, bj, spacing = _pairwise_extremes(space, cloud.points)
     h = hausdorff(space, cloud, reference_cloud)
     rec = FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
                    spacing=spacing, plane=plane, rebased=rebased)
-    return rec, cloud
+    pair = (cloud.points[bi], cloud.points[bj]) if len(cloud) >= 2 else None
+    return rec, pair
 
 
 def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
-              step: int, reference_cloud: PointCloud, prev_cloud: PointCloud,
-              prev: FlowStep):
+              step: int, reference_cloud: PointCloud, prev_pair, prev: FlowStep):
     """One symmetrization step with its metric record.
 
-    ``prev`` is the record measured on ``prev_cloud``; on the sphere, a
+    ``prev`` is the record of the previous step's cloud and ``prev_pair`` that
+    cloud's diameter-attaining pair (None under two points); on the sphere, a
     sampled diameter plus twice the spacing of at least pi warns with
-    SphericalDiameterWarning.  Returns (new region, FlowStep, fresh sample
-    cloud of the new region).
+    SphericalDiameterWarning.  Returns (new region, FlowStep, the attaining
+    pair of the new region's fresh sample cloud).
     Re-bases the region to a calibrated ball union when the symmetrized chain
     would exceed the configured depth.
     """
@@ -307,7 +297,7 @@ def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
         warnings.warn("sampled diameter is not below pi; symmetrization properties "
                       "are not guaranteed", SphericalDiameterWarning, stacklevel=2)
     rng = substream(seed, step, 3)
-    plane = choose_hyperplane(space, strategy, prev_cloud, rng, step=step - 1)
+    plane = choose_hyperplane(space, strategy, prev_pair, rng, step=step - 1)
     base = region
     rebased = False
     candidate = two_point_symmetrize(space, plane, base)
@@ -319,9 +309,9 @@ def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
         _check_counting_identity(space, plane, base, candidate,
                                  metrics.identity_check_points, child_seed(seed, step, 4))
     vol = volume_estimate(space, candidate, metrics.volume_samples, child_seed(seed, step, 1))
-    rec, cloud = _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
-                          plane, rebased)
-    return candidate, rec, cloud
+    rec, pair = _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
+                         plane, rebased)
+    return candidate, rec, pair
 
 
 def equal_volume_radius(space: Space, volume: float) -> float:
@@ -342,12 +332,8 @@ def equal_volume_radius(space: Space, volume: float) -> float:
     return float(bisect(lambda r: ball_volume(space, r) - volume, 1e-12, hi, xtol=1e-10))
 
 
-def _strategy_echo(space: Space, strategy) -> dict:
-    name = type(strategy).__name__
-    echo: dict = {"kind": name}
-    pole = getattr(strategy, "pole", None)
-    if pole is not None:
-        echo["pole"] = [float(v) for v in np.asarray(pole, dtype=float)]
+def _strategy_echo(strategy) -> dict:
+    echo: dict = {"kind": type(strategy).__name__}
     if isinstance(strategy, FixedSchedule):
         echo["planes"] = len(strategy.planes)
     return echo
@@ -358,7 +344,7 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
     """Iterate symmetrization steps until the sampled Hausdorff distance to the
     reference ball drops below stop_epsilon, or max_steps is reached.
 
-    The reference ball sits at the tracked pole with the radius whose ball
+    The reference ball sits at the base point with the radius whose ball
     volume matches the initial volume estimate.  Non-convergence is reported,
     not raised.  The stop criterion compares sample clouds, so it carries the
     sampling slack recorded per step in the ``spacing`` column.
@@ -366,16 +352,15 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     metrics = metrics or MetricsConfig()
-    pole = strategy_pole(space, strategy)
     vol0 = volume_estimate(space, initial, metrics.volume_samples, child_seed(seed, 0, 1))
     if vol0.value <= 0.0:
         raise ValueError("initial region has zero estimated volume")
-    ref_ball = Ball(pole, equal_volume_radius(space, vol0.value))
+    ref_ball = Ball(space.base_point, equal_volume_radius(space, vol0.value))
     ref_cloud = sample(space, ref_ball, metrics.cloud_density, child_seed(seed, 0, 2))
-    rec, cloud = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
+    rec, pair = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
     steps = [rec]
     config = {
-        "strategy": _strategy_echo(space, strategy),
+        "strategy": _strategy_echo(strategy),
         "metrics": asdict(metrics),
         "max_steps": max_steps,
     }
@@ -383,8 +368,8 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
     converged = rec.hausdorff_to_reference < stop_epsilon
     step = 1
     while not converged and step <= max_steps:
-        region, rec, cloud = flow_step(space, region, strategy, metrics, seed, step,
-                                       ref_cloud, cloud, rec)
+        region, rec, pair = flow_step(space, region, strategy, metrics, seed, step,
+                                      ref_cloud, pair, rec)
         steps.append(rec)
         converged = rec.hausdorff_to_reference < stop_epsilon
         step += 1

@@ -255,3 +255,51 @@ class TestUsageErrors:
         cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3}))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "campaign config lacks seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["volume", "--space", "sphere", "--dim", "2", "--radius", "nan"],
+        ["volume", "--space", "euclidean", "--dim", "2", "--radius", "nan"],
+        ["volume", "--space", "hyperbolic", "--dim", "2", "--radius", "nan"],
+        ["volume", "--space", "euclidean", "--dim", "2", "--radius", "inf"],
+        ["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "-1",
+         "--trials", "10", "--seed", "1"],
+        ["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "nan",
+         "--trials", "10", "--seed", "1"],
+    ], ids=["volume-nan-S2", "volume-nan-R2", "volume-nan-H2", "volume-inf-R2",
+            "probe-negative", "probe-nan"])
+    def test_bad_radius_prints_no_number(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "radius" in captured.err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["greedy", "--space", "sphere", "--dim", "2", "--D", "1.0",
+          "--candidates", "0", "--seed", "1"], "candidate_count"),
+        (["verify", "--space", "sphere", "--dim", "2", "--D", "1.0",
+          "--trials", "0", "--seed", "1"], "trials"),
+        (["verify", "--space", "sphere", "--dim", "2", "--D", "1.0",
+          "--trials", "2", "--seed", "1", "--complexity", "0"], "complexity"),
+        (["hull-check", "--region", "CAP", "--density", "300",
+          "--hull-samples", "-5", "--seed", "8"], "hull_samples"),
+        (["flow", "--region", "CAP", "--steps", "1", "--seed", "-1",
+          "--out", "OUT"], "seed"),
+    ], ids=["greedy-candidates", "verify-trials", "verify-complexity",
+            "hull-samples", "flow-seed"])
+    def test_bad_count_named(self, cap_file, tmp_path, capsys, argv, name):
+        out = tmp_path / "flow.csv"
+        argv = [{"CAP": cap_file, "OUT": str(out)}.get(a, a) for a in argv]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert name in captured.err
+        assert not out.exists()
+
+    def test_verify_config_zero_trials(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 0,
+                                   "seed": 11}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "trials must be at least 1, got 0" in capsys.readouterr().err

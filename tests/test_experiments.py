@@ -142,7 +142,7 @@ class TestFixtureRegions:
         assert np.all(contains(space, region, cloud.points))
 
     def test_two_caps_contains_pole_when_overlapping(self):
-        region = two_caps_region(S2, cap_radius=0.52, separation=0.17)
+        region = two_caps_region(S2)
         assert contains(S2, region, S2.base_point)
 
 

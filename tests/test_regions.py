@@ -226,7 +226,7 @@ class TestSample:
         assert np.array_equal(a.points, b.points)
 
     def test_volume_estimate_property(self):
-        cloud = PointCloud(points=np.zeros((7, 3)), weight=0.25, density=4.0, seed=0)
+        cloud = PointCloud(points=np.zeros((7, 3)), weight=0.25)
         assert cloud.volume_estimate == pytest.approx(7 * 0.25)
 
 

@@ -21,6 +21,7 @@ from isodiam.regions import (
     Symmetrized,
     Union,
     contains,
+    diameter,
     sample,
     symmetrized_depth,
     uniform_in_ball,
@@ -53,6 +54,22 @@ def plane_through_pole(space):
     n = np.zeros(space.ambient_dim)
     n[0] = 1.0
     return Hyperplane(n, 1)
+
+
+def _count_pairwise_passes(monkeypatch):
+    """Record every _pairwise_extremes call made from regions or symmetrize."""
+    import isodiam.regions as reg
+    import isodiam.symmetrize as sym
+    real = reg._pairwise_extremes
+    calls = []
+
+    def counting(space, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(space, pts, *args, **kwargs)
+
+    monkeypatch.setattr(reg, "_pairwise_extremes", counting)
+    monkeypatch.setattr(sym, "_pairwise_extremes", counting)
+    return calls
 
 
 class TestTwoPointSymmetrize:
@@ -117,7 +134,7 @@ class TestTwoPointSymmetrize:
 class TestChooseHyperplane:
     def test_two_point_cloud_gives_bisector(self, space):
         pts = random_points(space, 2, seed=116)
-        h = choose_hyperplane(space, FarthestPairBisector(), pts, substream(1))
+        h = choose_hyperplane(space, FarthestPairBisector(), (pts[0], pts[1]), substream(1))
         expected = bisector(space, pts[0], pts[1])
         ratio = h.normal / expected.normal
         assert np.allclose(ratio, ratio[0])
@@ -129,8 +146,13 @@ class TestChooseHyperplane:
 
     def test_farthest_pair_orientation_keeps_pole(self, space):
         cloud = random_points(space, 60, seed=118)
-        h = choose_hyperplane(space, FarthestPairBisector(), cloud, substream(2))
+        _, x, y = diameter(space, cloud)
+        h = choose_hyperplane(space, FarthestPairBisector(), (x, y), substream(2))
         assert side(space, h, space.base_point) >= 0
+
+    def test_farthest_pair_needs_a_pair(self):
+        with pytest.raises(ValueError, match="at least two sample points"):
+            choose_hyperplane(S2, FarthestPairBisector(), None, substream(4))
 
     def test_fixed_schedule_exhausts(self):
         h = plane_through_pole(S2)
@@ -175,18 +197,19 @@ class TestFlow:
     def test_flow_step_contract(self):
         region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.4), 0.2))
         ref_cloud = sample(S2, Ball(E, 0.65), 400.0, seed=121)
-        cloud = sample(S2, region, 400.0, seed=122)
+        _, x, y = diameter(S2, sample(S2, region, 400.0, seed=122))
         vol = volume_estimate(S2, region, 2000, seed=123)
         prev = FlowStep(step=0, volume=vol, diameter=1.4, hausdorff_to_reference=0.3,
                         spacing=0.05, plane=None, rebased=False)
-        new_region, rec, new_cloud = flow_step(
-            S2, region, RandomThroughPole(), FAST, seed=124, step=1,
-            reference_cloud=ref_cloud, prev_cloud=cloud, prev=prev)
+        new_region, rec, new_pair = flow_step(
+            S2, region, FarthestPairBisector(), FAST, seed=124, step=1,
+            reference_cloud=ref_cloud, prev_pair=(x, y), prev=prev)
         assert rec.step == 1
         assert rec.plane is not None
         assert symmetrized_depth(new_region) == 1
         assert rec.volume.std_error > 0
-        assert len(new_cloud) > 0
+        # the returned pair attains the diameter the record reports
+        assert distance(S2, *new_pair) == pytest.approx(rec.diameter, abs=1e-12)
 
     def test_spherical_diameter_warning(self):
         # a radius-2.2 cap has diameter above pi: its one step warns once
@@ -206,18 +229,21 @@ class TestFlow:
 
     def test_one_pairwise_pass_per_cloud(self, monkeypatch):
         # step 0 and each of the k steps measure one cloud, once each
-        import isodiam.symmetrize as sym
-        real = sym._pairwise_extremes
-        calls = []
-
-        def counting(space, pts, *args, **kwargs):
-            calls.append(len(pts))
-            return real(space, pts, *args, **kwargs)
-
-        monkeypatch.setattr(sym, "_pairwise_extremes", counting)
+        calls = _count_pairwise_passes(monkeypatch)
         k = 4
         report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=k,
                           stop_epsilon=0.0, seed=131, metrics=FAST)
+        assert len(report.steps) == k + 1
+        assert len(calls) == k + 1
+
+    def test_farthest_flow_reuses_measured_pair(self, monkeypatch):
+        # the bisector comes from the pair the previous step measured, with no
+        # second pass over that cloud
+        calls = _count_pairwise_passes(monkeypatch)
+        k = 4
+        region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.4), 0.2))
+        report = run_flow(S2, region, FarthestPairBisector(), max_steps=k,
+                          stop_epsilon=0.0, seed=133, metrics=FAST)
         assert len(report.steps) == k + 1
         assert len(calls) == k + 1
 
