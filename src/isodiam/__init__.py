@@ -4,7 +4,6 @@ from .convexity import (
     HemisphereCertificate,
     ball_convexity_probe,
     hemisphere_center,
-    hull_contains,
     hull_diameter_check,
     min_norm_point,
 )
@@ -13,7 +12,6 @@ from .experiments import (
     CampaignReport,
     greedy_maximal,
     random_admissible_region,
-    symmetrization_campaign,
     verify_isodiametric,
 )
 from .geometry import (

@@ -3,8 +3,8 @@
 The hemisphere test runs the minimum-norm-point construction: the point z of
 the Euclidean convex hull closest to the origin certifies containment in the
 open hemisphere {x : <x, z> > 0} whenever it is nonzero with positive margins.
-Hull predicates never work on the curved spaces directly; they rotate the
-certificate direction onto the base point, project centrally, and answer in
+The hull check never works on the curved spaces directly; it rotates the
+certificate direction onto the base point, projects centrally, and samples
 the affine model, where geodesic segments are straight.
 """
 
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import (
     SPHERICAL,
@@ -139,41 +138,6 @@ class NoHemisphereError(ValueError):
     """Spherical hull operations require an open-hemisphere certificate."""
 
 
-def _to_affine_model(space: Space, pts: np.ndarray, extra: np.ndarray | None = None):
-    """Rotate (sphere) and project points into the affine model plane.
-
-    Returns the projected points, the rotated points, and ``extra`` rotated
-    alongside them but not projected (None when not given).
-    """
-    if space.curvature == SPHERICAL:
-        cert = hemisphere_center(pts)
-        if cert is None:
-            raise NoHemisphereError("no open-hemisphere certificate for the samples")
-        rot = _householder_to_base(cert.z / np.linalg.norm(cert.z))
-        pts = pts @ rot.T
-        if extra is not None:
-            extra = extra @ rot.T
-    return project_gnomonic(space, pts), pts, extra
-
-
-def hull_contains(space: Space, cloud, query) -> bool:
-    """Whether query lies in the geodesic convex hull of the samples.
-
-    Answered by linear feasibility in the projected affine model, which is
-    exact because central projection maps geodesic segments to straight ones.
-    A spherical query outside the certificate's open hemisphere is outside.
-    """
-    P, _, query = _to_affine_model(space, _as_points(cloud), np.asarray(query, dtype=float))
-    if space.curvature == SPHERICAL and query[-1] <= 0.0:
-        return False
-    q = project_gnomonic(space, query)
-    a_eq = np.vstack([P.T, np.ones(P.shape[0])])
-    b_eq = np.append(q, 1.0)
-    res = linprog(np.zeros(P.shape[0]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options={"primal_feasibility_tolerance": 1e-9})
-    return res.status == 0
-
-
 def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     """Sampled diameter of the cloud and of a dense hull sample; the hull one
     must never exceed the first beyond numeric tolerance.
@@ -186,16 +150,21 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
         raise ValueError(f"hull_samples must be at least 1, got {hull_samples}")
     pts = _as_points(cloud)
     d0, _, _ = diameter(space, pts)
-    if space.curvature == SPHERICAL and d0 > math.pi / 2.0 + 1e-9:
-        raise ValueError(f"spherical cloud diameter {d0:.6f} exceeds pi/2")
-    proj, frame_pts, _ = _to_affine_model(space, pts)
+    if space.curvature == SPHERICAL:
+        if d0 > math.pi / 2.0 + 1e-9:
+            raise ValueError(f"spherical cloud diameter {d0:.6f} exceeds pi/2")
+        cert = hemisphere_center(pts)
+        if cert is None:
+            raise NoHemisphereError("no open-hemisphere certificate for the samples")
+        pts = pts @ _householder_to_base(cert.z / np.linalg.norm(cert.z)).T
+    proj = project_gnomonic(space, pts)
     rng = substream(seed)
     k = min(space.dim + 1, proj.shape[0])
     idx = rng.integers(0, proj.shape[0], size=(int(hull_samples), k))
     wts = rng.standard_exponential((int(hull_samples), k))
     wts /= wts.sum(axis=1, keepdims=True)
     combos = np.einsum("mk,mkd->md", wts, proj[idx])
-    hull_pts = np.vstack([frame_pts, normalize_to_space(space, combos)])
+    hull_pts = np.vstack([pts, normalize_to_space(space, combos)])
     d1, _, _ = diameter(space, hull_pts)
     return d0, d1
 
@@ -207,6 +176,8 @@ def ball_convexity_probe(space: Space, ball: Ball, trials: int, seed: int):
     balls give zero violations; spherical balls of radius in [pi/2, pi) do not.
     """
     validate_ball(space, ball)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = substream(seed)
     xs = uniform_in_ball(space, ball, rng, size=int(trials))
     ys = uniform_in_ball(space, ball, rng, size=int(trials))

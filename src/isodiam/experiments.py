@@ -4,7 +4,7 @@ A verification campaign generates random sampled-admissible regions of
 diameter at most D, estimates their volumes, and compares against the ball of
 radius D/2; any excess beyond the sigma threshold is a finding.  The greedy
 probe grows a diameter-bounded point set and accounts its volume by candidate
-fraction.  The symmetrization campaign runs flows over a fixture battery.
+fraction.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import Ball, Space, ball_volume, distance, geodesic_point
+from .geometry import SPHERICAL, Ball, Space, ball_volume, distance, geodesic_point
 from .regionio import region_digest
 from .regions import (
     Difference,
@@ -31,7 +31,6 @@ from .regions import (
     volume_estimate,
 )
 from .rng import child_seed, substream
-from .symmetrize import FlowReport, MetricsConfig, RandomThroughPole, run_flow
 
 
 class RegionGenerationError(RuntimeError):
@@ -40,6 +39,14 @@ class RegionGenerationError(RuntimeError):
 
 #: fresh draws random_admissible_region makes before it gives up
 _GENERATION_ATTEMPTS = 20
+
+
+def _check_diameter_bound(space: Space, D: float) -> None:
+    """Raise ValueError unless D is finite, positive, and below pi on the sphere."""
+    if not (math.isfinite(D) and D > 0.0):
+        raise ValueError(f"diameter bound D must be finite and positive, got {D}")
+    if space.curvature == SPHERICAL and D >= math.pi:
+        raise ValueError(f"diameter bound D must be below pi on the sphere, got {D}")
 
 
 def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
@@ -52,8 +59,7 @@ def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
     sampled diameter check passes.  Complexity 1 yields a plain ball of radius
     at most D/2.
     """
-    if D <= 0.0 or (space.curvature == 1 and D >= math.pi):
-        raise ValueError(f"invalid diameter bound {D}")
+    _check_diameter_bound(space, D)
     pole = space.base_point
     half = D / 2.0
     for attempt in range(_GENERATION_ATTEMPTS):
@@ -117,6 +123,7 @@ class CampaignConfig:
     sigma_threshold: float = 3.0
 
     def __post_init__(self):
+        _check_diameter_bound(self.space, self.D)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.complexity < 1:
@@ -248,10 +255,13 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     Candidates are scattered uniformly; one is accepted exactly when it stays
     within D of every previously accepted point.  The accepted set's volume is
     accounted as accepted_count * envelope_volume / candidate_count; returns
-    the accepted cloud and the deficit against the ball of radius D/2.
+    the accepted cloud, the deficit against the ball of radius D/2, and sigma.
+
+    sigma is the binomial error of independent draws.  Acceptance depends on
+    the path taken, so sigma is only a lower bound on the seed-to-seed spread
+    (the z-scores of 60 seeds spread 1.47, not 1).
     """
-    if D <= 0.0 or (space.curvature == 1 and D >= math.pi):
-        raise ValueError(f"invalid diameter bound {D}")
+    _check_diameter_bound(space, D)
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be at least 1, got {candidate_count}")
     pole = space.base_point
@@ -295,60 +305,3 @@ def two_caps_region(space: Space):
     c1 = geodesic_point(space, pole, axis, 0.17)
     c2 = geodesic_point(space, pole, -axis, 0.17)
     return Union((Ball(c1, 0.52), Ball(c2, 0.52)))
-
-
-@dataclass(frozen=True)
-class FlowCampaignConfig:
-    curvature: int = 1
-    dim: int = 2
-    seed: int = 0
-    max_steps: int = 200
-    hausdorff_threshold: float = 0.1
-    metrics: MetricsConfig = field(default_factory=lambda: MetricsConfig(
-        cloud_density=2500.0, volume_samples=12000, rebase_depth=9))
-
-    @property
-    def space(self) -> Space:
-        return Space(self.curvature, self.dim)
-
-
-def symmetrization_campaign(config: FlowCampaignConfig):
-    """Run flows over the fixture battery; returns (reports, findings).
-
-    Per flow, findings are recorded when the diameter trace increases beyond
-    the sampling slack, or when volume drifts beyond the sigma budget across
-    rebase-free segments.  Flows that do not reach the Hausdorff threshold are
-    flagged as non-convergent, not failed.
-    """
-    space = config.space
-    battery = {
-        "dented_ball": dented_ball_region(space),
-        "two_caps": two_caps_region(space),
-        "random_admissible": random_admissible_region(space, 1.4, 3,
-                                                      child_seed(config.seed, 90)),
-    }
-    reports: dict[str, FlowReport] = {}
-    findings: list[str] = []
-    for index, (name, region) in enumerate(battery.items()):
-        report = run_flow(space, region, RandomThroughPole(),
-                          max_steps=config.max_steps,
-                          stop_epsilon=config.hausdorff_threshold,
-                          seed=child_seed(config.seed, index),
-                          metrics=config.metrics)
-        reports[name] = report
-        for prev, cur in zip(report.steps, report.steps[1:]):
-            slack = 2.0 * (prev.spacing + cur.spacing)
-            if not cur.rebased and cur.diameter > prev.diameter + slack + 1e-9:
-                findings.append(f"{name}: diameter increased at step {cur.step}")
-        seg_start = report.steps[0]
-        for prev, cur in zip(report.steps, report.steps[1:]):
-            if cur.rebased:
-                seg_start = cur
-                continue
-            budget = 3.0 * math.hypot(seg_start.volume.std_error, cur.volume.std_error)
-            if abs(cur.volume.value - seg_start.volume.value) > budget:
-                findings.append(f"{name}: volume drift beyond 3 sigma at step {cur.step}")
-        if not report.converged:
-            findings.append(f"{name}: did not reach Hausdorff threshold "
-                            f"{config.hausdorff_threshold} (non-convergent)")
-    return reports, findings

@@ -396,8 +396,8 @@ def sample(space: Space, region, density: float, seed: int) -> PointCloud:
     bounding ball and keeps the members, so the expected count is density
     times the region volume.
     """
-    if density <= 0.0:
-        raise ValueError("density must be positive")
+    if not (math.isfinite(density) and density > 0.0):
+        raise ValueError(f"density must be finite and positive, got {density}")
     env = bounding_ball(space, region)
     n_env = int(np.ceil(density * ball_volume(space, env.radius)))
     rng = substream(seed)

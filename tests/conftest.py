@@ -1,6 +1,6 @@
 import pytest
 
-from isodiam.geometry import Ball, Space
+from isodiam.geometry import Ball, Space, bisector
 from isodiam.regions import uniform_in_ball
 from isodiam.rng import substream
 
@@ -22,3 +22,10 @@ def random_points(space, n, seed, spread=1.2):
 def random_pairs(space, n, seed, spread=1.2):
     pts = random_points(space, 2 * n, seed, spread)
     return pts[:n], pts[n:]
+
+
+def random_plane(space, rng):
+    """The bisector of two random points near the base point, either way round."""
+    near = Ball(space.base_point, 0.8)
+    h = bisector(space, uniform_in_ball(space, near, rng), uniform_in_ball(space, near, rng))
+    return h.flipped() if rng.random() < 0.5 else h

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isodiam
 from isodiam.cli import main
+from isodiam.experiments import dented_ball_region
 from isodiam.geometry import Ball, Space
 from isodiam.regionio import save_region
 from isodiam.regions import Union
@@ -285,8 +291,22 @@ class TestUsageErrors:
           "--hull-samples", "-5", "--seed", "8"], "hull_samples"),
         (["flow", "--region", "CAP", "--steps", "1", "--seed", "-1",
           "--out", "OUT"], "seed"),
+        (["diameter", "--region", "CAP", "--density", "inf", "--seed", "1"], "density"),
+        (["diameter", "--region", "CAP", "--density", "nan", "--seed", "1"], "density"),
+        (["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "0.5",
+          "--trials", "0", "--seed", "1"], "trials"),
+        (["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "0.5",
+          "--trials", "-5", "--seed", "1"], "trials"),
+        (["greedy", "--space", "sphere", "--dim", "2", "--D", "nan",
+          "--candidates", "100", "--seed", "1"], "diameter bound D"),
+        (["greedy", "--space", "euclidean", "--dim", "2", "--D", "inf",
+          "--candidates", "100", "--seed", "1"], "diameter bound D"),
+        (["verify", "--space", "sphere", "--dim", "2", "--D", "nan",
+          "--trials", "2", "--seed", "1", "--out", "OUT"], "diameter bound D"),
     ], ids=["greedy-candidates", "verify-trials", "verify-complexity",
-            "hull-samples", "flow-seed"])
+            "hull-samples", "flow-seed", "density-inf", "density-nan",
+            "probe-zero-trials", "probe-negative-trials", "greedy-D-nan",
+            "greedy-D-inf-R2", "verify-D-nan"])
     def test_bad_count_named(self, cap_file, tmp_path, capsys, argv, name):
         out = tmp_path / "flow.csv"
         argv = [{"CAP": cap_file, "OUT": str(out)}.get(a, a) for a in argv]
@@ -303,3 +323,31 @@ class TestUsageErrors:
                                    "seed": 11}))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "trials must be at least 1, got 0" in capsys.readouterr().err
+
+
+class TestReproducibility:
+    def test_reports_independent_of_hash_seed(self, tmp_path):
+        # str hashes are salted per process; no report byte may depend on one
+        region = tmp_path / "dented.json"
+        save_region(region, S2, dented_ball_region(S2))
+        commands = [
+            ["flow", "--region", str(region), "--steps", "3", "--seed", "12",
+             "--out", "flow.csv", "--json", "flow.json",
+             "--density", "400", "--volume-samples", "2000"],
+            ["verify", "--space", "sphere", "--dim", "2", "--D", "1.2", "--trials", "3",
+             "--seed", "11", "--samples", "5000", "--density", "300",
+             "--out", "verify.csv", "--json", "verify.json"],
+        ]
+        src = str(Path(isodiam.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed-{hash_seed}"
+            out.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            for argv in commands:
+                subprocess.run([sys.executable, "-m", "isodiam.cli", *argv], cwd=out, env=env,
+                               check=True, capture_output=True, timeout=300)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["flow.csv", "flow.json", "verify.csv", "verify.json"]
+        assert outputs[0] == outputs[1]

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from isodiam.convexity import (
-    NoHemisphereError,
     ball_convexity_probe,
     hemisphere_center,
-    hull_contains,
     hull_diameter_check,
     min_norm_point,
 )
@@ -128,57 +126,6 @@ class TestHemisphereCenter:
                 assert cert.min_margin > 0
                 found += 1
             assert found >= 35
-
-
-class TestHullContains:
-    def test_cloud_points_inside(self, space):
-        cloud = random_points(space, 40, seed=85, spread=0.5)
-        for p in cloud[:8]:
-            assert hull_contains(space, cloud, p)
-
-    def test_geodesic_midpoints_inside(self, space):
-        cloud = random_points(space, 40, seed=86, spread=0.5)
-        u, t = tangent_toward(space, cloud[0], cloud[1])
-        mid = geodesic_point(space, cloud[0], u, t / 2)
-        assert hull_contains(space, cloud, mid)
-
-    def test_far_query_outside(self, space):
-        cloud = random_points(space, 40, seed=87, spread=0.4)
-        axis = np.zeros(space.ambient_dim)
-        axis[0] = 1.0
-        far = geodesic_point(space, space.base_point, axis, 1.4)
-        assert float(distance(space, far, space.base_point)) > 0.4 + 0.9
-        assert not hull_contains(space, cloud, far)
-
-    def test_requires_hemisphere_certificate(self):
-        with pytest.raises(NoHemisphereError):
-            hull_contains(S2, ANTIPODAL_SIX, E)
-
-    def test_rotation_invariance(self):
-        cloud = random_points(S2, 30, seed=88, spread=0.5)
-        queries = random_points(S2, 30, seed=89, spread=0.7)
-        # joint rotation must not change any membership answer
-        theta = 0.7
-        rot = np.array([
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [math.sin(theta), math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]) @ np.array([
-            [1.0, 0.0, 0.0],
-            [0.0, math.cos(0.4), -math.sin(0.4)],
-            [0.0, math.sin(0.4), math.cos(0.4)],
-        ])
-        before = [hull_contains(S2, cloud, q) for q in queries]
-        after = [hull_contains(S2, cloud @ rot.T, rot @ q) for q in queries]
-        assert before == after
-
-    def test_monotone_under_more_samples(self):
-        cloud = random_points(S2, 25, seed=90, spread=0.5)
-        extra = random_points(S2, 25, seed=91, spread=0.5)
-        queries = random_points(S2, 40, seed=92, spread=0.6)
-        for q in queries[:15]:
-            if hull_contains(S2, cloud, q):
-                assert hull_contains(S2, np.vstack([cloud, extra]), q)
 
 
 class TestHullDiameterCheck:

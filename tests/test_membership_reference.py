@@ -16,7 +16,6 @@ from isodiam.geometry import (
     SIDE_TOL,
     Ball,
     Space,
-    bisector,
     distance,
     normalize_to_space,
     plane_eval,
@@ -34,6 +33,8 @@ from isodiam.regions import (
     uniform_in_ball,
 )
 from isodiam.rng import substream
+
+from conftest import random_plane
 
 SPACES = {"R2": Space.euclidean(2), "S2": Space.sphere(2), "H2": Space.hyperbolic(2)}
 
@@ -66,12 +67,6 @@ def _random_ball(space, rng):
     return Ball(uniform_in_ball(space, pole, rng), float(rng.uniform(0.2, 0.7)))
 
 
-def _random_plane(space, rng):
-    near = Ball(space.base_point, 0.8)
-    h = bisector(space, uniform_in_ball(space, near, rng), uniform_in_ball(space, near, rng))
-    return h.flipped() if rng.random() < 0.5 else h
-
-
 def _base_region(space, kind, rng):
     balls = [_random_ball(space, rng) for _ in range(4)]
     if kind == 0:
@@ -79,9 +74,9 @@ def _base_region(space, kind, rng):
     if kind == 1:
         return Difference(balls[0], Union(tuple(balls[1:3])))
     if kind == 2:
-        return Intersection((balls[0], HalfSpace(_random_plane(space, rng)), balls[1]))
+        return Intersection((balls[0], HalfSpace(random_plane(space, rng)), balls[1]))
     return Union((Difference(balls[0], balls[1]),
-                  Intersection((balls[2], HalfSpace(_random_plane(space, rng)))), balls[3]))
+                  Intersection((balls[2], HalfSpace(random_plane(space, rng)))), balls[3]))
 
 
 def _planes(region):
@@ -110,7 +105,7 @@ def test_matches_per_point_reference(space_name, depth, kind, seed):
     rng = substream(seed)
     region = _base_region(space, kind, rng)
     for _ in range(depth):
-        region = Symmetrized(_random_plane(space, rng), region)
+        region = Symmetrized(random_plane(space, rng), region)
     pts = [uniform_in_ball(space, bounding_ball(space, region), rng, size=40)]
     for plane in _planes(region):
         on = _on_plane(space, plane, uniform_in_ball(space, Ball(space.base_point, 0.8), rng, 12))
@@ -141,7 +136,7 @@ def test_each_symmetrized_level_at_most_doubles_the_queries(space_name, monkeypa
     region = _random_ball(space, rng)
     depth = 8
     for _ in range(depth):
-        region = Symmetrized(_random_plane(space, rng), region)
+        region = Symmetrized(random_plane(space, rng), region)
     pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=500)
     contains(space, region, pts)
     assert 0 < len(batches) <= 2**depth

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodiam.geometry import Ball, Hyperplane, Space
 from isodiam.regionio import (
@@ -11,14 +13,26 @@ from isodiam.regionio import (
     region_digest,
     region_equal,
     region_from_dict,
+    region_to_dict,
     save_region,
 )
-from isodiam.regions import Difference, HalfSpace, Intersection, Symmetrized, Union
+from isodiam.regions import (
+    Difference,
+    HalfSpace,
+    Intersection,
+    Symmetrized,
+    Union,
+    uniform_in_ball,
+)
+from isodiam.rng import substream
+
+from conftest import random_plane
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
 H2 = Space.hyperbolic(2)
 E = np.array([0.0, 0.0, 1.0])
+SPACES = {"R2": E2, "S2": S2, "H2": H2}
 
 
 def nested_region():
@@ -130,3 +144,67 @@ class TestDigest:
 
     def test_digest_distinguishes(self):
         assert region_digest(Ball(E, 0.5)) != region_digest(Ball(E, 0.5000001))
+
+
+def _random_tree(space, rng, depth):
+    """A random region tree with every node kind, at most ``depth`` levels deep."""
+    kind = int(rng.integers(0, 6 if depth > 0 else 2))
+    if kind == 0:
+        center = uniform_in_ball(space, Ball(space.base_point, 0.6), rng)
+        return Ball(center, float(rng.uniform(0.1, 1.0)))
+    if kind == 1:
+        return HalfSpace(random_plane(space, rng))
+    if kind in (2, 3):
+        children = tuple(_random_tree(space, rng, depth - 1)
+                         for _ in range(int(rng.integers(1, 4))))
+        return Union(children) if kind == 2 else Intersection(children)
+    if kind == 4:
+        return Difference(_random_tree(space, rng, depth - 1), _random_tree(space, rng, depth - 1))
+    return Symmetrized(random_plane(space, rng), _random_tree(space, rng, depth - 1))
+
+
+def _number_slots(node):
+    """(container, key) for every number a corrupted document could carry:
+    radii, centre coordinates, normal coordinates and plane offsets."""
+    slots = []
+    if node["kind"] == "ball":
+        slots.append((node, "radius"))
+        slots.extend((node["center"], i) for i in range(len(node["center"])))
+    if "normal" in node:
+        slots.append((node, "offset"))
+        slots.extend((node["normal"], i) for i in range(len(node["normal"])))
+    for child in node.get("children", []) + [node[k] for k in ("a", "b", "inner") if k in node]:
+        slots.extend(_number_slots(child))
+    return slots
+
+
+class TestDocumentProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(space_name=st.sampled_from(sorted(SPACES)), depth=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_save_load_round_trip(self, tmp_path_factory, space_name, depth, seed):
+        space = SPACES[space_name]
+        region = _random_tree(space, substream(seed), depth)
+        path = tmp_path_factory.mktemp("doc") / "region.json"
+        save_region(path, space, region)
+        back_space, back = load_region(path)
+        assert back_space == space
+        assert region_to_dict(back) == region_to_dict(region)
+        assert region_digest(back) == region_digest(region)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(space_name=st.sampled_from(sorted(SPACES)), depth=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1), slot=st.integers(0, 10**6),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_number_rejected(self, tmp_path_factory, space_name, depth, seed,
+                                        slot, bad):
+        space = SPACES[space_name]
+        tree = region_to_dict(_random_tree(space, substream(seed), depth))
+        slots = _number_slots(tree)
+        container, key = slots[slot % len(slots)]
+        container[key] = bad
+        path = tmp_path_factory.mktemp("doc") / "bad.json"
+        path.write_text(json.dumps({"space": {"curvature": space.curvature, "dim": space.dim},
+                                    "region": tree}))
+        with pytest.raises(RegionFormatError):
+            load_region(path)
