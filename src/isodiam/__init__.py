@@ -51,7 +51,6 @@ from .regions import (
 )
 from .symmetrize import (
     FarthestPairBisector,
-    FixedSchedule,
     FlowReport,
     MetricsConfig,
     RandomThroughPole,

@@ -123,7 +123,12 @@ def _cmd_volume(args) -> int:
             print("--seed is required with --region", file=sys.stderr)
             return 2
         file_space, region = load_region(args.region)
-        est = volume_estimate(file_space, region, args.samples, args.seed)
+        if file_space != space:
+            print(f"--space {args.space} --dim {args.dim} disagrees with the region "
+                  f"document's space, {file_space.name} of dim {file_space.dim}",
+                  file=sys.stderr)
+            return 2
+        est = volume_estimate(space, region, args.samples, args.seed)
         print(f"{est.value!r} +- {est.std_error!r} ({est.samples_used} samples)")
         return 0
     if args.radius is None:

@@ -128,6 +128,9 @@ class CampaignConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.complexity < 1:
             raise ValueError(f"complexity must be at least 1, got {self.complexity}")
+        if not (math.isfinite(self.sigma_threshold) and self.sigma_threshold >= 0.0):
+            raise ValueError(f"sigma_threshold must be finite and non-negative, "
+                             f"got {self.sigma_threshold}")
 
     @property
     def space(self) -> Space:

@@ -118,13 +118,6 @@ def tangent_norm(space: Space, v):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def is_unit_tangent(space: Space, base, vec) -> bool:
-    """True when vec is tangent to the quadric at base and has unit length."""
-    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, vec, base)) > POINT_TOL):
-        return False
-    return bool(np.all(np.abs(tangent_norm(space, vec) - 1.0) <= POINT_TOL))
-
-
 def distance(space: Space, x, y):
     """Geodesic distance between points, broadcasting over leading axes.
 

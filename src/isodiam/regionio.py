@@ -8,18 +8,20 @@ space alongside the tree so files are self-contained:
 
 Euclidean halfspace/symmetrized nodes carry an extra "offset" field (the
 hyperplane is <x, normal> = offset); it defaults to 0 and is omitted on the
-curved spaces.
+curved spaces.  Parsing checks each node against the space as it builds it,
+so every error names the path of the bad node, e.g. ``region.children[1].b``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from .geometry import Ball, Hyperplane, Space
-from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union, validate_region
+from .geometry import SPHERICAL, Ball, Hyperplane, Space, validate_ball, validate_hyperplane
+from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union
 
 
 class RegionFormatError(ValueError):
@@ -51,76 +53,87 @@ def region_to_dict(region) -> dict:
     raise RegionFormatError(f"unknown region node {type(region).__name__}")
 
 
-def _need(node: dict, key: str, path: str):
+def _need(node: dict, key: str):
     if key not in node:
-        raise RegionFormatError(f"{path}: missing required field '{key}'")
+        raise ValueError(f"missing required field '{key}'")
     return node[key]
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", np.ndarray: "a list of numbers"}
 
 
-def _field(node: dict, key: str, path: str, kind, default=None):
-    """node[key] as a float, an int or a float array; errors name the path and field."""
-    value = _need(node, key, path) if default is None else node.get(key, default)
+def _field(node: dict, key: str, kind, default=None):
+    """node[key] as a float, an int or a 1-D float array; errors name the field."""
+    value = _need(node, key) if default is None else node.get(key, default)
     try:
         out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
-        if kind is not int or out == value:
+        # an integer must not drop a fraction, and a coordinate list must be flat
+        if (out.ndim == 1) if kind is np.ndarray else (kind is float or out == value):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
-    raise RegionFormatError(f"{path}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _plane_from(node: dict, path: str) -> Hyperplane:
-    normal = _field(node, "normal", path, np.ndarray)
-    orientation = _field(node, "orientation", path, int)
-    offset = _field(node, "offset", path, float, default=0.0)
-    if orientation not in (-1, 1):
-        raise RegionFormatError(f"{path}: orientation must be +1 or -1, got {orientation}")
-    return Hyperplane(normal, orientation, offset)
+def _plane_from(space: Space, node: dict) -> Hyperplane:
+    plane = Hyperplane(_field(node, "normal", np.ndarray), _field(node, "orientation", int),
+                       _field(node, "offset", float, default=0.0))
+    validate_hyperplane(space, plane)
+    return plane
 
 
-def region_from_dict(node: dict, path: str = "region"):
-    if not isinstance(node, dict):
-        raise RegionFormatError(f"{path}: expected an object, got {type(node).__name__}")
-    kind = _need(node, "kind", path)
-    if kind == "ball":
-        radius = _field(node, "radius", path, float)
-        if radius <= 0.0:
-            raise RegionFormatError(f"{path}: ball radius must be positive, got {radius}")
-        return Ball(_field(node, "center", path, np.ndarray), radius)
-    if kind == "halfspace":
-        return HalfSpace(_plane_from(node, path))
-    if kind in ("union", "intersection"):
-        children = _need(node, "children", path)
-        if not isinstance(children, list) or not children:
-            raise RegionFormatError(f"{path}: '{kind}' needs a nonempty children list")
-        parsed = tuple(region_from_dict(c, f"{path}.children[{i}]") for i, c in enumerate(children))
-        return Union(parsed) if kind == "union" else Intersection(parsed)
-    if kind == "difference":
-        return Difference(region_from_dict(_need(node, "a", path), f"{path}.a"),
-                          region_from_dict(_need(node, "b", path), f"{path}.b"))
-    if kind == "symmetrized":
-        plane = _plane_from(node, path)
-        return Symmetrized(plane, region_from_dict(_need(node, "inner", path), f"{path}.inner"))
-    raise RegionFormatError(f"{path}: unknown node kind '{kind}'")
+def _ball_from(space: Space, node: dict) -> Ball:
+    ball = Ball(_field(node, "center", np.ndarray), _field(node, "radius", float))
+    validate_ball(space, ball)
+    if space.curvature == SPHERICAL and ball.radius >= math.pi:
+        raise ValueError(f"spherical region balls must have radius < pi, got {ball.radius}")
+    return ball
+
+
+def region_from_dict(space: Space, node: dict, path: str = "region"):
+    """Build a region tree from its document and check every node against the space.
+
+    One walk does both.  Any error is a RegionFormatError whose message
+    begins with the path of the bad node, e.g. ``region.children[1].b: ...``.
+    """
+    try:
+        if not isinstance(node, dict):
+            raise ValueError(f"expected an object, got {type(node).__name__}")
+        kind = _need(node, "kind")
+        if kind == "ball":
+            return _ball_from(space, node)
+        if kind == "halfspace":
+            return HalfSpace(_plane_from(space, node))
+        if kind in ("union", "intersection"):
+            children = _need(node, "children")
+            if not isinstance(children, list) or not children:
+                raise ValueError(f"'{kind}' needs a nonempty children list")
+            parsed = tuple(region_from_dict(space, c, f"{path}.children[{i}]")
+                           for i, c in enumerate(children))
+            return Union(parsed) if kind == "union" else Intersection(parsed)
+        if kind == "difference":
+            return Difference(region_from_dict(space, _need(node, "a"), f"{path}.a"),
+                              region_from_dict(space, _need(node, "b"), f"{path}.b"))
+        if kind == "symmetrized":
+            plane = _plane_from(space, node)
+            return Symmetrized(plane, region_from_dict(space, _need(node, "inner"),
+                                                       f"{path}.inner"))
+        raise ValueError(f"unknown node kind '{kind}'")
+    except RegionFormatError:
+        raise
+    except ValueError as exc:
+        raise RegionFormatError(f"{path}: {exc}") from exc
 
 
 def document_to_space_region(doc: dict) -> tuple[Space, object]:
-    if "space" not in doc or "region" not in doc:
+    if not isinstance(doc, dict) or "space" not in doc or "region" not in doc:
         raise RegionFormatError("document must carry 'space' and 'region' members")
     sp = doc["space"]
     try:
         space = Space(int(sp["curvature"]), int(sp["dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RegionFormatError(f"space: {exc}") from exc
-    region = region_from_dict(doc["region"])
-    try:
-        validate_region(space, region)
-    except ValueError as exc:
-        raise RegionFormatError(f"region: {exc}") from exc
-    return space, region
+    return space, region_from_dict(space, doc["region"])
 
 
 def save_region(path, space: Space, region) -> None:
@@ -145,8 +158,3 @@ def region_digest(region) -> str:
     """Stable short digest of the region structure, for report provenance."""
     blob = json.dumps(region_to_dict(region), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def region_equal(a, b) -> bool:
-    """Structural equality of two region trees (exact coordinates)."""
-    return region_to_dict(a) == region_to_dict(b)

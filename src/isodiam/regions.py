@@ -31,8 +31,6 @@ from .geometry import (
     random_unit_tangent,
     reflect,
     tangent_toward,
-    validate_ball,
-    validate_hyperplane,
 )
 from .rng import substream
 
@@ -106,27 +104,6 @@ def symmetrized_depth(region) -> int:
     if isinstance(region, Difference):
         return max(symmetrized_depth(region.a), symmetrized_depth(region.b))
     return 0
-
-
-def validate_region(space: Space, region) -> None:
-    """Raise ValueError on any structural invariant violation in the tree."""
-    if isinstance(region, Ball):
-        validate_ball(space, region)
-        if space.curvature == SPHERICAL and region.radius >= math.pi:
-            raise ValueError("spherical region balls must have radius < pi")
-    elif isinstance(region, HalfSpace):
-        validate_hyperplane(space, region.plane)
-    elif isinstance(region, (Union, Intersection)):
-        for c in region.children:
-            validate_region(space, c)
-    elif isinstance(region, Difference):
-        validate_region(space, region.a)
-        validate_region(space, region.b)
-    elif isinstance(region, Symmetrized):
-        validate_hyperplane(space, region.plane)
-        validate_region(space, region.inner)
-    else:
-        raise ValueError(f"unknown region node {type(region).__name__}")
 
 
 def _ball_group(space: Space, balls):
@@ -512,7 +489,7 @@ def volume_estimate(space: Space, region, samples: int, seed: int) -> VolumeEsti
     error of the estimator.
     """
     if samples < 100:
-        raise ValueError("need at least 100 samples")
+        raise ValueError(f"samples must be at least 100, got {samples}")
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
     rng = substream(seed)

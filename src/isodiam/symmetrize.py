@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import bisect
@@ -67,21 +67,11 @@ class RandomThroughPole:
     """Uniform random hyperplane through the base point, random orientation."""
 
 
-@dataclass(frozen=True, eq=False)
-class FixedSchedule:
-    planes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "planes", tuple(self.planes))
-        if not self.planes:
-            raise ValueError("schedule must be nonempty")
+Strategy = FarthestPairBisector | RandomThroughPole
 
 
-Strategy = FarthestPairBisector | RandomThroughPole | FixedSchedule
-
-
-def choose_hyperplane(space: Space, strategy, pair, rng: np.random.Generator,
-                      step: int = 0) -> Hyperplane:
+def choose_hyperplane(space: Space, strategy: Strategy, pair,
+                      rng: np.random.Generator) -> Hyperplane:
     """Next symmetrization hyperplane under the strategy.
 
     ``pair`` is the diameter-attaining sample pair (x, y) of the current
@@ -101,10 +91,6 @@ def choose_hyperplane(space: Space, strategy, pair, rng: np.random.Generator,
         orientation = 1 if rng.random() < 0.5 else -1
         offset = float(np.dot(pole, u)) if space.curvature == EUCLIDEAN else 0.0
         return Hyperplane(u, orientation, offset)
-    if isinstance(strategy, FixedSchedule):
-        if step >= len(strategy.planes):
-            raise ValueError(f"fixed schedule exhausted after {len(strategy.planes)} planes")
-        return strategy.planes[step]
     raise TypeError(f"unknown strategy {type(strategy).__name__}")
 
 
@@ -134,9 +120,20 @@ class MetricsConfig:
     rebase_depth: int = DEFAULT_DEPTH_CAP
     rebase_centers: int = 192
 
+    def __post_init__(self):
+        if self.rebase_depth < 1:
+            raise ValueError(f"rebase_depth must be at least 1, got {self.rebase_depth}")
+
 
 @dataclass(frozen=True)
 class FlowStep:
+    """Metrics of one step's sample cloud.
+
+    ``pair`` is the cloud's diameter-attaining sample pair (None under two
+    points).  It feeds the next farthest-pair hyperplane and stays out of
+    equality and of both report formats.
+    """
+
     step: int
     volume: VolumeEstimate
     diameter: float
@@ -144,6 +141,7 @@ class FlowStep:
     spacing: float
     plane: Hyperplane | None
     rebased: bool
+    pair: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -267,29 +265,23 @@ def _rebase_approximation(space: Space, region, target_volume: float,
 def _measure(space: Space, region, metrics: MetricsConfig, seed: int, step: int,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
              rebased: bool):
-    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record.
-
-    Returns the record and the cloud's diameter-attaining pair, or None for
-    fewer than two points.
-    """
+    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record."""
     cloud = sample(space, region, metrics.cloud_density, child_seed(seed, step, 0))
     diam, bi, bj, spacing = _pairwise_extremes(space, cloud.points)
     h = hausdorff(space, cloud, reference_cloud)
-    rec = FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
-                   spacing=spacing, plane=plane, rebased=rebased)
-    pair = (cloud.points[bi], cloud.points[bj]) if len(cloud) >= 2 else None
-    return rec, pair
+    # copies, so that the report's records do not keep every cloud alive
+    pair = (cloud.points[bi].copy(), cloud.points[bj].copy()) if len(cloud) >= 2 else None
+    return FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
+                    spacing=spacing, plane=plane, rebased=rebased, pair=pair)
 
 
-def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
-              step: int, reference_cloud: PointCloud, prev_pair, prev: FlowStep):
-    """One symmetrization step with its metric record.
+def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, seed: int,
+              step: int, reference_cloud: PointCloud, prev: FlowStep):
+    """One symmetrization step; returns (new region, its FlowStep record).
 
-    ``prev`` is the record of the previous step's cloud and ``prev_pair`` that
-    cloud's diameter-attaining pair (None under two points); on the sphere, a
-    sampled diameter plus twice the spacing of at least pi warns with
-    SphericalDiameterWarning.  Returns (new region, FlowStep, the attaining
-    pair of the new region's fresh sample cloud).
+    ``prev`` is the record of the previous step's cloud; the farthest-pair
+    strategy bisects its ``pair``.  On the sphere, a sampled diameter plus
+    twice the spacing of at least pi warns with SphericalDiameterWarning.
     Re-bases the region to a calibrated ball union when the symmetrized chain
     would exceed the configured depth.
     """
@@ -297,21 +289,20 @@ def flow_step(space: Space, region, strategy, metrics: MetricsConfig, seed: int,
         warnings.warn("sampled diameter is not below pi; symmetrization properties "
                       "are not guaranteed", SphericalDiameterWarning, stacklevel=2)
     rng = substream(seed, step, 3)
-    plane = choose_hyperplane(space, strategy, prev_pair, rng, step=step - 1)
+    plane = choose_hyperplane(space, strategy, prev.pair, rng)
+    # the candidate is one level deeper, or is the unchanged ball, which a
+    # rebase_depth of at least 1 never rebases
+    rebased = symmetrized_depth(region) + 1 > metrics.rebase_depth
     base = region
-    rebased = False
-    candidate = two_point_symmetrize(space, plane, base)
-    if symmetrized_depth(candidate) > metrics.rebase_depth:
+    if rebased:
         base = _rebase_approximation(space, region, prev.volume.value, metrics, seed, step)
-        candidate = two_point_symmetrize(space, plane, base)
-        rebased = True
+    candidate = two_point_symmetrize(space, plane, base)
     if metrics.identity_check_points > 0:
         _check_counting_identity(space, plane, base, candidate,
                                  metrics.identity_check_points, child_seed(seed, step, 4))
     vol = volume_estimate(space, candidate, metrics.volume_samples, child_seed(seed, step, 1))
-    rec, pair = _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
-                         plane, rebased)
-    return candidate, rec, pair
+    return candidate, _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
+                               plane, rebased)
 
 
 def equal_volume_radius(space: Space, volume: float) -> float:
@@ -332,14 +323,7 @@ def equal_volume_radius(space: Space, volume: float) -> float:
     return float(bisect(lambda r: ball_volume(space, r) - volume, 1e-12, hi, xtol=1e-10))
 
 
-def _strategy_echo(strategy) -> dict:
-    echo: dict = {"kind": type(strategy).__name__}
-    if isinstance(strategy, FixedSchedule):
-        echo["planes"] = len(strategy.planes)
-    return echo
-
-
-def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: float,
+def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_epsilon: float,
              seed: int, metrics: MetricsConfig | None = None) -> FlowReport:
     """Iterate symmetrization steps until the sampled Hausdorff distance to the
     reference ball drops below stop_epsilon, or max_steps is reached.
@@ -351,16 +335,18 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if not math.isfinite(stop_epsilon):
+        raise ValueError(f"stop_epsilon must be finite, got {stop_epsilon}")
     metrics = metrics or MetricsConfig()
     vol0 = volume_estimate(space, initial, metrics.volume_samples, child_seed(seed, 0, 1))
     if vol0.value <= 0.0:
         raise ValueError("initial region has zero estimated volume")
     ref_ball = Ball(space.base_point, equal_volume_radius(space, vol0.value))
     ref_cloud = sample(space, ref_ball, metrics.cloud_density, child_seed(seed, 0, 2))
-    rec, pair = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
+    rec = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
     steps = [rec]
     config = {
-        "strategy": _strategy_echo(strategy),
+        "strategy": {"kind": type(strategy).__name__},
         "metrics": asdict(metrics),
         "max_steps": max_steps,
     }
@@ -368,8 +354,7 @@ def run_flow(space: Space, initial, strategy, max_steps: int, stop_epsilon: floa
     converged = rec.hausdorff_to_reference < stop_epsilon
     step = 1
     while not converged and step <= max_steps:
-        region, rec, pair = flow_step(space, region, strategy, metrics, seed, step,
-                                      ref_cloud, pair, rec)
+        region, rec = flow_step(space, region, strategy, metrics, seed, step, ref_cloud, rec)
         steps.append(rec)
         converged = rec.hausdorff_to_reference < stop_epsilon
         step += 1

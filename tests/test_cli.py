@@ -59,6 +59,17 @@ class TestVolume:
         rc = main(["volume", "--space", "sphere", "--dim", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("space, dim", [("euclidean", "5"), ("sphere", "3"),
+                                            ("hyperbolic", "2")])
+    def test_region_space_must_match_flags(self, cap_file, capsys, space, dim):
+        rc = main(["volume", "--space", space, "--dim", dim, "--region", cap_file,
+                   "--samples", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"--space {space} --dim {dim}" in captured.err
+        assert "sphere of dim 2" in captured.err
+
 
 class TestDiameter:
     def test_prints_value_and_pair(self, cap_file, capsys):
@@ -217,6 +228,20 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("node, expected", [
         ({"kind": "union", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "difference",
+             "a": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+             "b": {"kind": "ball", "center": [0, 0, 2], "radius": 0.2}}]},
+         "region.children[1].b: point is not on the sphere quadric within tolerance"),
+        ({"kind": "union", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "ball", "center": [0, 0, 1], "radius": math.nan}]},
+         "region.children[1]: ball radius must be finite, got nan"),
+        ({"kind": "intersection", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "halfspace", "normal": [0, 0, 0], "orientation": 1}]},
+         "region.children[1]: hyperplane normal must be nonzero"),
+        ({"kind": "union", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": "wide"}]},
          "region.children[0]: radius must be a number, got 'wide'"),
         ({"kind": "intersection", "children": [
@@ -229,7 +254,14 @@ class TestUsageErrors:
         ({"kind": "difference", "a": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
           "b": {"kind": "ball", "center": [0, "x", 1], "radius": 0.2}},
          "region.b: center must be a list of numbers"),
-    ], ids=["string-radius", "nan-orientation", "fractional-orientation", "string-center"])
+        ({"kind": "symmetrized", "normal": [1, 0, 0], "orientation": 2,
+          "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}},
+         "region: orientation must be +1 or -1, got 2"),
+        ({"kind": "ball", "center": 5, "radius": 0.5},
+         "region: center must be a list of numbers, got 5"),
+    ], ids=["off-quadric-center", "nan-radius", "zero-normal", "string-radius",
+            "nan-orientation", "fractional-orientation", "string-center", "orientation-2",
+            "scalar-center"])
     def test_unconvertible_region_field_named(self, tmp_path, capsys, node, expected):
         bad = tmp_path / "field.json"
         bad.write_text(json.dumps({"space": {"curvature": 1, "dim": 2}, "region": node}))
@@ -238,13 +270,18 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert expected in captured.err
+        assert captured.err.startswith(f"region document error: {expected}")
 
     @pytest.mark.parametrize("extra, expected", [
         ({"bogus": 3}, "unknown campaign config key 'bogus'"),
         ({"trials": "two"}, "campaign config key 'trials' must be int, got 'two'"),
         ({"include_exact_ball": 1}, "key 'include_exact_ball' must be bool"),
-    ], ids=["unknown-key", "string-trials", "int-flag"])
+        ({"sigma_threshold": math.nan}, "sigma_threshold must be finite and non-negative"),
+        ({"sigma_threshold": math.inf}, "sigma_threshold must be finite and non-negative"),
+        ({"sigma_threshold": -1.0}, "sigma_threshold must be finite and non-negative"),
+        ({"volume_samples": 50}, "samples must be at least 100, got 50"),
+    ], ids=["unknown-key", "string-trials", "int-flag", "sigma-nan", "sigma-inf",
+            "sigma-negative", "volume-samples"])
     def test_malformed_verify_config(self, tmp_path, capsys, extra, expected):
         cfg = tmp_path / "campaign.json"
         cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
@@ -303,10 +340,19 @@ class TestUsageErrors:
           "--candidates", "100", "--seed", "1"], "diameter bound D"),
         (["verify", "--space", "sphere", "--dim", "2", "--D", "nan",
           "--trials", "2", "--seed", "1", "--out", "OUT"], "diameter bound D"),
+        (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
+          "--epsilon", "nan"], "stop_epsilon must be finite, got nan"),
+        (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
+          "--epsilon", "inf"], "stop_epsilon must be finite, got inf"),
+        (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
+          "--rebase-depth", "0"], "rebase_depth must be at least 1, got 0"),
+        (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
+          "--volume-samples", "50"], "samples must be at least 100, got 50"),
     ], ids=["greedy-candidates", "verify-trials", "verify-complexity",
             "hull-samples", "flow-seed", "density-inf", "density-nan",
             "probe-zero-trials", "probe-negative-trials", "greedy-D-nan",
-            "greedy-D-inf-R2", "verify-D-nan"])
+            "greedy-D-inf-R2", "verify-D-nan", "flow-epsilon-nan", "flow-epsilon-inf",
+            "flow-rebase-depth-0", "flow-volume-samples"])
     def test_bad_count_named(self, cap_file, tmp_path, capsys, argv, name):
         out = tmp_path / "flow.csv"
         argv = [{"CAP": cap_file, "OUT": str(out)}.get(a, a) for a in argv]

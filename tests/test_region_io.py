@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from isodiam.geometry import Ball, Hyperplane, Space
 from isodiam.regionio import (
     RegionFormatError,
+    document_to_space_region,
     load_region,
     region_digest,
-    region_equal,
     region_from_dict,
     region_to_dict,
     save_region,
@@ -50,14 +50,14 @@ class TestRoundTrip:
         save_region(path, S2, Ball(E, 0.5))
         space, region = load_region(path)
         assert space == S2
-        assert region_equal(region, Ball(E, 0.5))
+        assert region_to_dict(region) == region_to_dict(Ball(E, 0.5))
 
     def test_nested_document(self, tmp_path):
         path = tmp_path / "nested.json"
         original = nested_region()
         save_region(path, S2, original)
         _, region = load_region(path)
-        assert region_equal(region, original)
+        assert region_to_dict(region) == region_to_dict(original)
         # lossless floats: digests agree exactly
         assert region_digest(region) == region_digest(original)
 
@@ -77,7 +77,7 @@ class TestRoundTrip:
         ))
         save_region(path, E2, region)
         _, back = load_region(path)
-        assert region_equal(back, region)
+        assert region_to_dict(back) == region_to_dict(region)
         assert back.children[1].plane.offset == 0.25
 
     def test_symmetrized_layer_preserved(self, tmp_path):
@@ -91,15 +91,15 @@ class TestRoundTrip:
 class TestValidation:
     def test_negative_radius_named(self):
         with pytest.raises(RegionFormatError, match="radius"):
-            region_from_dict({"kind": "ball", "center": [0, 0, 1], "radius": -0.5})
+            region_from_dict(S2, {"kind": "ball", "center": [0, 0, 1], "radius": -0.5})
 
     def test_missing_field_named(self):
         with pytest.raises(RegionFormatError, match="missing required field"):
-            region_from_dict({"kind": "ball", "center": [0, 0, 1]})
+            region_from_dict(S2, {"kind": "ball", "center": [0, 0, 1]})
 
     def test_unknown_kind_named(self):
         with pytest.raises(RegionFormatError, match="unknown node kind"):
-            region_from_dict({"kind": "torus"})
+            region_from_dict(S2, {"kind": "torus"})
 
     def test_nested_error_path(self):
         doc = {"kind": "union", "children": [
@@ -107,7 +107,7 @@ class TestValidation:
             {"kind": "ball", "center": [0, 0, 1], "radius": -1.0},
         ]}
         with pytest.raises(RegionFormatError, match=r"children\[1\]"):
-            region_from_dict(doc)
+            region_from_dict(S2, doc)
 
     def test_hyperbolic_normal_signature_checked(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -129,6 +129,18 @@ class TestValidation:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(RegionFormatError, match="not valid JSON"):
+            load_region(path)
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        [{"kind": "ball", "center": [0, 0, 1], "radius": 1.0}],
+        {"space": {"curvature": 1, "dim": math.inf},
+         "region": {"kind": "ball", "center": [0, 0, 1], "radius": 1.0}},
+    ], ids=["number", "list", "infinite-dim"])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RegionFormatError):
             load_region(path)
 
     def test_document_needs_space(self, tmp_path):
@@ -178,6 +190,33 @@ def _number_slots(node):
     return slots
 
 
+def _node_paths(node, path="region"):
+    """(path, node) for every node of a region document, in document order."""
+    yield path, node
+    for i, child in enumerate(node.get("children", [])):
+        yield from _node_paths(child, f"{path}.children[{i}]")
+    for key in ("a", "b", "inner"):
+        if key in node:
+            yield from _node_paths(node[key], f"{path}.{key}")
+
+
+def _corruptions(space, node):
+    """Edits that make one node invalid in the space, leaving the document well formed:
+    a non-finite number, an off-quadric centre, a zero normal, a radius of pi on S2."""
+    if node["kind"] == "ball":
+        edits = [lambda n: n.update(radius=math.nan),
+                 lambda n: n["center"].__setitem__(0, -math.inf)]
+        if space.curvature != 0:
+            edits.append(lambda n: n.update(center=[2.0 * v for v in n["center"]]))
+        if space.curvature == 1:
+            edits.append(lambda n: n.update(radius=math.pi))
+        return edits
+    if "normal" in node:
+        return [lambda n: n["normal"].__setitem__(-1, math.inf),
+                lambda n: n.update(normal=[0.0] * len(n["normal"]))]
+    return []
+
+
 class TestDocumentProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(space_name=st.sampled_from(sorted(SPACES)), depth=st.integers(0, 4),
@@ -208,3 +247,18 @@ class TestDocumentProperties:
                                     "region": tree}))
         with pytest.raises(RegionFormatError):
             load_region(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(space_name=st.sampled_from(sorted(SPACES)), depth=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+    def test_bad_node_error_begins_with_its_path(self, space_name, depth, seed, pick):
+        space = SPACES[space_name]
+        tree = region_to_dict(_random_tree(space, substream(seed), depth))
+        choices = [(path, node, edit) for path, node in _node_paths(tree)
+                   for edit in _corruptions(space, node)]
+        path, node, edit = choices[pick % len(choices)]
+        edit(node)
+        doc = {"space": {"curvature": space.curvature, "dim": space.dim}, "region": tree}
+        with pytest.raises(RegionFormatError) as excinfo:
+            document_to_space_region(doc)
+        assert str(excinfo.value).startswith(f"{path}: ")

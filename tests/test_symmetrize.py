@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -30,7 +31,6 @@ from isodiam.regions import (
 from isodiam.rng import substream
 from isodiam.symmetrize import (
     FarthestPairBisector,
-    FixedSchedule,
     MetricsConfig,
     RandomThroughPole,
     FlowStep,
@@ -154,13 +154,6 @@ class TestChooseHyperplane:
         with pytest.raises(ValueError, match="at least two sample points"):
             choose_hyperplane(S2, FarthestPairBisector(), None, substream(4))
 
-    def test_fixed_schedule_exhausts(self):
-        h = plane_through_pole(S2)
-        strat = FixedSchedule((h,))
-        assert choose_hyperplane(S2, strat, None, substream(3), step=0) is h
-        with pytest.raises(ValueError, match="exhausted"):
-            choose_hyperplane(S2, strat, None, substream(3), step=1)
-
 
 class TestEqualVolumeRadius:
     def test_inverts_ball_volume(self, space):
@@ -200,16 +193,20 @@ class TestFlow:
         _, x, y = diameter(S2, sample(S2, region, 400.0, seed=122))
         vol = volume_estimate(S2, region, 2000, seed=123)
         prev = FlowStep(step=0, volume=vol, diameter=1.4, hausdorff_to_reference=0.3,
-                        spacing=0.05, plane=None, rebased=False)
-        new_region, rec, new_pair = flow_step(
+                        spacing=0.05, plane=None, rebased=False, pair=(x, y))
+        new_region, rec = flow_step(
             S2, region, FarthestPairBisector(), FAST, seed=124, step=1,
-            reference_cloud=ref_cloud, prev_pair=(x, y), prev=prev)
+            reference_cloud=ref_cloud, prev=prev)
         assert rec.step == 1
         assert rec.plane is not None
         assert symmetrized_depth(new_region) == 1
         assert rec.volume.std_error > 0
-        # the returned pair attains the diameter the record reports
-        assert distance(S2, *new_pair) == pytest.approx(rec.diameter, abs=1e-12)
+        # the record's pair attains the diameter it reports
+        assert distance(S2, *rec.pair) == pytest.approx(rec.diameter, abs=1e-12)
+        # copies, not views that would keep the whole cloud alive in the report
+        assert all(p.base is None for p in rec.pair)
+        # the pair stays out of equality
+        assert rec == dataclasses.replace(rec, pair=None)
 
     def test_spherical_diameter_warning(self):
         # a radius-2.2 cap has diameter above pi: its one step warns once
