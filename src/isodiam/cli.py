@@ -76,16 +76,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="symmetrized chain depth before re-basing")
 
     p = sub.add_parser("verify", help="isodiametric verification campaign")
-    p.add_argument("--config", help="campaign config as a JSON document; overrides the flags")
+    p.add_argument("--config", help="campaign config as a JSON document, in place of the "
+                                    "campaign flags (only --out and --json may join it)")
     p.add_argument("--space", choices=sorted(_SPACES), help="model space")
     p.add_argument("--dim", type=int, help="dimension n >= 2")
     p.add_argument("--D", type=float, dest="D",
                    help="diameter bound (in (0, pi) on the sphere)")
     p.add_argument("--trials", type=int, help="number of random regions")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--samples", type=int, default=100_000, help="volume samples per trial")
-    p.add_argument("--density", type=float, default=600.0, help="region sampling density")
-    p.add_argument("--complexity", type=int, default=4, help="max primitive balls per region")
+    # CampaignConfig owns these defaults; None marks a flag as not given
+    p.add_argument("--samples", type=int, help="volume samples per trial "
+                   f"(default {CampaignConfig.volume_samples})")
+    p.add_argument("--density", type=float, help="region sampling density "
+                   f"(default {CampaignConfig.region_density})")
+    p.add_argument("--complexity", type=int, help="max primitive balls per region "
+                   f"(default {CampaignConfig.complexity})")
     p.add_argument("--out", help="per-trial CSV output path")
     p.add_argument("--json", dest="json_out", help="JSON summary output path")
 
@@ -168,19 +173,28 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    flags = {"--space": args.space, "--dim": args.dim, "--D": args.D, "--trials": args.trials,
+             "--seed": args.seed, "--samples": args.samples, "--density": args.density,
+             "--complexity": args.complexity}
     if args.config:
+        given = [flag for flag, val in flags.items() if val is not None]
+        if given:
+            print(f"verify --config cannot be combined with {' '.join(given)}",
+                  file=sys.stderr)
+            return 2
         config = CampaignConfig.from_json(args.config)
     else:
-        missing = [name for name, val in (("--space", args.space), ("--dim", args.dim),
-                                          ("--D", args.D), ("--trials", args.trials),
-                                          ("--seed", args.seed)) if val is None]
+        missing = [flag for flag in ("--space", "--dim", "--D", "--trials", "--seed")
+                   if flags[flag] is None]
         if missing:
             print(f"verify needs {' '.join(missing)} (or --config)", file=sys.stderr)
             return 2
+        optional = {key: flags[flag] for flag, key in (("--samples", "volume_samples"),
+                                                       ("--density", "region_density"),
+                                                       ("--complexity", "complexity"))
+                    if flags[flag] is not None}
         config = CampaignConfig(curvature=_SPACES[args.space], dim=args.dim, D=args.D,
-                                trials=args.trials, seed=args.seed,
-                                volume_samples=args.samples, region_density=args.density,
-                                complexity=args.complexity)
+                                trials=args.trials, seed=args.seed, **optional)
     report = verify_isodiametric(config, out_csv=args.out, out_json=args.json_out)
     print(f"trials={len(report.records)} violations={report.violation_count} "
           f"max_margin={report.max_margin!r}")

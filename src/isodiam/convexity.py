@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .geometry import (
     SPHERICAL,
@@ -38,27 +39,14 @@ class HemisphereCertificate:
     min_margin: float
 
 
-def _affine_minimizer(A: np.ndarray) -> np.ndarray:
-    """Coefficients summing to 1 that minimize |sum_i alpha_i A_i| over the affine hull."""
-    k = A.shape[0]
-    M = np.zeros((k + 1, k + 1))
-    M[:k, :k] = A @ A.T
-    M[:k, k] = 1.0
-    M[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return sol[:k]
-
-
 def min_norm_point(points) -> np.ndarray:
-    """Point of the Euclidean convex hull closest to the origin (Wolfe's method).
+    """Point of the Euclidean convex hull closest to the origin.
 
-    Maintains an affinely independent active set; major cycles add the most
-    violating vertex, minor cycles walk back into the simplex.  Terminates
-    when the duality gap <z, z> - min_i <z, p_i> is at most 1e-10 (relative
-    to max(1, <z, z>)), or after 16 (N + d) + 64 major cycles; returns the
-    zero vector when the hull contains the origin.
+    Lawson and Hanson's least-distance reduction (Solving Least Squares
+    Problems, ch. 23) makes this one nonnegative least-squares problem: at the
+    minimum of |P^T u|^2 + (sum u - 1)^2 over u >= 0, u / sum u are the hull
+    weights of the nearest point.  Returns the zero vector when the hull
+    contains the origin.
 
     Parameters
     ----------
@@ -71,36 +59,10 @@ def min_norm_point(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) array of points")
-    start = int(np.argmin(np.einsum("nd,nd->n", P, P)))
-    active = [start]
-    w = np.array([1.0])
-    z = P[start].copy()
-    for _ in range(16 * (P.shape[0] + P.shape[1]) + 64):
-        dots = P @ z
-        zz = float(z @ z)
-        j = int(np.argmin(dots))
-        if zz - dots[j] <= 1e-10 * max(1.0, zz):
-            break
-        if j in active:
-            break
-        active.append(j)
-        w = np.append(w, 0.0)
-        while True:
-            A = P[active]
-            v = _affine_minimizer(A)
-            if np.all(v > 1e-12):
-                w = v
-                break
-            drop = v <= 1e-12
-            theta = float(np.min(w[drop] / (w[drop] - v[drop])))
-            w = (1.0 - theta) * w + theta * v
-            keep = w > 1e-12
-            if not np.any(keep):
-                keep[int(np.argmax(w))] = True
-            active = [a for a, k in zip(active, keep) if k]
-            w = w[keep]
-            w = w / w.sum()
-        z = w @ P[active]
+    target = np.zeros(P.shape[1] + 1)
+    target[-1] = 1.0
+    u, _ = nnls(np.vstack([P.T, np.ones(P.shape[0])]), target)
+    z = (u @ P) / u.sum()
     if float(z @ z) <= 1e-24:
         return np.zeros(P.shape[1])
     return z

@@ -130,8 +130,10 @@ def document_to_space_region(doc: dict) -> tuple[Space, object]:
         raise RegionFormatError("document must carry 'space' and 'region' members")
     sp = doc["space"]
     try:
-        space = Space(int(sp["curvature"]), int(sp["dim"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if not isinstance(sp, dict):
+            raise ValueError(f"expected an object, got {type(sp).__name__}")
+        space = Space(_field(sp, "curvature", int), _field(sp, "dim", int))
+    except ValueError as exc:
         raise RegionFormatError(f"space: {exc}") from exc
     return space, region_from_dict(space, doc["region"])
 

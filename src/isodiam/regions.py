@@ -394,17 +394,17 @@ def _as_points(cloud) -> np.ndarray:
 def _gram_distance_chunk(space: Space, block: np.ndarray, pts: np.ndarray):
     """All distances from a row block to pts, computed through one matmul.
 
-    Returns a matrix monotone-equivalent to distance plus the decoder turning
-    extreme entries back into distances: the form matrix on the quadrics
-    (decreasing in distance on the sphere, increasing on the hyperboloid) and
-    squared distances in Euclidean space.
+    Returns a matrix increasing in distance, which _decode_gram turns back
+    into distances: -cos d on the sphere, cosh d on the hyperboloid and
+    squared distances in Euclidean space.  The sign flips are applied to the
+    row block, where they are exact and cost the least.
     """
     if space.curvature == SPHERICAL:
-        return block @ pts.T
+        return (-block) @ pts.T
     if space.curvature == HYPERBOLIC:
-        flip = pts.copy()
+        flip = block.copy()
         flip[:, :-1] *= -1.0
-        return block @ flip.T
+        return flip @ pts.T
     sq = (np.einsum("nd,nd->n", block, block)[:, None]
           + np.einsum("nd,nd->n", pts, pts)[None, :] - 2.0 * (block @ pts.T))
     return np.maximum(sq, 0.0)
@@ -412,7 +412,7 @@ def _gram_distance_chunk(space: Space, block: np.ndarray, pts: np.ndarray):
 
 def _decode_gram(space: Space, g):
     if space.curvature == SPHERICAL:
-        return np.arccos(np.clip(g, -1.0, 1.0))
+        return np.arccos(np.clip(-g, -1.0, 1.0))
     if space.curvature == HYPERBOLIC:
         return np.arccosh(np.clip(g, 1.0, None))
     return np.sqrt(g)
@@ -423,28 +423,20 @@ def _pairwise_extremes(space: Space, pts: np.ndarray):
     n = pts.shape[0]
     if n == 1:
         return 0.0, 0, 0, 0.0
-    # distance is decreasing in the spherical gram, increasing otherwise
-    descending = space.curvature == SPHERICAL
-    far_fill, near_fill = (np.inf, -np.inf) if descending else (-np.inf, np.inf)
-    best = far_fill
+    best = -np.inf
     bi = bj = 0
-    nn = np.full(n, near_fill)
+    nn = np.empty(n)
     for i0 in range(0, n, _CHUNK):
         block = pts[i0:i0 + _CHUNK]
         g = _gram_distance_chunk(space, block, pts)
         rows = np.arange(block.shape[0])
-        g[rows, i0 + rows] = far_fill
-        k = int(np.argmin(g) if descending else np.argmax(g))
-        r, c = divmod(k, n)
-        better = g[r, c] < best if descending else g[r, c] > best
-        if better:
+        g[rows, i0 + rows] = -np.inf
+        r, c = divmod(int(np.argmax(g)), n)
+        if g[r, c] > best:
             best = float(g[r, c])
             bi, bj = i0 + r, c
-        g[rows, i0 + rows] = near_fill
-        if descending:
-            nn[i0:i0 + _CHUNK] = np.maximum(nn[i0:i0 + _CHUNK], g.max(axis=1))
-        else:
-            nn[i0:i0 + _CHUNK] = np.minimum(nn[i0:i0 + _CHUNK], g.min(axis=1))
+        g[rows, i0 + rows] = np.inf
+        nn[i0:i0 + _CHUNK] = g.min(axis=1)
     diam = float(_decode_gram(space, best))
     spacing = float(np.mean(_decode_gram(space, nn)))
     return diam, bi, bj, spacing
@@ -468,15 +460,13 @@ def hausdorff(space: Space, a, b) -> float:
     pb = _as_points(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("hausdorff of an empty cloud")
-    descending = space.curvature == SPHERICAL
 
     def directed(x, y):
-        worst = np.inf if descending else -np.inf
+        worst = -np.inf
         for i0 in range(0, x.shape[0], _CHUNK):
             g = _gram_distance_chunk(space, x[i0:i0 + _CHUNK], y)
             # nearest neighbor per row, then the worst row
-            row_near = g.max(axis=1) if descending else g.min(axis=1)
-            worst = min(worst, row_near.min()) if descending else max(worst, row_near.max())
+            worst = max(worst, g.min(axis=1).max())
         return float(_decode_gram(space, worst))
 
     return max(directed(pa, pb), directed(pb, pa))

@@ -123,6 +123,9 @@ class MetricsConfig:
     def __post_init__(self):
         if self.rebase_depth < 1:
             raise ValueError(f"rebase_depth must be at least 1, got {self.rebase_depth}")
+        if self.rebase_depth > DEFAULT_DEPTH_CAP:
+            raise ValueError(f"rebase_depth must be at most the symmetrized depth cap "
+                             f"{DEFAULT_DEPTH_CAP}, got {self.rebase_depth}")
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,24 @@ class TestVerify:
         assert rc == 0
         assert "violations=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--trials", "7", "--D", "1.5", "--space", "euclidean", "--samples", "100"],
+         "--space --D --trials --samples"),
+        (["--density", "300"], "--density"),
+        (["--complexity", "2", "--seed", "3", "--dim", "3"], "--dim --seed --complexity"),
+    ], ids=["campaign-flags", "density", "complexity-seed-dim"])
+    def test_config_rejects_campaign_flags(self, tmp_path, capsys, flags, named):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
+                                   "seed": 11}))
+        out = tmp_path / "v.csv"
+        rc = main(["verify", "--config", str(cfg), *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"verify --config cannot be combined with {named}\n"
+        assert not out.exists()
+
 
 class TestGreedy:
     def test_reports_deficit(self, capsys):
@@ -272,6 +290,18 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"region document error: {expected}")
 
+    def test_fractional_space_not_truncated(self, tmp_path, capsys):
+        bad = tmp_path / "space.json"
+        bad.write_text(json.dumps({"space": {"curvature": 1.9, "dim": 2}, "region": {
+            "kind": "ball", "center": [0, 0, 1], "radius": 0.5}}))
+        rc = main(["volume", "--space", "sphere", "--dim", "2", "--region", str(bad),
+                   "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("region document error: space: curvature must be an "
+                                "integer, got 1.9\n")
+
     @pytest.mark.parametrize("extra, expected", [
         ({"bogus": 3}, "unknown campaign config key 'bogus'"),
         ({"trials": "two"}, "campaign config key 'trials' must be int, got 'two'"),
@@ -346,13 +376,16 @@ class TestUsageErrors:
           "--epsilon", "inf"], "stop_epsilon must be finite, got inf"),
         (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
           "--rebase-depth", "0"], "rebase_depth must be at least 1, got 0"),
+        (["flow", "--region", "CAP", "--steps", "1", "--seed", "1", "--out", "OUT",
+          "--rebase-depth", "25"], "rebase_depth must be at most the symmetrized depth cap 24, "
+                                   "got 25"),
         (["flow", "--region", "CAP", "--steps", "2", "--seed", "1", "--out", "OUT",
           "--volume-samples", "50"], "samples must be at least 100, got 50"),
     ], ids=["greedy-candidates", "verify-trials", "verify-complexity",
             "hull-samples", "flow-seed", "density-inf", "density-nan",
             "probe-zero-trials", "probe-negative-trials", "greedy-D-nan",
             "greedy-D-inf-R2", "verify-D-nan", "flow-epsilon-nan", "flow-epsilon-inf",
-            "flow-rebase-depth-0", "flow-volume-samples"])
+            "flow-rebase-depth-0", "flow-rebase-depth-25", "flow-volume-samples"])
     def test_bad_count_named(self, cap_file, tmp_path, capsys, argv, name):
         out = tmp_path / "flow.csv"
         argv = [{"CAP": cap_file, "OUT": str(out)}.get(a, a) for a in argv]

@@ -77,8 +77,19 @@ class TestMinNormPoint:
 
     def test_against_enumeration_oracle(self):
         rng = substream(80)
-        for trial in range(12):
-            pts = rng.normal(size=(20, 3)) + rng.normal(size=3) * 0.8
+        clouds = [rng.normal(size=(20, 3)) + rng.normal(size=3) * 0.8 for _ in range(12)]
+        base = rng.normal(size=(6, 3)) + np.array([1.5, 0.3, -0.2])
+        t = rng.uniform(-1.0, 2.0, size=8)
+        clouds += [
+            # duplicated points
+            np.vstack([base, base[:3], base[:1]]),
+            # collinear points
+            np.array([1.0, 2.0, -0.5]) + t[:, None] * np.array([0.5, -1.0, 1.0]),
+            # the origin on a hull edge
+            np.array([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.3, 1.0, 0.5], [0.1, 0.8, 1.2]]),
+            ANTIPODAL_SIX,
+        ]
+        for pts in clouds:
             z = min_norm_point(pts)
             z0 = min_norm_oracle(pts)
             assert abs(np.linalg.norm(z) - np.linalg.norm(z0)) <= 1e-6

@@ -143,6 +143,18 @@ class TestValidation:
         with pytest.raises(RegionFormatError):
             load_region(path)
 
+    @pytest.mark.parametrize("space, message", [
+        ({"curvature": 1, "dim": "2"}, "space: dim must be an integer, got '2'"),
+        ({"curvature": 1, "dim": 2.5}, "space: dim must be an integer, got 2.5"),
+        ({"dim": 2}, "space: missing required field 'curvature'"),
+        (5, "space: expected an object, got int"),
+    ], ids=["string-dim", "fractional-dim", "no-curvature", "number"])
+    def test_space_fields_must_be_integers(self, space, message):
+        doc = {"space": space, "region": {"kind": "ball", "center": [0, 0, 1], "radius": 1.0}}
+        with pytest.raises(RegionFormatError) as info:
+            document_to_space_region(doc)
+        assert str(info.value) == message
+
     def test_document_needs_space(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({"kind": "ball", "center": [0, 0, 1], "radius": 1.0}))

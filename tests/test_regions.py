@@ -26,6 +26,7 @@ from isodiam.regions import (
     Symmetrized,
     UnboundedRegionError,
     Union,
+    _pairwise_extremes,
     bounding_ball,
     contains,
     diameter,
@@ -44,6 +45,17 @@ E2 = Space.euclidean(2)
 H2 = Space.hyperbolic(2)
 E = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
+
+
+def three_chunk_cloud(space, n, seed):
+    """A cloud for the multi-chunk metric tests; on H2 it reaches 3 from the base point."""
+    return random_points(space, n, seed, spread=3.0 if space == H2 else 1.2)
+
+
+def rows_last(pts, rows):
+    """The cloud reordered so that the given rows sit at its end, in the last chunk."""
+    rest = np.setdiff1d(np.arange(len(pts)), rows)
+    return pts[np.concatenate([rest, rows])]
 
 
 def plane_through_pole(space):
@@ -289,6 +301,18 @@ class TestDiameter:
         assert abs(d - best) <= 1e-12
         assert {tuple(a), tuple(b)} == {tuple(pts[pair[0]]), tuple(pts[pair[1]])}
 
+    def test_three_chunks_against_distance_matrix(self, space):
+        pts = three_chunk_cloud(space, 1200, seed=65)
+        dist = distance(space, pts[:, None, :], pts[None, :, :])
+        pts = rows_last(pts, np.unravel_index(np.argmax(dist), dist.shape))
+        dist = distance(space, pts[:, None, :], pts[None, :, :])
+        diam, bi, bj, spacing = _pairwise_extremes(space, pts)
+        assert bi != bj
+        assert abs(float(dist[bi, bj]) - diam) <= 1e-9
+        assert abs(float(dist.max()) - diam) <= 1e-9
+        np.fill_diagonal(dist, np.inf)
+        assert abs(float(dist.min(axis=1).mean()) - spacing) <= 1e-9
+
     def test_empty_cloud_raises(self):
         with pytest.raises(ValueError):
             diameter(S2, np.zeros((0, 3)))
@@ -311,6 +335,15 @@ class TestHausdorff:
         directed_ab = max(min(float(distance(space, x, y)) for y in b) for x in a)
         directed_ba = max(min(float(distance(space, x, y)) for x in a) for y in b)
         assert hausdorff(space, a, b) == pytest.approx(max(directed_ab, directed_ba), abs=1e-12)
+
+    def test_three_chunks_against_distance_matrix(self, space):
+        a = three_chunk_cloud(space, 1200, seed=66)
+        b = three_chunk_cloud(space, 1100, seed=67)
+        dist = distance(space, a[:, None, :], b[None, :, :])
+        brute = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
+        a = rows_last(a, [np.argmax(dist.min(axis=1))])
+        b = rows_last(b, [np.argmax(dist.min(axis=0))])
+        assert abs(hausdorff(space, a, b) - brute) <= 1e-9
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
