@@ -24,6 +24,8 @@ HYPERBOLIC = -1
 
 #: tolerance for quadric membership checks
 POINT_TOL = 1e-10
+#: tolerance on the length of a unit tangent vector
+UNIT_TOL = 1e-8
 #: |form value| at or below this counts as lying on a hyperplane
 SIDE_TOL = 1e-12
 
@@ -160,7 +162,7 @@ def geodesic_point(space: Space, z, u, t):
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     tn = tangent_norm(space, u)
-    if np.any(np.abs(tn - 1.0) > 1e-8):
+    if np.any(np.abs(tn - 1.0) > UNIT_TOL):
         raise ValueError("direction is not a unit tangent vector")
     if space.curvature == SPHERICAL:
         return _radial(np.cos(t)) * z + _radial(np.sin(t)) * u
@@ -397,6 +399,9 @@ def tangent_basis(space: Space, z) -> np.ndarray:
 
     Orthonormal in the tangent inner product (the ambient scalar product, or
     -B on the hyperboloid).  Euclidean spaces return the identity basis.
+    Raises ValueError if rounding (far out on the hyperboloid) leaves the
+    Gram matrix more than UNIT_TOL from the identity in any row sum, so every
+    unit combination of the rows is a unit tangent within UNIT_TOL.
     """
     if space.curvature == EUCLIDEAN:
         return np.eye(space.dim)
@@ -421,7 +426,11 @@ def tangent_basis(space: Space, z) -> np.ndarray:
             break
     if len(rows) != space.dim:
         raise RuntimeError("failed to build a tangent basis")
-    return np.array(rows)
+    basis = np.array(rows)
+    gram = g(basis[:, None, :], basis[None, :, :])
+    if np.abs(gram - np.eye(space.dim)).sum(axis=1).max() > UNIT_TOL:
+        raise ValueError("tangent basis is not orthonormal at this point")
+    return basis
 
 
 def random_unit_tangent(space: Space, z, rng: np.random.Generator, size: int | None = None):

@@ -63,8 +63,15 @@ _KIND_NAMES = {float: "a number", int: "an integer", np.ndarray: "a list of numb
 
 
 def _field(node: dict, key: str, kind, default=None):
-    """node[key] as a float, an int or a 1-D float array; errors name the field."""
+    """node[key] as a float, an int or a 1-D float array; errors name the field.
+
+    JSON booleans are refused: bool is an int subclass, so ``int(True)``
+    would pass for 1.
+    """
     value = _need(node, key) if default is None else node.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, list)
+                                   and any(isinstance(v, bool) for v in value)):
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     try:
         out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
         # an integer must not drop a fraction, and a coordinate list must be flat

@@ -226,6 +226,28 @@ class TestUsageErrors:
         bad.write_text(json.dumps(doc))
         assert main(["diameter", "--region", str(bad), "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("space, node, message", [
+        ({"curvature": True, "dim": 2}, {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+         "space: curvature must be an integer, got True"),
+        ({"curvature": 1, "dim": 2}, {"kind": "intersection", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "halfspace", "normal": [1, 0, 0], "orientation": True}]},
+         "region.children[1]: orientation must be an integer, got True"),
+        ({"curvature": 1, "dim": 2}, {"kind": "ball", "center": [0, 0, 1], "radius": True},
+         "region: radius must be a number, got True"),
+        ({"curvature": 1, "dim": 2},
+         {"kind": "ball", "center": [False, False, True], "radius": 0.5},
+         "region: center must be a list of numbers, got [False, False, True]"),
+    ], ids=["curvature", "orientation", "radius", "center"])
+    def test_boolean_region_value_rejected(self, tmp_path, capsys, space, node, message):
+        bad = tmp_path / "boolean.json"
+        bad.write_text(json.dumps({"space": space, "region": node}))
+        rc = main(["diameter", "--region", str(bad), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.strip() == f"region document error: {message}"
+
     @pytest.mark.parametrize("space, node", [
         ("sphere", {"kind": "ball", "center": [0, 0, 1], "radius": math.nan}),
         ("hyperbolic", {"kind": "ball", "center": [0, 0, 1], "radius": math.inf}),

@@ -1,9 +1,15 @@
 """Golden-byte guards on short flows: any change in membership arithmetic that
 flips a single sample shows up as a different report digest.
 
-The digests were recorded with numpy 2.4 / OpenBLAS on x86-64, before the
-membership evaluator was compiled; a platform with a different BLAS may sum
-in another order and legitimately disagree.
+The digests were recorded with numpy 2.4 / OpenBLAS on x86-64; a platform
+with a different BLAS may sum in another order and legitimately disagree.
+They were last re-recorded when ball sampling moved from an interpolated
+trapezoid table to the exact inverse CDF of the radial law, a declared
+change: every sample point moved in its last digits, flow volumes stayed
+bit-identical, and diameter, Hausdorff distance and spacing moved by at most
+3.3e-8 relative.  Before that change the digests were
+S2 571426f9429563a6d07ed09d1c6910999f381c900e0fb88905077c03acf8c726 and
+H2 9853537cac11b933772e0c2971d05792f9e74786c9312e928e5cffe6785f98b0.
 """
 
 import hashlib
@@ -41,5 +47,5 @@ def test_h2_two_caps_flow(tmp_path):
     assert _csv_digest(report, tmp_path) == H2_CAPS_DIGEST
 
 
-S2_DENTED_DIGEST = "571426f9429563a6d07ed09d1c6910999f381c900e0fb88905077c03acf8c726"
-H2_CAPS_DIGEST = "9853537cac11b933772e0c2971d05792f9e74786c9312e928e5cffe6785f98b0"
+S2_DENTED_DIGEST = "176ed60b3311ea23015014d665600376a0311c0938e7fac5800278515d701ffc"
+H2_CAPS_DIGEST = "bd396193897bffae9bd18cb1417c8f5b74d7da7c058a00d44383c580a89ae956"

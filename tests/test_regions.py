@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,7 +243,116 @@ class TestSample:
         assert cloud.volume_estimate == pytest.approx(7 * 0.25)
 
 
+RADIAL_SPACES = {"R2": E2, "S2": S2, "H2": H2, "S3": Space.sphere(3), "H3": Space.hyperbolic(3),
+                 "S4": Space.sphere(4), "H4": Space.hyperbolic(4)}
+RADIAL_CASES = [(name, r) for name, space in RADIAL_SPACES.items()
+                for r in [1e-6, 0.7] + {1: [3.0, math.pi], 0: [], -1: [5.0]}[space.curvature]]
+
+
+class FixedRadii:
+    """A generator whose uniforms are fixed, so a test chooses the radius quantiles."""
+
+    def __init__(self, seed, u):
+        self._rng = substream(seed)
+        self._u = np.asarray(u, dtype=float)
+
+    def standard_normal(self, shape):
+        return self._rng.standard_normal(shape)
+
+    def random(self, m):
+        assert m == len(self._u)
+        return self._u.copy()
+
+
+def radial_density(space):
+    k = space.dim - 1
+    return {1: lambda s: math.sin(s) ** k, 0: lambda s: s ** k,
+            -1: lambda s: math.sinh(s) ** k}[space.curvature]
+
+
+def reference_quantile(space, r, u):
+    """Bisection on the adaptive-quadrature CDF; beyond the median, on the outer mass."""
+    f = radial_density(space)
+
+    def mass(a, b):
+        # quad reports roundoff on intervals a few hundred ulps wide next to the
+        # rim, where its value is already exact to far more than the 1e-12 asked
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    total = mass(0.0, r)
+    lo, hi = 0.0, r
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = mass(0.0, mid) <= u * total if u <= 0.5 else (1.0 - u) * total <= mass(mid, r)
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def radius_from_pole(space, pts):
+    """Distance of each point from the base point, with full relative precision."""
+    rho = np.linalg.norm(pts[:, :-1], axis=1)
+    if space.curvature == 1:
+        return np.arctan2(rho, pts[:, -1])
+    if space.curvature == -1:
+        return np.arcsinh(rho)
+    return np.linalg.norm(pts, axis=1)
+
+
+#: antiderivatives of sin^(n-1) and sinh^(n-1) vanishing at 0, up to a constant factor
+RADIAL_MASS = {
+    (1, 2): lambda t: 1.0 - np.cos(t),
+    (-1, 2): lambda t: np.cosh(t) - 1.0,
+    (1, 3): lambda t: t - np.sin(t) * np.cos(t),
+    (-1, 3): lambda t: np.sinh(t) * np.cosh(t) - t,
+    (1, 4): lambda t: 2 / 3 - np.cos(t) + np.cos(t) ** 3 / 3,
+    (-1, 4): lambda t: np.cosh(t) ** 3 / 3 - np.cosh(t) + 2 / 3,
+}
+
+
+def radial_cdf(space, r):
+    """Closed-form CDF of the radius of a uniform draw in a ball of radius r."""
+    if space.curvature == 0:
+        return lambda t: (t / r) ** space.dim
+    mass = RADIAL_MASS[space.curvature, space.dim]
+    return lambda t: mass(t) / mass(r)
+
+
 class TestUniformInBall:
+    @pytest.mark.parametrize("name, r", RADIAL_CASES)
+    def test_quantiles_match_brute_force(self, name, r):
+        space = RADIAL_SPACES[name]
+        u = np.array([0.0, 1e-12, 0.5, 1.0 - 2.0 ** -53, 1.0])
+        pts = uniform_in_ball(space, Ball(space.base_point, r), FixedRadii(58, u), size=len(u))
+        t = radius_from_pole(space, pts)
+        want = np.array([reference_quantile(space, r, v) for v in u])
+        assert np.max(np.abs(t - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", RADIAL_SPACES)
+    def test_radius_ks_on_a_million_draws(self, name):
+        space = RADIAL_SPACES[name]
+        ball = Ball(space.base_point, 2.5 if space.curvature == 1 else 1.2)
+        rng = substream(59)
+        ts = []
+        for _ in range(5):
+            pts = uniform_in_ball(space, ball, rng, size=200_000)
+            assert np.all(contains(space, ball, pts))
+            ts.append(radius_from_pole(space, pts))
+        res = stats.kstest(np.concatenate(ts), radial_cdf(space, ball.radius))
+        assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("name", RADIAL_SPACES)
+    def test_draws_inside_off_center_balls(self, name):
+        space = RADIAL_SPACES[name]
+        rng = substream(60)
+        for r in (0.1, 0.7, 2.0):
+            ball = Ball(uniform_in_ball(space, Ball(space.base_point, 1.0), rng), r)
+            assert np.all(contains(space, ball, uniform_in_ball(space, ball, rng, size=20_000)))
+            near_rim = 1.0 - np.logspace(-3, -9, 7)
+            rim = uniform_in_ball(space, ball, FixedRadii(61, near_rim), size=len(near_rim))
+            assert np.all(contains(space, ball, rim))
+
     def test_mean_radius_spherical_oracle(self):
         # quadrature oracle: E[t] = int t sin t / int sin t over [0, pi/2]
         r = math.pi / 2
