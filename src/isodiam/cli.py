@@ -18,6 +18,7 @@ from .experiments import CampaignConfig, greedy_maximal, verify_isodiametric
 from .geometry import SPHERICAL, Ball, Space, ball_volume
 from .regionio import RegionFormatError, load_region
 from .regions import diameter, sample, volume_estimate
+from .rng import substream
 from .symmetrize import (
     FarthestPairBisector,
     MetricsConfig,
@@ -69,10 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 runs all steps)")
     p.add_argument("--strategy", choices=["random", "farthest"], default="random",
                    help="hyperplane choice: random through the pole, or farthest-pair bisector")
-    p.add_argument("--density", type=float, default=1000.0, help="metric cloud density")
-    p.add_argument("--volume-samples", type=int, default=20000,
+    # MetricsConfig owns these defaults
+    p.add_argument("--density", type=float, default=MetricsConfig.cloud_density,
+                   help="metric cloud density")
+    p.add_argument("--volume-samples", type=int, default=MetricsConfig.volume_samples,
                    help="Monte Carlo samples per step")
-    p.add_argument("--rebase-depth", type=int, default=9,
+    p.add_argument("--rebase-depth", type=int, default=MetricsConfig.rebase_depth,
                    help="symmetrized chain depth before re-basing")
 
     p = sub.add_parser("verify", help="isodiametric verification campaign")
@@ -133,7 +136,7 @@ def _cmd_volume(args) -> int:
                   f"document's space, {file_space.name} of dim {file_space.dim}",
                   file=sys.stderr)
             return 2
-        est = volume_estimate(space, region, args.samples, args.seed)
+        est = volume_estimate(space, region, args.samples, substream(args.seed))
         print(f"{est.value!r} +- {est.std_error!r} ({est.samples_used} samples)")
         return 0
     if args.radius is None:
@@ -145,7 +148,7 @@ def _cmd_volume(args) -> int:
 
 def _cmd_diameter(args) -> int:
     space, region = load_region(args.region)
-    cloud = sample(space, region, args.density, args.seed)
+    cloud = sample(space, region, args.density, substream(args.seed))
     if len(cloud) < 2:
         print("region produced fewer than two samples", file=sys.stderr)
         return 2
@@ -216,7 +219,7 @@ def _cmd_hemisphere(args) -> int:
     if space.curvature != SPHERICAL:
         print("hemisphere certificates are a spherical concept", file=sys.stderr)
         return 2
-    cloud = sample(space, region, args.density, args.seed)
+    cloud = sample(space, region, args.density, substream(args.seed))
     if len(cloud) == 0:
         print("region produced no samples", file=sys.stderr)
         return 2
@@ -231,7 +234,8 @@ def _cmd_hemisphere(args) -> int:
 
 def _cmd_hull_check(args) -> int:
     space, region = load_region(args.region)
-    cloud = sample(space, region, args.density, args.seed)
+    # the hull combinations draw from the root stream
+    cloud = sample(space, region, args.density, substream(args.seed, 0))
     if len(cloud) < 2:
         print("region produced fewer than two samples", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import SPHERICAL, Ball, Space, ball_volume, distance, geodesic_point
+from .geometry import SPHERICAL, Ball, Space, ball_volume, distance
 from .regionio import region_digest
 from .regions import (
     Difference,
@@ -30,7 +30,7 @@ from .regions import (
     uniform_in_ball,
     volume_estimate,
 )
-from .rng import child_seed, substream
+from .rng import substream
 
 
 class RegionGenerationError(RuntimeError):
@@ -49,21 +49,21 @@ def _check_diameter_bound(space: Space, D: float) -> None:
         raise ValueError(f"diameter bound D must be below pi on the sphere, got {D}")
 
 
-def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
-                             density: float = 600.0):
+def random_admissible_region(space: Space, D: float, complexity: int,
+                             rng: np.random.Generator, density: float = 600.0):
     """Random CSG region whose sampled diameter is at most D.
 
     Builds a union/intersection/difference combination of up to ``complexity``
     balls centered inside the ball of radius D/2 at the pole, then trims by
     intersecting with balls of radius D around witness sample points until the
     sampled diameter check passes.  Complexity 1 yields a plain ball of radius
-    at most D/2.
+    at most D/2.  Every attempt, trim cloud and witness choice is drawn from
+    ``rng`` in turn.
     """
     _check_diameter_bound(space, D)
     pole = space.base_point
     half = D / 2.0
-    for attempt in range(_GENERATION_ATTEMPTS):
-        rng = substream(seed, attempt, 0)
+    for _ in range(_GENERATION_ATTEMPTS):
         k = int(rng.integers(1, complexity + 1))
         if k == 1:
             radius = half * float(rng.uniform(0.3, 1.0))
@@ -86,24 +86,19 @@ def random_admissible_region(space: Space, D: float, complexity: int, seed: int,
             else:
                 region = Difference(region, b)
         trimmed = region
-        ok = False
-        for trim in range(8):
+        for _ in range(8):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyRegionWarning)
-                cloud = sample(space, trimmed, density, child_seed(seed, attempt, trim + 1))
+                cloud = sample(space, trimmed, density, rng)
             if len(cloud) < 8:
                 break
             diam, bi, bj, _ = _pairwise_extremes(space, cloud.points)
             if diam <= D:
-                ok = True
-                break
-            wit_rng = substream(seed, attempt, 40 + trim)
-            extra = wit_rng.choice(len(cloud), size=min(10, len(cloud)), replace=False)
+                return trimmed
+            extra = rng.choice(len(cloud), size=min(10, len(cloud)), replace=False)
             witnesses = np.unique(np.concatenate([[bi, bj], extra]))
             guards = tuple(Ball(cloud.points[w], D) for w in witnesses)
             trimmed = Intersection((trimmed,) + guards)
-        if ok:
-            return trimmed
     raise RegionGenerationError(f"no admissible region after {_GENERATION_ATTEMPTS} attempts")
 
 
@@ -228,15 +223,15 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> 
             region = Ball(pole, config.D / 2.0)
         else:
             region = random_admissible_region(space, config.D, config.complexity,
-                                              child_seed(config.seed, trial, 0),
+                                              substream(config.seed, trial, 0),
                                               density=config.region_density)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyRegionWarning)
             cloud = sample(space, region, config.region_density,
-                           child_seed(config.seed, trial, 1))
+                           substream(config.seed, trial, 1))
         diam = _pairwise_extremes(space, cloud.points)[0] if len(cloud) >= 2 else 0.0
         est = volume_estimate(space, region, config.volume_samples,
-                              child_seed(config.seed, trial, 2))
+                              substream(config.seed, trial, 2))
         margin = est.value - v_ball
         records.append(TrialRecord(
             trial=trial, digest=region_digest(region), volume=est.value,
@@ -287,24 +282,3 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     deficit = ball_volume(space, D / 2.0) - vol
     cloud = PointCloud(points=accepted[:count], weight=v_env / candidate_count)
     return cloud, deficit, sigma
-
-
-def dented_ball_region(space: Space):
-    """Ball of radius 0.8 at the pole minus the ball of radius 0.25 centred 0.45
-    along the first axis."""
-    pole = space.base_point
-    axis = np.zeros(space.ambient_dim)
-    axis[0] = 1.0
-    dent_center = geodesic_point(space, pole, axis, 0.45)
-    return Difference(Ball(pole, 0.8), Ball(dent_center, 0.25))
-
-
-def two_caps_region(space: Space):
-    """Union of two balls of radius 0.52 centred 0.17 either way along the first
-    axis from the pole."""
-    pole = space.base_point
-    axis = np.zeros(space.ambient_dim)
-    axis[0] = 1.0
-    c1 = geodesic_point(space, pole, axis, 0.17)
-    c2 = geodesic_point(space, pole, -axis, 0.17)
-    return Union((Ball(c1, 0.52), Ball(c2, 0.52)))

@@ -33,7 +33,6 @@ from .geometry import (
     reflect,
     tangent_toward,
 )
-from .rng import substream
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
@@ -506,8 +505,8 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
     return pts[0] if size is None else pts
 
 
-def sample(space: Space, region, density: float, seed: int) -> PointCloud:
-    """Rejection-sample the region at the given density, deterministically.
+def sample(space: Space, region, density: float, rng: np.random.Generator) -> PointCloud:
+    """Rejection-sample the region at the given density from the stream.
 
     Draws ``ceil(density * volume(envelope))`` uniform proposals in the
     bounding ball and keeps the members, so the expected count is density
@@ -517,7 +516,6 @@ def sample(space: Space, region, density: float, seed: int) -> PointCloud:
         raise ValueError(f"density must be finite and positive, got {density}")
     env = bounding_ball(space, region)
     n_env = int(np.ceil(density * ball_volume(space, env.radius)))
-    rng = substream(seed)
     props = uniform_in_ball(space, env, rng, size=n_env)
     keep = contains(space, region, props)
     pts = props[keep]
@@ -612,7 +610,8 @@ def hausdorff(space: Space, a, b) -> float:
     return max(directed(pa, pb), directed(pb, pa))
 
 
-def volume_estimate(space: Space, region, samples: int, seed: int) -> VolumeEstimate:
+def volume_estimate(space: Space, region, samples: int,
+                    rng: np.random.Generator) -> VolumeEstimate:
     """Hit-or-miss Monte Carlo volume over the bounding ball.
 
     value = V(envelope) * hits / samples, with the exact binomial standard
@@ -622,7 +621,6 @@ def volume_estimate(space: Space, region, samples: int, seed: int) -> VolumeEsti
         raise ValueError(f"samples must be at least 100, got {samples}")
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
-    rng = substream(seed)
     props = uniform_in_ball(space, env, rng, size=samples)
     hits = int(np.count_nonzero(contains(space, region, props)))
     p = hits / samples

@@ -1,8 +1,19 @@
 """Counter-based random streams.
 
-Every stochastic routine takes an integer seed and derives independent
-substreams by spawn-key path, so results are reproducible bit for bit and
-independent of any worker count or evaluation order.
+A function that owns an integer seed names each of its streams once, as a
+spawn-key path under that seed; everything below it takes the
+``np.random.Generator``.  Results are reproducible bit for bit and
+independent of any worker count or evaluation order.  The streams in use:
+
+- ``run_flow``: (0, 1) the initial volume, (0, 2) the reference cloud and
+  (0, 0) the initial cloud.  Each ``flow_step`` k: (k, 3) the plane, (k, 7)
+  the rebase, (k, 4) the counting-identity check, (k, 1) the volume and
+  (k, 0) the cloud.
+- ``verify_isodiametric`` trial k: (k, 0) the region, (k, 1) its cloud and
+  (k, 2) its volume.
+- the CLI and the probes (``greedy_maximal``, ``hull_diameter_check``,
+  ``ball_convexity_probe``): the root stream ``substream(seed)``; only
+  ``hull-check`` needs two, and samples its cloud from (0,).
 """
 
 from __future__ import annotations
@@ -10,18 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Philox generator for the (seed, path) coordinate; same inputs, same stream."""
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for the (seed, path) coordinate; same inputs, same stream."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
-
-
-def child_seed(seed: int, *path: int) -> int:
-    """Derived integer seed for the (seed, path) coordinate."""
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+    key = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
+    return np.random.Generator(np.random.Philox(key))

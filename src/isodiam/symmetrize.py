@@ -48,7 +48,7 @@ from .regions import (
     uniform_in_ball,
     volume_estimate,
 )
-from .rng import child_seed, substream
+from .rng import substream
 
 
 class SphericalDiameterWarning(UserWarning):
@@ -110,15 +110,20 @@ def two_point_symmetrize(space: Space, h: Hyperplane, region):
     return Symmetrized(h, region)
 
 
+#: uniform points per step at which the counting identity is checked
+IDENTITY_CHECK_POINTS = 1000
+#: ball centres of a rebased region's union
+REBASE_CENTERS = 192
+
+
 @dataclass(frozen=True)
 class MetricsConfig:
     """Per-step metric settings and the symmetrized-chain depth budget."""
 
     cloud_density: float = 1000.0
     volume_samples: int = 20000
-    identity_check_points: int = 1000
-    rebase_depth: int = DEFAULT_DEPTH_CAP
-    rebase_centers: int = 192
+    #: each level of a symmetrized chain doubles the cost of a membership query
+    rebase_depth: int = 9
 
     def __post_init__(self):
         if self.rebase_depth < 1:
@@ -212,21 +217,21 @@ class FlowReport:
 
 
 def _check_counting_identity(space: Space, plane: Hyperplane, inner, wrapped,
-                             n_points: int, seed: int) -> None:
+                             rng: np.random.Generator) -> None:
     """Exact pointwise identity behind volume preservation; raises on failure."""
     env = bounding_ball(space, wrapped)
-    rng = substream(seed)
-    pts = uniform_in_ball(space, env, rng, size=n_points)
+    pts = uniform_in_ball(space, env, rng, size=IDENTITY_CHECK_POINTS)
     mirrored = reflect(space, plane, pts)
     lhs = contains(space, wrapped, pts).astype(int) + contains(space, wrapped, mirrored).astype(int)
     rhs = contains(space, inner, pts).astype(int) + contains(space, inner, mirrored).astype(int)
     bad = int(np.count_nonzero(lhs != rhs))
     if bad:
-        raise FlowInvariantError(f"counting identity failed at {bad}/{n_points} points")
+        raise FlowInvariantError(
+            f"counting identity failed at {bad}/{IDENTITY_CHECK_POINTS} points")
 
 
 def _rebase_approximation(space: Space, region, target_volume: float,
-                          metrics: MetricsConfig, seed: int, step: int):
+                          metrics: MetricsConfig, rng: np.random.Generator):
     """Fresh shallow ball-based approximation of the region, volume-calibrated.
 
     Regions filling most of their envelope become the envelope minus a union
@@ -239,7 +244,7 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
     n_cal = max(metrics.volume_samples, 1000)
-    props = uniform_in_ball(space, env, substream(seed, step, 8), size=n_cal)
+    props = uniform_in_ball(space, env, rng, size=n_cal)
     member = contains(space, region, props)
     outside_idx = np.flatnonzero(~member)
     if outside_idx.size < 8:
@@ -247,10 +252,9 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     member_idx = np.flatnonzero(member)
     if member_idx.size < 8:
         raise ValueError("cannot rebase a region with no sampled volume")
-    rng = substream(seed, step, 7)
     dense = target_volume / v_env >= 0.55
     pool = outside_idx if dense else member_idx
-    m = min(metrics.rebase_centers, pool.size)
+    m = min(REBASE_CENTERS, pool.size)
     centers = props[rng.choice(pool, size=m, replace=False)]
     dmin = np.full(n_cal, np.inf)
     for c in centers:
@@ -265,11 +269,11 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     return Difference(env, balls) if dense else balls
 
 
-def _measure(space: Space, region, metrics: MetricsConfig, seed: int, step: int,
+def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.random.Generator,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
              rebased: bool):
     """Sample the step's cloud, run each O(n^2) metric on it once, and build its record."""
-    cloud = sample(space, region, metrics.cloud_density, child_seed(seed, step, 0))
+    cloud = sample(space, region, metrics.cloud_density, rng)
     diam, bi, bj, spacing = _pairwise_extremes(space, cloud.points)
     h = hausdorff(space, cloud, reference_cloud)
     # copies, so that the report's records do not keep every cloud alive
@@ -291,21 +295,19 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     if space.curvature == SPHERICAL and prev.diameter + 2.0 * prev.spacing >= math.pi:
         warnings.warn("sampled diameter is not below pi; symmetrization properties "
                       "are not guaranteed", SphericalDiameterWarning, stacklevel=2)
-    rng = substream(seed, step, 3)
-    plane = choose_hyperplane(space, strategy, prev.pair, rng)
+    plane = choose_hyperplane(space, strategy, prev.pair, substream(seed, step, 3))
     # the candidate is one level deeper, or is the unchanged ball, which a
     # rebase_depth of at least 1 never rebases
     rebased = symmetrized_depth(region) + 1 > metrics.rebase_depth
     base = region
     if rebased:
-        base = _rebase_approximation(space, region, prev.volume.value, metrics, seed, step)
+        base = _rebase_approximation(space, region, prev.volume.value, metrics,
+                                     substream(seed, step, 7))
     candidate = two_point_symmetrize(space, plane, base)
-    if metrics.identity_check_points > 0:
-        _check_counting_identity(space, plane, base, candidate,
-                                 metrics.identity_check_points, child_seed(seed, step, 4))
-    vol = volume_estimate(space, candidate, metrics.volume_samples, child_seed(seed, step, 1))
-    return candidate, _measure(space, candidate, metrics, seed, step, reference_cloud, vol,
-                               plane, rebased)
+    _check_counting_identity(space, plane, base, candidate, substream(seed, step, 4))
+    vol = volume_estimate(space, candidate, metrics.volume_samples, substream(seed, step, 1))
+    return candidate, _measure(space, candidate, metrics, step, substream(seed, step, 0),
+                               reference_cloud, vol, plane, rebased)
 
 
 def equal_volume_radius(space: Space, volume: float) -> float:
@@ -341,12 +343,13 @@ def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_eps
     if not math.isfinite(stop_epsilon):
         raise ValueError(f"stop_epsilon must be finite, got {stop_epsilon}")
     metrics = metrics or MetricsConfig()
-    vol0 = volume_estimate(space, initial, metrics.volume_samples, child_seed(seed, 0, 1))
+    vol0 = volume_estimate(space, initial, metrics.volume_samples, substream(seed, 0, 1))
     if vol0.value <= 0.0:
         raise ValueError("initial region has zero estimated volume")
     ref_ball = Ball(space.base_point, equal_volume_radius(space, vol0.value))
-    ref_cloud = sample(space, ref_ball, metrics.cloud_density, child_seed(seed, 0, 2))
-    rec = _measure(space, initial, metrics, seed, 0, ref_cloud, vol0, None, False)
+    ref_cloud = sample(space, ref_ball, metrics.cloud_density, substream(seed, 0, 2))
+    rec = _measure(space, initial, metrics, 0, substream(seed, 0, 0), ref_cloud, vol0, None,
+                   False)
     steps = [rec]
     config = {
         "strategy": {"kind": type(strategy).__name__},

@@ -1,7 +1,12 @@
+import sys
+
+import numpy as np
 import pytest
 
-from isodiam.geometry import Ball, Space, bisector
-from isodiam.regions import uniform_in_ball
+import isodiam.cli  # noqa: F401  (loaded up front, so stream_keys patches every namespace)
+from isodiam import rng as isodiam_rng
+from isodiam.geometry import Ball, Space, bisector, geodesic_point
+from isodiam.regions import Difference, Union, uniform_in_ball
 from isodiam.rng import substream
 
 SPACES = [Space.sphere(2), Space.euclidean(2), Space.hyperbolic(2)]
@@ -11,6 +16,26 @@ SPACE_IDS = ["S2", "E2", "H2"]
 @pytest.fixture(params=SPACES, ids=SPACE_IDS)
 def space(request):
     return request.param
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """Record the (seed, *path) key of every stream opened while the test runs.
+
+    ``substream`` is replaced in every ``isodiam`` module namespace that holds
+    it, since the modules import it by name.
+    """
+    keys = []
+    original = isodiam_rng.substream
+
+    def recording(seed, *path):
+        keys.append((int(seed),) + tuple(int(p) for p in path))
+        return original(seed, *path)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isodiam" and getattr(module, "substream", None) is original:
+            monkeypatch.setattr(module, "substream", recording)
+    return keys
 
 
 def random_points(space, n, seed, spread=1.2):
@@ -29,3 +54,27 @@ def random_plane(space, rng):
     near = Ball(space.base_point, 0.8)
     h = bisector(space, uniform_in_ball(space, near, rng), uniform_in_ball(space, near, rng))
     return h.flipped() if rng.random() < 0.5 else h
+
+
+def _first_axis(space):
+    axis = np.zeros(space.ambient_dim)
+    axis[0] = 1.0
+    return axis
+
+
+def dented_ball_region(space):
+    """Ball of radius 0.8 at the pole minus the ball of radius 0.25 centred 0.45
+    along the first axis."""
+    pole = space.base_point
+    dent_center = geodesic_point(space, pole, _first_axis(space), 0.45)
+    return Difference(Ball(pole, 0.8), Ball(dent_center, 0.25))
+
+
+def two_caps_region(space):
+    """Union of two balls of radius 0.52 centred 0.17 either way along the first
+    axis from the pole."""
+    pole = space.base_point
+    axis = _first_axis(space)
+    c1 = geodesic_point(space, pole, axis, 0.17)
+    c2 = geodesic_point(space, pole, -axis, 0.17)
+    return Union((Ball(c1, 0.52), Ball(c2, 0.52)))

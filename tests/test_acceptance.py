@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from isodiam.convexity import ball_convexity_probe, hemisphere_center, hull_diameter_check
-from isodiam.experiments import CampaignConfig, dented_ball_region, greedy_maximal, \
-    two_caps_region, verify_isodiametric
+from isodiam.experiments import CampaignConfig, greedy_maximal, verify_isodiametric
 from isodiam.geometry import (
     Ball,
     Space,
@@ -39,12 +38,9 @@ from isodiam.regions import (
     volume_estimate,
 )
 from isodiam.rng import substream
-from isodiam.symmetrize import (
-    MetricsConfig,
-    RandomThroughPole,
-    child_seed,
-    run_flow,
-)
+from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
+
+from conftest import dented_ball_region, two_caps_region
 
 S2 = Space.sphere(2)
 S3 = Space.sphere(3)
@@ -59,9 +55,8 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _random_case_region(space, seed):
+def _random_case_region(space, rng):
     """Region of certified true diameter <= D, as a subset of a D/2 ball."""
-    rng = substream(seed)
     pole = space.base_point
     D = float(rng.uniform(0.9, 1.6))
     host = Ball(uniform_in_ball(space, Ball(pole, 0.3), rng), D / 2.0)
@@ -79,8 +74,7 @@ def _random_case_region(space, seed):
     return region, D
 
 
-def _random_plane(space, region, seed):
-    rng = substream(seed)
+def _random_plane(space, region, rng):
     env = bounding_ball(space, region)
     a = uniform_in_ball(space, env, rng)
     b = uniform_in_ball(space, env, rng)
@@ -114,8 +108,8 @@ def test_criterion_01_counting_identity():
     failures = 0
     for k in range(50):
         space = ALL_SPACES[k % 3]
-        region, _ = _random_case_region(space, child_seed(500, k, 0))
-        plane = _random_plane(space, region, child_seed(500, k, 1))
+        region, _ = _random_case_region(space, substream(500, k, 0))
+        plane = _random_plane(space, region, substream(500, k, 1))
         tau = Symmetrized(plane, region)
         env = bounding_ball(space, tau)
         pts = uniform_in_ball(space, env, substream(500, k, 2), size=10_000)
@@ -137,11 +131,11 @@ def test_criterion_02_volume_preservation():
     worst = 0.0
     for k in range(50):
         space = ALL_SPACES[k % 3]
-        region, _ = _random_case_region(space, child_seed(510, k, 0))
-        plane = _random_plane(space, region, child_seed(510, k, 1))
+        region, _ = _random_case_region(space, substream(510, k, 0))
+        plane = _random_plane(space, region, substream(510, k, 1))
         tau = Symmetrized(plane, region)
-        ex = volume_estimate(space, region, 100_000, child_seed(510, k, 2))
-        et = volume_estimate(space, tau, 100_000, child_seed(510, k, 3))
+        ex = volume_estimate(space, region, 100_000, substream(510, k, 2))
+        et = volume_estimate(space, tau, 100_000, substream(510, k, 3))
         combined = math.hypot(ex.std_error, et.std_error)
         sigmas = abs(et.value - ex.value) / combined if combined else 0.0
         worst = max(worst, sigmas)
@@ -158,10 +152,10 @@ def test_criterion_03_diameter_monotonicity(fixture_flows):
     violations = 0
     for k in range(10):
         space = ALL_SPACES[k % 3]
-        region, D = _random_case_region(space, child_seed(520, k, 0))
-        plane = _random_plane(space, region, child_seed(520, k, 1))
+        region, D = _random_case_region(space, substream(520, k, 0))
+        plane = _random_plane(space, region, substream(520, k, 1))
         tau = Symmetrized(plane, region)
-        cloud = sample(space, tau, 2000.0, child_seed(520, k, 2))
+        cloud = sample(space, tau, 2000.0, substream(520, k, 2))
         pts = cloud.points
         if len(pts) < 2:
             continue
@@ -301,7 +295,7 @@ def test_criterion_07_hull_diameter_identity():
         center = uniform_in_ball(space, Ball(space.base_point, 0.8), rng)
         pts = uniform_in_ball(space, Ball(center, rho), rng,
                               size=int(rng.integers(30, 120)))
-        d0, d1 = hull_diameter_check(space, pts, 2500, child_seed(560, k, 1))
+        d0, d1 = hull_diameter_check(space, pts, 2500, seed=5600 + k)
         over = d1 - d0
         worst_over = max(worst_over, over)
         worst_under = min(worst_under, over)

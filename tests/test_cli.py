@@ -11,10 +11,11 @@ import pytest
 
 import isodiam
 from isodiam.cli import main
-from isodiam.experiments import dented_ball_region
 from isodiam.geometry import Ball, Space
 from isodiam.regionio import save_region
 from isodiam.regions import Union
+
+from conftest import dented_ball_region
 
 S2 = Space.sphere(2)
 E = np.array([0.0, 0.0, 1.0])

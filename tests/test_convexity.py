@@ -108,7 +108,7 @@ class TestMinNormPoint:
 
 class TestHemisphereCenter:
     def test_small_cap_certificate(self):
-        cloud = sample(S2, Ball(E, 0.3), 2000.0, seed=82)
+        cloud = sample(S2, Ball(E, 0.3), 2000.0, substream(82))
         cert = hemisphere_center(cloud)
         assert cert is not None
         direction = cert.z / np.linalg.norm(cert.z)

@@ -5,15 +5,16 @@ import pytest
 
 from isodiam.experiments import (
     CampaignConfig,
-    dented_ball_region,
     greedy_maximal,
     random_admissible_region,
-    two_caps_region,
     verify_isodiametric,
 )
 from isodiam.geometry import Ball, Space, ball_volume
 from isodiam.regionio import region_digest
 from isodiam.regions import _pairwise_extremes, contains, sample
+from isodiam.rng import substream
+
+from conftest import dented_ball_region, two_caps_region
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
@@ -22,7 +23,7 @@ H2 = Space.hyperbolic(2)
 
 class TestRandomAdmissibleRegion:
     def test_complexity_one_is_ball(self, space):
-        region = random_admissible_region(space, 1.2, 1, seed=140)
+        region = random_admissible_region(space, 1.2, 1, substream(140))
         assert isinstance(region, Ball)
         assert region.radius <= 0.6 + 1e-12
         # stays admissible outright: any two points are within 2 * (D/2)
@@ -30,25 +31,25 @@ class TestRandomAdmissibleRegion:
     def test_sampled_diameter_bounded(self, space):
         D = 1.3
         for seed in range(6):
-            region = random_admissible_region(space, D, 4, seed=141 + seed)
-            cloud = sample(space, region, 700.0, seed=9000 + seed)
+            region = random_admissible_region(space, D, 4, substream(141 + seed))
+            cloud = sample(space, region, 700.0, substream(9000 + seed))
             if len(cloud) < 2:
                 continue
             diam = _pairwise_extremes(space, cloud.points)[0]
             assert diam <= D + 0.02  # fresh-sample slack just past the witness set
 
     def test_digests_distinct_across_seeds(self):
-        digests = {region_digest(random_admissible_region(S2, 1.4, 4, seed=s, density=300.0))
+        digests = {region_digest(random_admissible_region(S2, 1.4, 4, substream(s), density=300.0))
                    for s in range(100)}
         assert len(digests) == 100
 
     def test_invalid_diameter_rejected(self):
         with pytest.raises(ValueError):
-            random_admissible_region(S2, 3.5, 3, seed=1)
+            random_admissible_region(S2, 3.5, 3, substream(1))
         with pytest.raises(ValueError):
-            random_admissible_region(E2, -1.0, 3, seed=1)
+            random_admissible_region(E2, -1.0, 3, substream(1))
         with pytest.raises(ValueError, match="diameter bound D"):
-            random_admissible_region(E2, float("nan"), 3, seed=1)
+            random_admissible_region(E2, float("nan"), 3, substream(1))
 
 
 class TestVerifyIsodiametric:
@@ -132,7 +133,7 @@ class TestFixtureRegions:
         region = dented_ball_region(space)
         pole = space.base_point
         assert contains(space, region, pole)
-        cloud = sample(space, region, 500.0, seed=165)
+        cloud = sample(space, region, 500.0, substream(165))
         assert np.all(contains(space, region, cloud.points))
 
     def test_two_caps_contains_pole_when_overlapping(self):

@@ -3,20 +3,27 @@ flips a single sample shows up as a different report digest.
 
 The digests were recorded with numpy 2.4 / OpenBLAS on x86-64; a platform
 with a different BLAS may sum in another order and legitimately disagree.
-They were last re-recorded when ball sampling moved from an interpolated
-trapezoid table to the exact inverse CDF of the radial law, a declared
-change: every sample point moved in its last digits, flow volumes stayed
-bit-identical, and diameter, Hausdorff distance and spacing moved by at most
-3.3e-8 relative.  Before that change the digests were
+They were last re-recorded when every stream came to be keyed directly by its
+(seed, step, role) coordinate instead of by an integer hashed from it, a
+declared change: the planes and rebase steps are identical, the clouds and
+volumes are redrawn, and before the rebase each step's volume stays within
+1.2 sigma of the old one.  The digests went
+S2 176ed60b3311ea23015014d665600376a0311c0938e7fac5800278515d701ffc ->
+   fd17b14d206a44eeb915f20b8a24f52b51b04142fc21b39a34c7f057c3d32b50 and
+H2 bd396193897bffae9bd18cb1417c8f5b74d7da7c058a00d44383c580a89ae956 ->
+   68ed264308350697e5e0f3658eb67d835acbad74157eaae92adac61e4c870fe2.
+Before that, when ball sampling moved from an interpolated trapezoid table to
+the exact inverse CDF of the radial law, they were
 S2 571426f9429563a6d07ed09d1c6910999f381c900e0fb88905077c03acf8c726 and
 H2 9853537cac11b933772e0c2971d05792f9e74786c9312e928e5cffe6785f98b0.
 """
 
 import hashlib
 
-from isodiam.experiments import dented_ball_region, two_caps_region
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
+
+from conftest import dented_ball_region, two_caps_region
 
 S2 = Space.sphere(2)
 H2 = Space.hyperbolic(2)
@@ -32,8 +39,7 @@ def test_s2_dented_ball_flow_across_a_rebase(tmp_path):
     report = run_flow(
         S2, dented_ball_region(S2), RandomThroughPole(), max_steps=7,
         stop_epsilon=0.0, seed=12,
-        metrics=MetricsConfig(cloud_density=800.0, volume_samples=6000,
-                              identity_check_points=300, rebase_depth=4))
+        metrics=MetricsConfig(cloud_density=800.0, volume_samples=6000, rebase_depth=4))
     assert [s.rebased for s in report.steps].count(True) == 1
     assert _csv_digest(report, tmp_path) == S2_DENTED_DIGEST
 
@@ -42,10 +48,9 @@ def test_h2_two_caps_flow(tmp_path):
     report = run_flow(
         H2, two_caps_region(H2), RandomThroughPole(), max_steps=8,
         stop_epsilon=0.0, seed=3,
-        metrics=MetricsConfig(cloud_density=400.0, volume_samples=3000,
-                              identity_check_points=300))
+        metrics=MetricsConfig(cloud_density=400.0, volume_samples=3000))
     assert _csv_digest(report, tmp_path) == H2_CAPS_DIGEST
 
 
-S2_DENTED_DIGEST = "176ed60b3311ea23015014d665600376a0311c0938e7fac5800278515d701ffc"
-H2_CAPS_DIGEST = "bd396193897bffae9bd18cb1417c8f5b74d7da7c058a00d44383c580a89ae956"
+S2_DENTED_DIGEST = "fd17b14d206a44eeb915f20b8a24f52b51b04142fc21b39a34c7f057c3d32b50"
+H2_CAPS_DIGEST = "68ed264308350697e5e0f3658eb67d835acbad74157eaae92adac61e4c870fe2"

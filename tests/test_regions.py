@@ -163,7 +163,7 @@ class TestBoundingBall:
         mirrored = Ball(reflect(space, h, ball.center), ball.radius)
         region = Union((ball, mirrored))
         env = bounding_ball(space, region)
-        cloud = sample(space, region, 800.0, seed=46)
+        cloud = sample(space, region, 800.0, substream(46))
         assert len(cloud) > 0
         assert np.all(distance(space, cloud.points, env.center) <= env.radius + 1e-9)
 
@@ -192,13 +192,13 @@ class TestBoundingBall:
         ball = Ball(geodesic_point(space, space.base_point, axis, 0.6), 0.3)
         tau = Symmetrized(h, ball)
         env = bounding_ball(space, tau)
-        cloud = sample(space, tau, 600.0, seed=47)
+        cloud = sample(space, tau, 600.0, substream(47))
         assert np.all(distance(space, cloud.points, env.center) <= env.radius + 1e-9)
 
 
 class TestSample:
     def test_ball_envelope_accepts_everything(self):
-        cloud = sample(S2, Ball(E, 0.7), 2000.0, seed=48)
+        cloud = sample(S2, Ball(E, 0.7), 2000.0, substream(48))
         expected = 2000.0 * ball_volume(S2, 0.7)
         assert len(cloud) == int(np.ceil(expected))
         assert cloud.weight == pytest.approx(1 / 2000.0)
@@ -207,7 +207,7 @@ class TestSample:
         a = Ball(geodesic_point(S2, E, EX, 1.2), 0.2)
         b = Ball(geodesic_point(S2, E, -EX, 1.2), 0.2)
         with pytest.warns(EmptyRegionWarning):
-            cloud = sample(S2, Intersection((a, b)), 500.0, seed=49)
+            cloud = sample(S2, Intersection((a, b)), 500.0, substream(49))
         assert len(cloud) == 0
 
     def test_cap_count_within_3_sigma(self):
@@ -217,10 +217,10 @@ class TestSample:
         region = Difference(Ball(E, math.pi / 2), Ball(geodesic_point(S2, E, EX, 2.0), 0.01))
         env_vol = ball_volume(S2, math.pi / 2)
         cap_vol = 2 * math.pi * (1 - math.cos(r))
-        cloud = sample(S2, Ball(E, r), density, seed=50)
+        cloud = sample(S2, Ball(E, r), density, substream(50))
         # envelope is the cap itself here, so make a nontrivial variant too
         tau = Intersection((Ball(E, math.pi / 2), Ball(E, r)))
-        cloud2 = sample(S2, tau, density, seed=51)
+        cloud2 = sample(S2, tau, density, substream(51))
         n = int(np.ceil(density * env_vol))
         p = cap_vol / env_vol
         sigma = math.sqrt(n * p * (1 - p))
@@ -230,12 +230,12 @@ class TestSample:
     def test_membership_of_samples(self, space):
         region = Difference(Ball(space.base_point, 0.8),
                             Ball(space.base_point, 0.3))
-        cloud = sample(space, region, 500.0, seed=52)
+        cloud = sample(space, region, 500.0, substream(52))
         assert np.all(contains(space, region, cloud.points))
 
     def test_determinism(self, space):
-        a = sample(space, Ball(space.base_point, 0.9), 700.0, seed=53)
-        b = sample(space, Ball(space.base_point, 0.9), 700.0, seed=53)
+        a = sample(space, Ball(space.base_point, 0.9), 700.0, substream(53))
+        b = sample(space, Ball(space.base_point, 0.9), 700.0, substream(53))
         assert np.array_equal(a.points, b.points)
 
     def test_volume_estimate_property(self):
@@ -393,7 +393,7 @@ class TestDiameter:
 
     def test_cap_cloud_diameter_bound(self):
         r = 0.6
-        cloud = sample(S2, Ball(E, r), 3000.0, seed=59)
+        cloud = sample(S2, Ball(E, r), 3000.0, substream(59))
         d, _, _ = diameter(S2, cloud)
         assert d <= 2 * r + 1e-9
         assert d >= 2 * r - 0.05
@@ -472,8 +472,8 @@ class TestDiameterMonotonicity:
                        Ball(geodesic_point(space, pole, axis, 0.3), 0.2))
         h = bisector(space, geodesic_point(space, pole, axis, 0.4), pole)
         tau = Symmetrized(h, x)
-        tau_cloud = sample(space, tau, 800.0, seed=71)
-        x_cloud = sample(space, x, 800.0, seed=72)
+        tau_cloud = sample(space, tau, 800.0, substream(71))
+        x_cloud = sample(space, x, 800.0, substream(72))
         augmented = np.vstack([x_cloud.points, reflect(space, h, x_cloud.points)])
         d_tau, _, _ = diameter(space, tau_cloud)
         d_aug, _, _ = diameter(space, augmented)
@@ -487,14 +487,14 @@ class TestVolumeEstimate:
         # pi/4 cap written so its envelope stays the loose pi/2 ball
         half = Ball(E, math.pi / 2)
         region = Difference(half, Difference(half, Ball(E, math.pi / 4)))
-        est = volume_estimate(S2, region, 40000, seed=65)
+        est = volume_estimate(S2, region, 40000, substream(65))
         truth = 2 * math.pi * (1 - math.cos(math.pi / 4))
         assert est.std_error > 0
         assert abs(est.value - truth) <= 3 * est.std_error
 
     def test_self_difference_is_empty(self, space):
         b = Ball(space.base_point, 0.5)
-        est = volume_estimate(space, Difference(b, b), 2000, seed=66)
+        est = volume_estimate(space, Difference(b, b), 2000, substream(66))
         assert est.value == 0.0
         assert est.std_error == 0.0
 
@@ -505,14 +505,14 @@ class TestVolumeEstimate:
         x = Union((Ball(geodesic_point(space, pole, axis, 0.4), 0.45), Ball(pole, 0.5)))
         h = bisector(space, geodesic_point(space, pole, axis, 0.3), pole)
         tau = Symmetrized(h, x)
-        ex = volume_estimate(space, x, 60000, seed=67)
-        et = volume_estimate(space, tau, 60000, seed=68)
+        ex = volume_estimate(space, x, 60000, substream(67))
+        et = volume_estimate(space, tau, 60000, substream(68))
         combined = math.hypot(ex.std_error, et.std_error)
         assert abs(ex.value - et.value) <= 3 * combined
 
     def test_min_samples_enforced(self):
         with pytest.raises(ValueError):
-            volume_estimate(S2, Ball(E, 0.5), 50, seed=69)
+            volume_estimate(S2, Ball(E, 0.5), 50, substream(69))
 
     def test_ball_matches_quadrature_over_seeds(self):
         # statistical calibration of the estimator over 100 seeds
@@ -520,13 +520,14 @@ class TestVolumeEstimate:
         truth = ball_volume(S2, 0.8)
         hits = 0
         for seed in range(100):
-            est = volume_estimate(S2, region, 4000, seed=seed)
+            est = volume_estimate(S2, region, 4000, substream(seed))
             if abs(est.value - truth) <= 3 * est.std_error:
                 hits += 1
         assert hits >= 96
 
     def test_determinism(self, space):
         b = Ball(space.base_point, 0.7)
-        r1 = volume_estimate(space, Difference(b, Ball(space.base_point, 0.2)), 5000, seed=70)
-        r2 = volume_estimate(space, Difference(b, Ball(space.base_point, 0.2)), 5000, seed=70)
+        dented = Difference(b, Ball(space.base_point, 0.2))
+        r1 = volume_estimate(space, dented, 5000, substream(70))
+        r2 = volume_estimate(space, dented, 5000, substream(70))
         assert r1 == r2

@@ -1,0 +1,47 @@
+"""Stream keys: every random stream is named once, by its (seed, *path) coordinate."""
+
+import collections
+
+import pytest
+
+from isodiam.cli import main
+from isodiam.geometry import Ball, Space
+from isodiam.regionio import save_region
+from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
+
+from conftest import dented_ball_region
+
+S2 = Space.sphere(2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--region", "DENTED", "--steps", "3", "--seed", "12", "--out", "OUT",
+     "--density", "300", "--volume-samples", "2000", "--rebase-depth", "1"],
+    ["verify", "--space", "sphere", "--dim", "2", "--D", "1.2", "--trials", "3",
+     "--seed", "11", "--samples", "2000", "--density", "300"],
+    ["hull-check", "--region", "CAP", "--density", "300", "--hull-samples", "200",
+     "--seed", "8"],
+], ids=["flow", "verify", "hull-check"])
+def test_no_stream_key_read_twice(tmp_path, stream_keys, argv):
+    files = {"DENTED": str(tmp_path / "dented.json"), "CAP": str(tmp_path / "cap.json"),
+             "OUT": str(tmp_path / "flow.csv")}
+    save_region(files["DENTED"], S2, dented_ball_region(S2))
+    # hull-check needs a spherical cloud of diameter at most pi/2
+    save_region(files["CAP"], S2, Ball(S2.base_point, 0.6))
+    assert main([files.get(a, a) for a in argv]) == 0
+    assert stream_keys
+    repeated = [key for key, n in collections.Counter(stream_keys).items() if n > 1]
+    assert repeated == []
+
+
+def test_flow_step_reads_documented_keys(stream_keys):
+    # step 0: volume, reference cloud, cloud; each step: plane, identity
+    # check, volume, cloud, and the rebase when the chain would pass depth 1
+    seed = 5
+    run_flow(S2, dented_ball_region(S2), RandomThroughPole(), max_steps=2, stop_epsilon=0.0,
+             seed=seed, metrics=MetricsConfig(cloud_density=300.0, volume_samples=2000,
+                                              rebase_depth=1))
+    assert stream_keys == [(seed, 0, 1), (seed, 0, 2), (seed, 0, 0),
+                           (seed, 1, 3), (seed, 1, 4), (seed, 1, 1), (seed, 1, 0),
+                           (seed, 2, 3), (seed, 2, 7), (seed, 2, 4), (seed, 2, 1), (seed, 2, 0)]
+

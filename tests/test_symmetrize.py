@@ -47,7 +47,7 @@ from conftest import random_points
 S2 = Space.sphere(2)
 E = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
-FAST = MetricsConfig(cloud_density=400.0, volume_samples=2000, identity_check_points=300)
+FAST = MetricsConfig(cloud_density=400.0, volume_samples=2000)
 
 
 def plane_through_pole(space):
@@ -121,7 +121,7 @@ class TestTwoPointSymmetrize:
         axis[0] = 1.0
         h = bisector(space, geodesic_point(space, pole, axis, 0.35), pole)
         tau = Symmetrized(h, region)
-        cloud = sample(space, tau, 900.0, seed=114)
+        cloud = sample(space, tau, 900.0, substream(114))
         pts = cloud.points
         rng = substream(115)
         i = rng.integers(0, len(pts), size=4000)
@@ -189,9 +189,9 @@ class TestFlow:
 
     def test_flow_step_contract(self):
         region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.4), 0.2))
-        ref_cloud = sample(S2, Ball(E, 0.65), 400.0, seed=121)
-        _, x, y = diameter(S2, sample(S2, region, 400.0, seed=122))
-        vol = volume_estimate(S2, region, 2000, seed=123)
+        ref_cloud = sample(S2, Ball(E, 0.65), 400.0, substream(121))
+        _, x, y = diameter(S2, sample(S2, region, 400.0, substream(122)))
+        vol = volume_estimate(S2, region, 2000, substream(123))
         prev = FlowStep(step=0, volume=vol, diameter=1.4, hausdorff_to_reference=0.3,
                         spacing=0.05, plane=None, rebased=False, pair=(x, y))
         new_region, rec = flow_step(
@@ -268,8 +268,7 @@ class TestFlow:
 
     def test_rebase_triggers_and_flags(self):
         region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.35), 0.25))
-        metrics = MetricsConfig(cloud_density=500.0, volume_samples=3000,
-                                identity_check_points=200, rebase_depth=2)
+        metrics = MetricsConfig(cloud_density=500.0, volume_samples=3000, rebase_depth=2)
         report = run_flow(S2, region, RandomThroughPole(), max_steps=6,
                           stop_epsilon=0.0, seed=127, metrics=metrics)
         rebased_steps = [r.step for r in report.steps if r.rebased]
@@ -322,8 +321,7 @@ class TestFlow:
                                 Ball(geodesic_point(space, space.base_point, axis, 0.4), 0.25))
             report = run_flow(space, region, RandomThroughPole(), max_steps=4,
                               stop_epsilon=0.0, seed=132,
-                              metrics=MetricsConfig(cloud_density=400.0, volume_samples=6000,
-                                                    identity_check_points=300))
+                              metrics=MetricsConfig(cloud_density=400.0, volume_samples=6000))
             assert len(report.steps) == 5
             base = report.steps[0]
             for rec in report.steps[1:]:
