@@ -21,6 +21,7 @@ from .geometry import (
     Ball,
     Space,
     distance,
+    frame,
     geodesic_point,
     normalize_to_space,
     project_gnomonic,
@@ -84,18 +85,6 @@ def hemisphere_center(cloud) -> HemisphereCertificate | None:
     return HemisphereCertificate(z=z, min_margin=margin)
 
 
-def _householder_to_base(u: np.ndarray) -> np.ndarray:
-    """Orthogonal map sending the unit vector u to the last-axis unit vector."""
-    d = u.shape[0]
-    e = np.zeros(d)
-    e[-1] = 1.0
-    v = u - e
-    nv2 = float(v @ v)
-    if nv2 < 1e-26:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(v, v) / nv2
-
-
 class NoHemisphereError(ValueError):
     """Spherical hull operations require an open-hemisphere certificate."""
 
@@ -118,7 +107,8 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
         cert = hemisphere_center(pts)
         if cert is None:
             raise NoHemisphereError("no open-hemisphere certificate for the samples")
-        pts = pts @ _householder_to_base(cert.z / np.linalg.norm(cert.z)).T
+        # frame(u) is a symmetric involution taking u to the base point
+        pts = pts @ frame(space, cert.z / np.linalg.norm(cert.z))
     proj = project_gnomonic(space, pts)
     rng = substream(seed)
     k = min(space.dim + 1, proj.shape[0])

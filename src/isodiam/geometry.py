@@ -99,13 +99,19 @@ def form(space: Space, x, y):
 
 
 def check_point(space: Space, x) -> None:
-    """Raise ValueError unless x satisfies the Point invariant of the space."""
+    """Raise ValueError unless x satisfies the Point invariant of the space.
+
+    On the hyperboloid the quadric tolerance is POINT_TOL * x_e^2, relative to
+    the size of the terms of B(x, x), so points far from the pole that
+    ``normalize_to_space`` returns are accepted.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.ambient_dim:
         raise ValueError(f"expected ambient dimension {space.ambient_dim}, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point has non-finite coordinates")
-    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, x, x) - 1.0) > POINT_TOL):
+    tol = POINT_TOL * x[..., -1] ** 2 if space.curvature == HYPERBOLIC else POINT_TOL
+    if space.curvature != EUCLIDEAN and np.any(np.abs(form(space, x, x) - 1.0) > tol):
         raise ValueError(f"point is not on the {space.name} quadric within tolerance")
     if space.curvature == HYPERBOLIC and np.any(x[..., -1] < 1.0 - POINT_TOL):
         raise ValueError("point is not on the upper hyperboloid sheet")
@@ -394,48 +400,46 @@ def ball_volume(space: Space, r: float) -> float:
     return sphere_area(space.dim) * val
 
 
-def tangent_basis(space: Space, z) -> np.ndarray:
-    """Rows form an orthonormal basis of the tangent space at z.
+def frame(space: Space, z) -> np.ndarray:
+    """Symmetric ambient isometry F with F e = z, where e is the base point.
 
-    Orthonormal in the tangent inner product (the ambient scalar product, or
-    -B on the hyperboloid).  Euclidean spaces return the identity basis.
-    Raises ValueError if rounding (far out on the hyperboloid) leaves the
-    Gram matrix more than UNIT_TOL from the identity in any row sum, so every
-    unit combination of the rows is a unit tangent within UNIT_TOL.
+    Rows 0..n-1 of F are an orthonormal tangent frame at z (orthonormal in
+    the ambient scalar product, or in -B on the hyperboloid).  Closed forms:
+
+    - H^n: the Lorentz boost [[I + zb zb^T / (1 + z_e), zb], [zb^T, z_e]],
+      where zb holds the first n coordinates (Ratcliffe, Foundations of
+      Hyperbolic Manifolds, section 3.1);
+    - S^n: the Householder reflection I - 2 v v^T / |v|^2 with v = z - e,
+      its own inverse; v_e = z_e - 1 is taken as -|zb|^2 / (1 + z_e) when
+      z_e > 0, where the difference would cancel;
+    - R^n, and z equal to e: the identity, which is also returned when |zb|^2
+      underflows, where the reflection's v v^T / |v|^2 would divide 0 by 0.
     """
-    if space.curvature == EUCLIDEAN:
-        return np.eye(space.dim)
+    d = space.ambient_dim
     z = np.asarray(z, dtype=float)
     check_point(space, z)
-    sgn = -1.0 if space.curvature == HYPERBOLIC else 1.0
-
-    def g(a, b):
-        return sgn * form(space, a, b)
-
-    rows = []
-    for k in range(space.ambient_dim):
-        v = np.zeros(space.ambient_dim)
-        v[k] = 1.0
-        v = v - form(space, v, z) * z
-        for r in rows:
-            v = v - g(v, r) * r
-        nv = math.sqrt(max(g(v, v), 0.0))
-        if nv > 1e-8:
-            rows.append(v / nv)
-        if len(rows) == space.dim:
-            break
-    if len(rows) != space.dim:
-        raise RuntimeError("failed to build a tangent basis")
-    basis = np.array(rows)
-    gram = g(basis[:, None, :], basis[None, :, :])
-    if np.abs(gram - np.eye(space.dim)).sum(axis=1).max() > UNIT_TOL:
-        raise ValueError("tangent basis is not orthonormal at this point")
-    return basis
+    zb, ze = z[:-1], float(z[-1])
+    q = float(zb @ zb)
+    if space.curvature == EUCLIDEAN or (ze > 0.0 and q < np.finfo(float).tiny):
+        return np.eye(d)
+    if space.curvature == HYPERBOLIC:
+        f = np.empty((d, d))
+        f[:-1, :-1] = np.eye(d - 1) + np.outer(zb, zb) / (1.0 + ze)
+        f[:-1, -1] = f[-1, :-1] = zb
+        f[-1, -1] = ze
+        return f
+    v = z.copy()
+    v[-1] = -q / (1.0 + ze) if ze > 0.0 else ze - 1.0
+    return np.eye(d) - np.outer(v, v) * (2.0 / float(v @ v))
 
 
 def random_unit_tangent(space: Space, z, rng: np.random.Generator, size: int | None = None):
-    """Uniform random unit tangent vector(s) at z."""
-    basis = tangent_basis(space, z)
+    """Uniform random unit tangent vector(s) at z.
+
+    Normal coefficients, scaled to unit length, on the closed-form tangent
+    frame ``frame(space, z)[:n]``.
+    """
+    basis = frame(space, z)[:space.dim]
     m = 1 if size is None else int(size)
     coeffs = rng.standard_normal((m, space.dim))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)

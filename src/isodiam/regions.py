@@ -490,9 +490,10 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
       correction) on the exact CDF, from the closed forms of int sin^(n-1)
       and int sinh^(n-1) and the reduction formula (Taylor series near 0).
 
-    Directions are drawn first, then u, one per point.  The tangent basis is
-    checked once per call (``tangent_basis``), so the points are formed
-    without geodesic_point's per-row unit check.
+    Directions are drawn first, then u, one per point.  They lie on the
+    closed-form tangent frame at the center (``geometry.frame``), orthonormal
+    by construction even far out on H^n, so the points are formed without
+    geodesic_point's per-row unit check.
     """
     m = 1 if size is None else int(size)
     dirs = random_unit_tangent(space, ball.center, rng, m)

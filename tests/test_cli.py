@@ -11,9 +11,9 @@ import pytest
 
 import isodiam
 from isodiam.cli import main
-from isodiam.geometry import Ball, Space
+from isodiam.geometry import Ball, Space, ball_volume
 from isodiam.regionio import save_region
-from isodiam.regions import Union
+from isodiam.regions import Difference, Union
 
 from conftest import dented_ball_region
 
@@ -82,6 +82,27 @@ class TestDiameter:
 
     def test_missing_seed_is_usage_error(self, cap_file):
         assert main(["diameter", "--region", cap_file]) == 2
+
+
+class TestFarFromThePole:
+    @pytest.mark.parametrize("R", [8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("azimuth", range(5))
+    def test_h2_annulus_volume_and_diameter(self, tmp_path, capsys, R, azimuth):
+        phi = 0.3 + 2.0 * math.pi * azimuth / 5
+        c = np.array([math.sinh(R) * math.cos(phi), math.sinh(R) * math.sin(phi), math.cosh(R)])
+        path = tmp_path / "annulus.json"
+        save_region(path, Space.hyperbolic(2), Difference(Ball(c, 0.5), Ball(c, 0.25)))
+        rc = main(["volume", "--space", "hyperbolic", "--dim", "2", "--region", str(path),
+                   "--samples", "20000", "--seed", "9"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        value, _, sigma = out.split()[:3]
+        H2 = Space.hyperbolic(2)
+        want = ball_volume(H2, 0.5) - ball_volume(H2, 0.25)
+        assert abs(float(value) - want) <= 4.0 * float(sigma)
+        rc = main(["diameter", "--region", str(path), "--density", "500", "--seed", "9"])
+        assert rc == 0
+        assert 0.9 <= float(capsys.readouterr().out.splitlines()[0]) <= 1.0 + 1e-5
 
 
 class TestFlow:

@@ -1,5 +1,6 @@
-"""Golden-byte guards on short flows: any change in membership arithmetic that
-flips a single sample shows up as a different report digest.
+"""Golden-byte guards on short flows and short verification campaigns: any
+change in membership or sampling arithmetic that flips a single sample shows up
+as a different report digest.
 
 The digests were recorded with numpy 2.4 / OpenBLAS on x86-64; a platform
 with a different BLAS may sum in another order and legitimately disagree.
@@ -16,10 +17,20 @@ Before that, when ball sampling moved from an interpolated trapezoid table to
 the exact inverse CDF of the radial law, they were
 S2 571426f9429563a6d07ed09d1c6910999f381c900e0fb88905077c03acf8c726 and
 H2 9853537cac11b933772e0c2971d05792f9e74786c9312e928e5cffe6785f98b0.
+
+The campaign digests were first recorded when tangent frames became the
+closed-form boost and Householder maps; the Gram-Schmidt frames before them
+gave S2 ef98701203c7ec55daf7eab7ce7e516688db28f313e78a069eaa3084a1fdbec7 and
+H2 537dc8f316ca91926759672c6e6c3f32b3259f44f4d70ed660ed0f221fd1c9bf for the
+same configurations.  The flow digests did not change then: a flow draws its
+directions at the pole, where both frames are the identity.
 """
 
 import hashlib
 
+import pytest
+
+from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
@@ -30,7 +41,7 @@ H2 = Space.hyperbolic(2)
 
 
 def _csv_digest(report, tmp_path):
-    path = tmp_path / "flow.csv"
+    path = tmp_path / "report.csv"
     report.write_csv(path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -50,6 +61,17 @@ def test_h2_two_caps_flow(tmp_path):
         stop_epsilon=0.0, seed=3,
         metrics=MetricsConfig(cloud_density=400.0, volume_samples=3000))
     assert _csv_digest(report, tmp_path) == H2_CAPS_DIGEST
+
+
+@pytest.mark.parametrize("curvature, D, seed, digest", [
+    (1, 1.0, 71, "6a4d40c658d2aef3bf14d66613cb2badaf2a2fa4e9414dedd7f1d7c53d8ec4e2"),
+    (-1, 1.5, 72, "6223ba7aac0ae0a0c4f9f7bbbc2b260c0b50986a971ae9988e535e6147406822"),
+], ids=["S2", "H2"])
+def test_short_campaign(tmp_path, curvature, D, seed, digest):
+    report = verify_isodiametric(CampaignConfig(
+        curvature=curvature, dim=2, D=D, trials=5, seed=seed, volume_samples=4000,
+        region_density=300.0))
+    assert _csv_digest(report, tmp_path) == digest
 
 
 S2_DENTED_DIGEST = "fd17b14d206a44eeb915f20b8a24f52b51b04142fc21b39a34c7f057c3d32b50"

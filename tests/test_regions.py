@@ -12,6 +12,7 @@ from isodiam.geometry import (
     ball_volume,
     bisector,
     distance,
+    form,
     geodesic_point,
     reflect,
     side,
@@ -311,6 +312,26 @@ RADIAL_MASS = {
 }
 
 
+def transported_frame(space, R, w, rng):
+    """A ball center R from the base point along the unit spatial direction w, and
+    an orthonormal tangent frame there: the geodesic's velocity, then an
+    orthonormal complement of w in the spatial coordinates, padded with a zero."""
+    n = space.dim
+    q, _ = np.linalg.qr(np.column_stack([w, rng.standard_normal((n, n - 1))]))
+    if space.curvature == 1:
+        center = np.append(math.sin(R) * w, math.cos(R))
+        velocity = np.append(math.cos(R) * w, -math.sin(R))
+    else:
+        center = np.append(math.sinh(R) * w, math.cosh(R))
+        velocity = np.append(math.cosh(R) * w, math.sinh(R))
+    rest = np.column_stack([q[:, 1:].T, np.zeros(n - 1)])
+    return center, np.vstack([velocity, rest])
+
+
+ISOTROPY_CASES = [("S2", 0.7), ("S2", 3.0), ("H2", 0.7), ("H2", 3.0),
+                  ("H2", 8.0), ("H2", 12.0), ("H3", 8.0), ("H3", 12.0)]
+
+
 def radial_cdf(space, r):
     """Closed-form CDF of the radius of a uniform draw in a ball of radius r."""
     if space.curvature == 0:
@@ -352,6 +373,30 @@ class TestUniformInBall:
             near_rim = 1.0 - np.logspace(-3, -9, 7)
             rim = uniform_in_ball(space, ball, FixedRadii(61, near_rim), size=len(near_rim))
             assert np.all(contains(space, ball, rim))
+
+    @pytest.mark.parametrize("name, R", ISOTROPY_CASES)
+    def test_isotropic_off_the_pole(self, name, R):
+        """Radius and direction of draws in a ball centred R from the pole follow
+        the radial law and the uniform law on the unit sphere, measured in a
+        frame built here rather than by ``geometry.frame``."""
+        space = RADIAL_SPACES[name]
+        rng = substream(65, ISOTROPY_CASES.index((name, R)))
+        w = rng.standard_normal(space.dim)
+        center, axes = transported_frame(space, R, w / np.linalg.norm(w), rng)
+        ball = Ball(center, 0.5)
+        pts = uniform_in_ball(space, ball, rng, size=20_000)
+        assert np.all(contains(space, ball, pts))
+        res = stats.kstest(distance(space, center, pts), radial_cdf(space, ball.radius))
+        assert res.pvalue > 0.01
+        # sin t or sinh t times the direction's coordinates in the test's frame
+        sign = 1.0 if space.curvature == 1 else -1.0
+        y = sign * form(space, pts[:, None, :], axes[None, :, :])
+        if space.dim == 3:
+            res = stats.kstest(y[:, 0] / np.linalg.norm(y, axis=1), "uniform", args=(-1.0, 2.0))
+            assert res.pvalue > 0.01
+        res = stats.kstest(np.arctan2(y[:, -1], y[:, -2]), "uniform",
+                           args=(-math.pi, 2.0 * math.pi))
+        assert res.pvalue > 0.01
 
     def test_mean_radius_spherical_oracle(self):
         # quadrature oracle: E[t] = int t sin t / int sin t over [0, pi/2]
