@@ -25,7 +25,7 @@ from .regions import (
     Intersection,
     PointCloud,
     Union,
-    _pairwise_extremes,
+    _farthest_pair,
     sample,
     uniform_in_ball,
     volume_estimate,
@@ -92,7 +92,7 @@ def random_admissible_region(space: Space, D: float, complexity: int,
                 cloud = sample(space, trimmed, density, rng)
             if len(cloud) < 8:
                 break
-            diam, bi, bj, _ = _pairwise_extremes(space, cloud.points)
+            diam, bi, bj = _farthest_pair(space, cloud.points)
             if diam <= D:
                 return trimmed
             extra = rng.choice(len(cloud), size=min(10, len(cloud)), replace=False)
@@ -229,7 +229,7 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> 
             warnings.simplefilter("ignore", EmptyRegionWarning)
             cloud = sample(space, region, config.region_density,
                            substream(config.seed, trial, 1))
-        diam = _pairwise_extremes(space, cloud.points)[0] if len(cloud) >= 2 else 0.0
+        diam = _farthest_pair(space, cloud.points)[0] if len(cloud) else 0.0
         est = volume_estimate(space, region, config.volume_samples,
                               substream(config.seed, trial, 2))
         margin = est.value - v_ball

@@ -6,6 +6,21 @@ evaluated exactly (no discretization) by an evaluator compiled once per query
 from the tree; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
 errors.
+
+The metrics of a sample cloud are exact searches over Gram keys (-cos d,
+cosh d or d^2, increasing in d); each reported distance is decoded from the
+key of the pair a search picks.  Nearest neighbors, for the spacing and both
+Hausdorff directions, come from a kd-tree that each PointCloud builds once
+and keeps: O(n log n) per cloud, where a scan of all pairs was O(n^2).  The
+tree is on ambient coordinates on S^n and R^n, where the Euclidean distance
+is the chord, and on the spatial part on H^n, where it overstates the chord
+by at most cosh(rho) within rho of the base point, so a ball that wide about
+the first neighbor holds the nearest point.  Rows whose ball holds more
+points than the tree returned are ranked against the whole cloud; far from
+the base point of H^n that is every row, the O(n^2) worst case.  The
+farthest pair prunes by the triangle inequality about a centre sample and
+scans the keys of the surviving rows only; an annulus about the centre
+keeps every row, its O(n^2) worst case.
 """
 
 from __future__ import annotations
@@ -13,9 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     EUCLIDEAN,
@@ -36,8 +52,15 @@ from .geometry import (
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
-#: rows of the distance matrix the pairwise metrics hold at once
+#: rows of the key matrix the farthest-pair scan holds at once
 _CHUNK = 512
+#: rows farthest from the centre whose own farthest points seed the diameter bound
+_SEED_ROWS = 8
+#: relative widening of kd-tree radii, far above the few ulps of a tree distance
+_TREE_SLACK = 1e-12
+#: tree neighbors fetched per row beyond the first it may take
+_SPARE_NEIGHBORS = 1
+_EPS = float(np.finfo(float).eps)
 
 
 class UnboundedRegionError(ValueError):
@@ -316,10 +339,15 @@ def bounding_ball(space: Space, region) -> Ball:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Weighted sample set drawn from a region; volume per sample is the weight."""
+    """Weighted sample set drawn from a region; volume per sample is the weight.
+
+    The points are read-only, so the cloud keeps the kd-tree its metrics
+    build on first use.
+    """
 
     points: np.ndarray
     weight: float
+    _index: "NeighborIndex | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -328,6 +356,12 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def index(self, space: Space) -> "NeighborIndex":
+        """The cloud's nearest-neighbor index, built on the first call."""
+        if self._index is None:
+            object.__setattr__(self, "_index", NeighborIndex(space, self.points))
+        return self._index
 
     @property
     def volume_estimate(self) -> float:
@@ -530,6 +564,15 @@ def _as_points(cloud) -> np.ndarray:
     return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
 
 
+def _signed(space: Space, block: np.ndarray) -> np.ndarray:
+    """The row block with the signs that turn its dot products into Gram keys."""
+    if space.curvature == SPHERICAL:
+        return -block
+    flip = block.copy()
+    flip[..., :-1] *= -1.0
+    return flip
+
+
 def _gram_distance_chunk(space: Space, block: np.ndarray, pts: np.ndarray):
     """All distances from a row block to pts, computed through one matmul.
 
@@ -538,14 +581,24 @@ def _gram_distance_chunk(space: Space, block: np.ndarray, pts: np.ndarray):
     squared distances in Euclidean space.  The sign flips are applied to the
     row block, where they are exact and cost the least.
     """
-    if space.curvature == SPHERICAL:
-        return (-block) @ pts.T
-    if space.curvature == HYPERBOLIC:
-        flip = block.copy()
-        flip[:, :-1] *= -1.0
-        return flip @ pts.T
+    if space.curvature != EUCLIDEAN:
+        return _signed(space, block) @ pts.T
     sq = (np.einsum("nd,nd->n", block, block)[:, None]
           + np.einsum("nd,nd->n", pts, pts)[None, :] - 2.0 * (block @ pts.T))
+    return np.maximum(sq, 0.0)
+
+
+def _pair_keys(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Gram keys of paired rows of a and b, broadcast over leading axes.
+
+    _gram_distance_chunk's arithmetic with each dot product taken alone by
+    np.vecdot, which with OpenBLAS on x86-64 rounds it as the matrix product
+    does at the scan's shapes; every reported distance comes from here.
+    """
+    if space.curvature != EUCLIDEAN:
+        return np.vecdot(_signed(space, a), b)
+    sq = (np.einsum("...d,...d->...", a, a) + np.einsum("...d,...d->...", b, b)
+          - 2.0 * np.vecdot(a, b))
     return np.maximum(sq, 0.0)
 
 
@@ -554,31 +607,148 @@ def _decode_gram(space: Space, g):
         return np.arccos(np.clip(-g, -1.0, 1.0))
     if space.curvature == HYPERBOLIC:
         return np.arccosh(np.clip(g, 1.0, None))
-    return np.sqrt(g)
+    return np.sqrt(np.maximum(g, 0.0))
 
 
-def _pairwise_extremes(space: Space, pts: np.ndarray):
-    """Max pairwise distance with an attaining pair, plus mean nearest-neighbor spacing."""
+def _key_slack(space: Space, pts: np.ndarray, from_c: np.ndarray) -> float:
+    """A bound on how far a computed Gram key of two rows can sit from the key
+    of the exact points of the space nearest to them.
+
+    A key sums at most ambient_dim + 2 products of coordinates of norm at most
+    sqrt(m), so it rounds by less than 4 (ambient_dim + 2) eps m.  On S^n and
+    H^n the rows also sit off their quadric by drift = max |Q(x) - 1|, which
+    scales a key k by at most 1 + drift; |k| <= 2 k_c^2 + 1 for the largest
+    key k_c from the centre (cosh 2r = 2 cosh^2 r - 1 on H^n).
+    """
+    sq = np.einsum("nd,nd->n", pts, pts)
+    rounding = 4.0 * (space.ambient_dim + 2) * _EPS * float(sq.max())
+    if space.curvature == EUCLIDEAN:
+        return rounding
+    quadric = sq if space.curvature == SPHERICAL else _pair_keys(space, pts, pts)
+    drift = float(np.abs(quadric - 1.0).max())
+    return rounding + drift * (2.0 * float(np.max(from_c * from_c)) + 1.0)
+
+
+def _farthest_pair(space: Space, pts: np.ndarray):
+    """Max pairwise distance over the rows, with the first attaining pair (i, j).
+
+    Exact against the all-pairs scan: the pair is the first maximum of the
+    Gram keys in row-major order, and the distance is decoded from its key
+    as _pair_keys takes it, like every other reported distance.
+    With r_i the distance of row i from a centre c, a pair can reach the
+    bound ``best`` only if both rows have r_i >= best - max r (triangle
+    inequality).  ``best`` starts from the farthest points of the few rows
+    farthest from c, and the keys are only scanned among the rows that pass,
+    each bound widened by _key_slack.  An annulus around c keeps every row.
+    """
     n = pts.shape[0]
     if n == 1:
-        return 0.0, 0, 0, 0.0
-    best = -np.inf
+        return 0.0, 0, 0
+    # c is the sample nearest the ambient centroid
+    off = pts - pts.mean(axis=0)
+    c = int(np.argmin(np.einsum("nd,nd->n", off, off)))
+    from_c = _gram_distance_chunk(space, pts[c:c + 1], pts)[0]
+    m = min(_SEED_ROWS, n)
+    seeds = np.argpartition(from_c, n - m)[n - m:]
+    g = _gram_distance_chunk(space, pts[seeds], pts)
+    g[np.arange(m), seeds] = -np.inf
+    slack = _key_slack(space, pts, from_c)
+    # the scan's pair has a computed key >= the scan's key of the best seed
+    # pair, so its exact key is at least max(g) less three roundings, and no
+    # row is farther from c than max(radius)
+    best = _decode_gram(space, g.max() - 3.0 * slack)
+    radius = _decode_gram(space, from_c + slack)
+    keep = np.flatnonzero(radius >= best - radius.max())
+    block = pts[keep]
+    top = -np.inf
     bi = bj = 0
-    nn = np.empty(n)
-    for i0 in range(0, n, _CHUNK):
-        block = pts[i0:i0 + _CHUNK]
-        g = _gram_distance_chunk(space, block, pts)
-        rows = np.arange(block.shape[0])
+    for i0 in range(0, keep.size, _CHUNK):
+        g = _gram_distance_chunk(space, block[i0:i0 + _CHUNK], block)
+        rows = np.arange(g.shape[0])
         g[rows, i0 + rows] = -np.inf
-        r, c = divmod(int(np.argmax(g)), n)
-        if g[r, c] > best:
-            best = float(g[r, c])
-            bi, bj = i0 + r, c
-        g[rows, i0 + rows] = np.inf
-        nn[i0:i0 + _CHUNK] = g.min(axis=1)
-    diam = float(_decode_gram(space, best))
-    spacing = float(np.mean(_decode_gram(space, nn)))
-    return diam, bi, bj, spacing
+        r, col = divmod(int(np.argmax(g)), keep.size)
+        if g[r, col] > top:
+            top = float(g[r, col])
+            bi, bj = int(keep[i0 + r]), int(keep[col])
+    return float(_decode_gram(space, _pair_keys(space, pts[[bi]], pts[[bj]])[0])), bi, bj
+
+
+def _tree_coords(space: Space, pts: np.ndarray) -> np.ndarray:
+    """Coordinates whose Euclidean distance bounds the chord: ambient ones on
+    S^n and R^n, the spatial part on H^n."""
+    return pts[:, :-1] if space.curvature == HYPERBOLIC else pts
+
+
+def _stretch(space: Space, pts: np.ndarray) -> float:
+    """cosh rho for the farthest row, rho from the base point, on H^n; else 1.
+
+    Within rho of the base point, chord <= |x - y| <= cosh(rho) chord in tree
+    coordinates, where the chord is 2 sinh(d / 2) on H^n.
+    """
+    return float(pts[:, -1].max()) if space.curvature == HYPERBOLIC else 1.0
+
+
+class NeighborIndex:
+    """A kd-tree over a cloud in tree coordinates, for exact nearest neighbors."""
+
+    def __init__(self, space: Space, pts: np.ndarray):
+        self.space = space
+        self.points = pts
+        self.tree = cKDTree(_tree_coords(space, pts))
+        self.stretch = _stretch(space, pts)
+
+    def nearest(self, q: np.ndarray, stretch: float, own=None):
+        """(key, index) of the indexed point with the smallest Gram key to each row of q.
+
+        ``own`` gives each row's own index in this cloud, which it may not
+        take.  With t the tree distance to the first neighbor a row may take,
+        its nearest point lies within stretch * t in tree coordinates, where
+        ``stretch`` bounds the tree distance over the chord for both clouds.
+        The tree returns _SPARE_NEIGHBORS more neighbors; if the last lies
+        beyond that ball (widened by _TREE_SLACK), they hold the ball and the
+        keys rank them.  A row whose ball may hold more, which on S^n and R^n
+        takes a tie and far out on H^n can be every row, is ranked against
+        the whole cloud, as in an all-pairs scan.  Ties go to the lower index.
+        """
+        n = self.points.shape[0]
+        m = min(n, (1 if own is None else 2) + _SPARE_NEIGHBORS)
+        dist, near = self.tree.query(_tree_coords(self.space, q), k=np.arange(1, m + 1))
+        usable = dist if own is None else np.where(near == own[:, None], np.inf, dist)
+        radius = stretch * usable.min(axis=1) * (1.0 + _TREE_SLACK)
+        wide = np.flatnonzero(dist[:, -1] <= radius) if m < n else np.arange(0)
+        keys = _pair_keys(self.space, q[:, None, :], self.points[near])
+        if own is not None:
+            keys[near == own[:, None]] = np.inf
+        best = keys.min(axis=1)
+        cols = np.where(keys == best[:, None], near, n).min(axis=1)
+        for i0 in range(0, wide.size, _CHUNK):
+            rows = wide[i0:i0 + _CHUNK]
+            g = _gram_distance_chunk(self.space, q[rows], self.points)
+            if own is not None:
+                g[np.arange(rows.size), own[rows]] = np.inf
+            cols[rows] = np.argmin(g, axis=1)
+        best[wide] = _pair_keys(self.space, q[wide], self.points[cols[wide]])
+        return best, cols
+
+
+def _index(space: Space, cloud) -> NeighborIndex:
+    return cloud.index(space) if isinstance(cloud, PointCloud) else \
+        NeighborIndex(space, _as_points(cloud))
+
+
+def _pairwise_extremes(space: Space, pts):
+    """Max pairwise distance with an attaining pair, plus mean nearest-neighbor spacing.
+
+    ``pts`` is a PointCloud, whose kd-tree is built once and kept, or an
+    array; either needs at least two points.
+    """
+    arr = _as_points(pts)
+    if arr.shape[0] < 2:
+        raise ValueError(f"nearest-neighbor spacing needs at least two points, got {arr.shape[0]}")
+    diam, bi, bj = _farthest_pair(space, arr)
+    index = _index(space, pts)
+    keys, _ = index.nearest(arr, index.stretch, own=np.arange(arr.shape[0]))
+    return diam, bi, bj, float(np.mean(_decode_gram(space, keys)))
 
 
 def diameter(space: Space, cloud):
@@ -589,26 +759,35 @@ def diameter(space: Space, cloud):
     pts = _as_points(cloud)
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty cloud")
-    best, bi, bj, _ = _pairwise_extremes(space, pts)
+    best, bi, bj = _farthest_pair(space, pts)
     return best, pts[bi].copy(), pts[bj].copy()
 
 
+def _directed(space: Space, x: np.ndarray, index: NeighborIndex) -> float:
+    """max over the rows of x of the distance to their nearest indexed point.
+
+    A row whose first tree neighbor is at tree distance t has its nearest
+    chord in [t / stretch, t], so only the rows with t >= max t / stretch
+    can attain the max, and only they are ranked by key.
+    """
+    stretch = max(index.stretch, _stretch(space, x))
+    reach = index.tree.query(_tree_coords(space, x), k=1)[0]
+    rows = np.flatnonzero(reach >= reach.max() / stretch * (1.0 - _TREE_SLACK))
+    keys, _ = index.nearest(x[rows], stretch)
+    return float(_decode_gram(space, keys.max()))
+
+
 def hausdorff(space: Space, a, b) -> float:
-    """Hausdorff distance between two sample sets: the max of the directed max-mins."""
+    """Hausdorff distance between two sample sets: the max of the directed max-mins.
+
+    Each direction queries the other set's kd-tree; a PointCloud keeps its
+    tree, so a reference cloud is indexed once however often it is compared.
+    """
     pa = _as_points(a)
     pb = _as_points(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("hausdorff of an empty cloud")
-
-    def directed(x, y):
-        worst = -np.inf
-        for i0 in range(0, x.shape[0], _CHUNK):
-            g = _gram_distance_chunk(space, x[i0:i0 + _CHUNK], y)
-            # nearest neighbor per row, then the worst row
-            worst = max(worst, g.min(axis=1).max())
-        return float(_decode_gram(space, worst))
-
-    return max(directed(pa, pb), directed(pb, pa))
+    return max(_directed(space, pa, _index(space, b)), _directed(space, pb, _index(space, a)))
 
 
 def volume_estimate(space: Space, region, samples: int,

@@ -272,12 +272,21 @@ def _rebase_approximation(space: Space, region, target_volume: float,
 def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.random.Generator,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
              rebased: bool):
-    """Sample the step's cloud, run each O(n^2) metric on it once, and build its record."""
+    """Sample the step's cloud, run each metric on it once, and build its record.
+
+    The spacing and the Hausdorff distance share the cloud's kd-tree.  A
+    cloud of fewer than two samples has neither a diameter nor a spacing, so
+    it raises ValueError naming the step and the density.
+    """
     cloud = sample(space, region, metrics.cloud_density, rng)
-    diam, bi, bj, spacing = _pairwise_extremes(space, cloud.points)
+    if len(cloud) < 2:
+        raise ValueError(f"flow step {step}: the metric cloud has {len(cloud)} sample(s) at "
+                         f"density {metrics.cloud_density!r}; its diameter and spacing need "
+                         f"at least two (raise --density)")
+    diam, bi, bj, spacing = _pairwise_extremes(space, cloud)
     h = hausdorff(space, cloud, reference_cloud)
     # copies, so that the report's records do not keep every cloud alive
-    pair = (cloud.points[bi].copy(), cloud.points[bj].copy()) if len(cloud) >= 2 else None
+    pair = (cloud.points[bi].copy(), cloud.points[bj].copy())
     return FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
                     spacing=spacing, plane=plane, rebased=rebased, pair=pair)
 

@@ -127,6 +127,19 @@ class TestFlow:
             outs.append((out.read_bytes(), jout.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_sparse_cloud_refused(self, tmp_path, capsys):
+        # a cap of radius 0.05 holds 0.8 samples on average at density 100, so
+        # the flow has no diameter or spacing to report, not 0.0 for both
+        speck = tmp_path / "speck.json"
+        save_region(speck, S2, Ball(E, 0.05))
+        out = tmp_path / "flow.csv"
+        rc = main(["flow", "--region", str(speck), "--steps", "3", "--seed", "1",
+                   "--out", str(out), "--density", "100"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "flow step 0:" in err and "--density" in err
+        assert not out.exists()
+
     def test_epsilon_stops_early(self, cap_file, tmp_path, capsys):
         out = tmp_path / "flow.csv"
         rc = main(["flow", "--region", cap_file, "--steps", "50", "--seed", "2",

@@ -24,6 +24,11 @@ gave S2 ef98701203c7ec55daf7eab7ce7e516688db28f313e78a069eaa3084a1fdbec7 and
 H2 537dc8f316ca91926759672c6e6c3f32b3259f44f4d70ed660ed0f221fd1c9bf for the
 same configurations.  The flow digests did not change then: a flow draws its
 directions at the pole, where both frames are the identity.
+
+No digest changed when the sample metrics moved from all-pairs Gram scans to
+kd-tree nearest neighbors and a pruned farthest pair: each search picks the
+scan's pair, and takes its key with np.vecdot, which rounds as the scan's
+matrix product did on these flows.
 """
 
 import hashlib

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import (
     Ball,
     Hyperplane,
@@ -70,6 +71,35 @@ def _count_pairwise_passes(monkeypatch):
     monkeypatch.setattr(reg, "_pairwise_extremes", counting)
     monkeypatch.setattr(sym, "_pairwise_extremes", counting)
     return calls
+
+
+def _count_index_builds(monkeypatch):
+    """Record the points of every nearest-neighbor index built."""
+    import isodiam.regions as reg
+    real = reg.NeighborIndex
+    built = []
+
+    class Counting(real):
+        def __init__(self, space, pts):
+            built.append(pts)
+            super().__init__(space, pts)
+
+    monkeypatch.setattr(reg, "NeighborIndex", Counting)
+    return built
+
+
+def _record_samples(monkeypatch):
+    """Record every cloud the flow samples: the reference first, then one per step."""
+    import isodiam.symmetrize as sym
+    real = sym.sample
+    clouds = []
+
+    def recording(*args, **kwargs):
+        clouds.append(real(*args, **kwargs))
+        return clouds[-1]
+
+    monkeypatch.setattr(sym, "sample", recording)
+    return clouds
 
 
 class TestTwoPointSymmetrize:
@@ -233,6 +263,20 @@ class TestFlow:
         assert len(report.steps) == k + 1
         assert len(calls) == k + 1
 
+    def test_one_index_per_cloud(self, monkeypatch):
+        # the reference cloud is indexed once per flow, and each step's cloud
+        # once, for its spacing and for the reference's Hausdorff direction
+        built = _count_index_builds(monkeypatch)
+        clouds = _record_samples(monkeypatch)
+        k = 4
+        report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=k,
+                          stop_epsilon=0.0, seed=131, metrics=FAST)
+        assert len(report.steps) == k + 1
+        assert len(clouds) == k + 2
+        assert len(built) == k + 2
+        for cloud in clouds:
+            assert sum(pts is cloud.points for pts in built) == 1
+
     def test_farthest_flow_reuses_measured_pair(self, monkeypatch):
         # the bisector comes from the pair the previous step measured, with no
         # second pass over that cloud
@@ -327,3 +371,16 @@ class TestFlow:
             for rec in report.steps[1:]:
                 assert abs(rec.volume.value - base.volume.value) <= \
                     3 * math.hypot(rec.volume.std_error, base.volume.std_error)
+
+
+def test_campaign_computes_no_spacing(monkeypatch):
+    # region admission and the trial diameters need only the farthest pair
+    built = _count_index_builds(monkeypatch)
+    calls = _count_pairwise_passes(monkeypatch)
+    report = verify_isodiametric(CampaignConfig(
+        curvature=1, dim=2, D=1.0, trials=4, seed=71, volume_samples=2000,
+        region_density=300.0))
+    assert len(report.records) == 4
+    assert all(r.sampled_diameter > 0.0 for r in report.records)
+    assert built == []
+    assert calls == []
