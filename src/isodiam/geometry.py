@@ -74,8 +74,23 @@ class Space:
         return cls(HYPERBOLIC, dim)
 
 
+def _columns(space: Space, x, y):
+    """x and y as float arrays, each with ambient_dim columns."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = space.ambient_dim
+    if x.shape[-1] != d or y.shape[-1] != d:
+        raise ValueError(
+            f"dimension mismatch: expected length {d}, got {x.shape[-1]} and {y.shape[-1]}"
+        )
+    return x, y
+
+
 def form(space: Space, x, y):
     """Ambient bilinear form: the scalar product, or B(x, y) when hyperbolic.
+
+    Summed column by column, left to right (np.sum's order below 8 terms), so
+    an entry gets the same bits in a batch of any shape as alone.
 
     Parameters
     ----------
@@ -86,16 +101,10 @@ def form(space: Space, x, y):
     -------
     float or ndarray
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = space.ambient_dim
-    if x.shape[-1] != d or y.shape[-1] != d:
-        raise ValueError(
-            f"dimension mismatch: expected length {d}, got {x.shape[-1]} and {y.shape[-1]}"
-        )
+    x, y = _columns(space, x, y)
     if space.curvature == HYPERBOLIC:
-        return x[..., -1] * y[..., -1] - np.sum(x[..., :-1] * y[..., :-1], axis=-1)
-    return np.sum(x * y, axis=-1)
+        return x[..., -1] * y[..., -1] - sum(x[..., j] * y[..., j] for j in range(space.dim))
+    return sum(x[..., j] * y[..., j] for j in range(space.ambient_dim))
 
 
 def check_point(space: Space, x) -> None:
@@ -126,19 +135,36 @@ def tangent_norm(space: Space, v):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def distance(space: Space, x, y):
-    """Geodesic distance between points, broadcasting over leading axes.
+def pair_key(space: Space, x, y):
+    """A key increasing in the distance of x and y, broadcasting like ``form``.
 
-    Spherical and hyperbolic values clamp the form into the valid domain of
-    arccos / arcosh before inverting, absorbing 1e-12-scale drift.
+    -cos d = -form(x, y) on S^n, cosh d = B(x, y) on H^n and d^2 on R^n,
+    where the coordinates are differenced before they are squared, as
+    |x|^2 + |y|^2 - 2 x.y cancels for near points far from the origin.
+    Summed column by column, so a pair's key has the same bits alone, in a
+    batch or in a broadcast block.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if space.curvature == SPHERICAL:
-        return np.arccos(np.clip(form(space, x, y), -1.0, 1.0))
+        return -form(space, x, y)
     if space.curvature == HYPERBOLIC:
-        return np.arccosh(np.clip(form(space, x, y), 1.0, None))
-    return np.linalg.norm(x - y, axis=-1)
+        return form(space, x, y)
+    x, y = _columns(space, x, y)
+    return sum(np.square(x[..., j] - y[..., j]) for j in range(space.dim))
+
+
+def decode_key(space: Space, g):
+    """The distance whose ``pair_key`` is g; keys outside the domain of arccos
+    or arcosh are clamped, absorbing 1e-12-scale drift off the quadric."""
+    if space.curvature == SPHERICAL:
+        return np.arccos(np.clip(-g, -1.0, 1.0))
+    if space.curvature == HYPERBOLIC:
+        return np.arccosh(np.clip(g, 1.0, None))
+    return np.sqrt(np.maximum(g, 0.0))
+
+
+def distance(space: Space, x, y):
+    """Geodesic distance between points: ``decode_key`` of ``pair_key``."""
+    return decode_key(space, pair_key(space, x, y))
 
 
 def _radial(values):

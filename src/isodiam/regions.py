@@ -7,19 +7,22 @@ from the tree; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
 errors.
 
-The metrics of a sample cloud are exact searches over Gram keys (-cos d,
-cosh d or d^2, increasing in d); each reported distance is decoded from the
-key of the pair a search picks.  Nearest neighbors, for the spacing and both
-Hausdorff directions, come from a kd-tree that each PointCloud builds once
-and keeps: O(n log n) per cloud, where a scan of all pairs was O(n^2).  The
-tree is on ambient coordinates on S^n and R^n, where the Euclidean distance
-is the chord, and on the spatial part on H^n, where it overstates the chord
-by at most cosh(rho) within rho of the base point, so a ball that wide about
-the first neighbor holds the nearest point.  Rows whose ball holds more
-points than the tree returned are ranked against the whole cloud; far from
-the base point of H^n that is every row, the O(n^2) worst case.  The
-farthest pair prunes by the triangle inequality about a centre sample and
-scans the keys of the surviving rows only; an annulus about the centre
+The metrics of a sample cloud are exact searches over ``geometry.pair_key``
+(-cos d, cosh d or d^2, increasing in d), the one kernel behind ``distance``
+too.  It sums column by column, so a pair's key has the same bits in a scan
+block as alone, and each reported distance, decoded from the key that won
+its search, is ``distance`` of the pair to the bit.  A scan holds one
+(chunk, n) block of keys at a time.  Nearest neighbors, for the spacing and
+both Hausdorff directions, come from a kd-tree that each PointCloud builds
+once and keeps: O(n log n) per cloud, where a scan of all pairs was O(n^2).
+The tree is on ambient coordinates on S^n and R^n, where the Euclidean
+distance is the chord, and on the spatial part on H^n, where it overstates
+the chord by at most cosh(rho) within rho of the base point, so a ball that
+wide about the first neighbor holds the nearest point.  Rows whose ball
+holds more points than the tree returned are ranked against the whole cloud;
+far from the base point of H^n that is every row, the O(n^2) worst case.
+The farthest pair prunes by the triangle inequality about a centre sample
+and scans the keys of the surviving rows only; an annulus about the centre
 keeps every row, its O(n^2) worst case.
 """
 
@@ -42,9 +45,12 @@ from .geometry import (
     Hyperplane,
     Space,
     ball_volume,
+    decode_key,
     distance,
+    form,
     geodesic_point,
     normalize_to_space,
+    pair_key,
     random_unit_tangent,
     reflect,
     tangent_toward,
@@ -52,8 +58,8 @@ from .geometry import (
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
-#: rows of the key matrix the farthest-pair scan holds at once
-_CHUNK = 512
+#: rows of the key matrix a scan holds at once
+_CHUNK = 256
 #: rows farthest from the centre whose own farthest points seed the diameter bound
 _SEED_ROWS = 8
 #: relative widening of kd-tree radii, far above the few ulps of a tree distance
@@ -564,59 +570,14 @@ def _as_points(cloud) -> np.ndarray:
     return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
 
 
-def _signed(space: Space, block: np.ndarray) -> np.ndarray:
-    """The row block with the signs that turn its dot products into Gram keys."""
-    if space.curvature == SPHERICAL:
-        return -block
-    flip = block.copy()
-    flip[..., :-1] *= -1.0
-    return flip
-
-
-def _gram_distance_chunk(space: Space, block: np.ndarray, pts: np.ndarray):
-    """All distances from a row block to pts, computed through one matmul.
-
-    Returns a matrix increasing in distance, which _decode_gram turns back
-    into distances: -cos d on the sphere, cosh d on the hyperboloid and
-    squared distances in Euclidean space.  The sign flips are applied to the
-    row block, where they are exact and cost the least.
-    """
-    if space.curvature != EUCLIDEAN:
-        return _signed(space, block) @ pts.T
-    sq = (np.einsum("nd,nd->n", block, block)[:, None]
-          + np.einsum("nd,nd->n", pts, pts)[None, :] - 2.0 * (block @ pts.T))
-    return np.maximum(sq, 0.0)
-
-
-def _pair_keys(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Gram keys of paired rows of a and b, broadcast over leading axes.
-
-    _gram_distance_chunk's arithmetic with each dot product taken alone by
-    np.vecdot, which with OpenBLAS on x86-64 rounds it as the matrix product
-    does at the scan's shapes; every reported distance comes from here.
-    """
-    if space.curvature != EUCLIDEAN:
-        return np.vecdot(_signed(space, a), b)
-    sq = (np.einsum("...d,...d->...", a, a) + np.einsum("...d,...d->...", b, b)
-          - 2.0 * np.vecdot(a, b))
-    return np.maximum(sq, 0.0)
-
-
-def _decode_gram(space: Space, g):
-    if space.curvature == SPHERICAL:
-        return np.arccos(np.clip(-g, -1.0, 1.0))
-    if space.curvature == HYPERBOLIC:
-        return np.arccosh(np.clip(g, 1.0, None))
-    return np.sqrt(np.maximum(g, 0.0))
-
-
 def _key_slack(space: Space, pts: np.ndarray, from_c: np.ndarray) -> float:
-    """A bound on how far a computed Gram key of two rows can sit from the key
+    """A bound on how far a computed pair_key of two rows can sit from the key
     of the exact points of the space nearest to them.
 
-    A key sums at most ambient_dim + 2 products of coordinates of norm at most
-    sqrt(m), so it rounds by less than 4 (ambient_dim + 2) eps m.  On S^n and
-    H^n the rows also sit off their quadric by drift = max |Q(x) - 1|, which
+    A key sums ambient_dim products of coordinates of norm at most sqrt(m),
+    or on R^n of coordinate differences of norm at most 2 sqrt(m), so it
+    rounds by less than 4 (ambient_dim + 2) eps m.  On S^n and H^n the rows
+    also sit off their quadric by drift = max |Q(x) - 1|, which
     scales a key k by at most 1 + drift; |k| <= 2 k_c^2 + 1 for the largest
     key k_c from the centre (cosh 2r = 2 cosh^2 r - 1 on H^n).
     """
@@ -624,7 +585,7 @@ def _key_slack(space: Space, pts: np.ndarray, from_c: np.ndarray) -> float:
     rounding = 4.0 * (space.ambient_dim + 2) * _EPS * float(sq.max())
     if space.curvature == EUCLIDEAN:
         return rounding
-    quadric = sq if space.curvature == SPHERICAL else _pair_keys(space, pts, pts)
+    quadric = sq if space.curvature == SPHERICAL else form(space, pts, pts)
     drift = float(np.abs(quadric - 1.0).max())
     return rounding + drift * (2.0 * float(np.max(from_c * from_c)) + 1.0)
 
@@ -633,8 +594,8 @@ def _farthest_pair(space: Space, pts: np.ndarray):
     """Max pairwise distance over the rows, with the first attaining pair (i, j).
 
     Exact against the all-pairs scan: the pair is the first maximum of the
-    Gram keys in row-major order, and the distance is decoded from its key
-    as _pair_keys takes it, like every other reported distance.
+    pair_keys in row-major order, and the distance is decoded from that key,
+    like every other reported distance.
     With r_i the distance of row i from a centre c, a pair can reach the
     bound ``best`` only if both rows have r_i >= best - max r (triangle
     inequality).  ``best`` starts from the farthest points of the few rows
@@ -647,30 +608,30 @@ def _farthest_pair(space: Space, pts: np.ndarray):
     # c is the sample nearest the ambient centroid
     off = pts - pts.mean(axis=0)
     c = int(np.argmin(np.einsum("nd,nd->n", off, off)))
-    from_c = _gram_distance_chunk(space, pts[c:c + 1], pts)[0]
+    from_c = pair_key(space, pts[c], pts)
     m = min(_SEED_ROWS, n)
     seeds = np.argpartition(from_c, n - m)[n - m:]
-    g = _gram_distance_chunk(space, pts[seeds], pts)
+    g = pair_key(space, pts[seeds, None], pts)
     g[np.arange(m), seeds] = -np.inf
     slack = _key_slack(space, pts, from_c)
     # the scan's pair has a computed key >= the scan's key of the best seed
     # pair, so its exact key is at least max(g) less three roundings, and no
     # row is farther from c than max(radius)
-    best = _decode_gram(space, g.max() - 3.0 * slack)
-    radius = _decode_gram(space, from_c + slack)
+    best = decode_key(space, g.max() - 3.0 * slack)
+    radius = decode_key(space, from_c + slack)
     keep = np.flatnonzero(radius >= best - radius.max())
     block = pts[keep]
     top = -np.inf
     bi = bj = 0
     for i0 in range(0, keep.size, _CHUNK):
-        g = _gram_distance_chunk(space, block[i0:i0 + _CHUNK], block)
+        g = pair_key(space, block[i0:i0 + _CHUNK, None], block)
         rows = np.arange(g.shape[0])
         g[rows, i0 + rows] = -np.inf
         r, col = divmod(int(np.argmax(g)), keep.size)
         if g[r, col] > top:
             top = float(g[r, col])
             bi, bj = int(keep[i0 + r]), int(keep[col])
-    return float(_decode_gram(space, _pair_keys(space, pts[[bi]], pts[[bj]])[0])), bi, bj
+    return float(decode_key(space, top)), bi, bj
 
 
 def _tree_coords(space: Space, pts: np.ndarray) -> np.ndarray:
@@ -698,7 +659,7 @@ class NeighborIndex:
         self.stretch = _stretch(space, pts)
 
     def nearest(self, q: np.ndarray, stretch: float, own=None):
-        """(key, index) of the indexed point with the smallest Gram key to each row of q.
+        """(key, index) of the indexed point with the smallest pair_key to each row of q.
 
         ``own`` gives each row's own index in this cloud, which it may not
         take.  With t the tree distance to the first neighbor a row may take,
@@ -716,18 +677,18 @@ class NeighborIndex:
         usable = dist if own is None else np.where(near == own[:, None], np.inf, dist)
         radius = stretch * usable.min(axis=1) * (1.0 + _TREE_SLACK)
         wide = np.flatnonzero(dist[:, -1] <= radius) if m < n else np.arange(0)
-        keys = _pair_keys(self.space, q[:, None, :], self.points[near])
+        keys = pair_key(self.space, q[:, None], self.points[near])
         if own is not None:
             keys[near == own[:, None]] = np.inf
         best = keys.min(axis=1)
         cols = np.where(keys == best[:, None], near, n).min(axis=1)
         for i0 in range(0, wide.size, _CHUNK):
             rows = wide[i0:i0 + _CHUNK]
-            g = _gram_distance_chunk(self.space, q[rows], self.points)
+            g = pair_key(self.space, q[rows, None], self.points)
             if own is not None:
                 g[np.arange(rows.size), own[rows]] = np.inf
             cols[rows] = np.argmin(g, axis=1)
-        best[wide] = _pair_keys(self.space, q[wide], self.points[cols[wide]])
+            best[rows] = g.min(axis=1)
         return best, cols
 
 
@@ -748,7 +709,7 @@ def _pairwise_extremes(space: Space, pts):
     diam, bi, bj = _farthest_pair(space, arr)
     index = _index(space, pts)
     keys, _ = index.nearest(arr, index.stretch, own=np.arange(arr.shape[0]))
-    return diam, bi, bj, float(np.mean(_decode_gram(space, keys)))
+    return diam, bi, bj, float(np.mean(decode_key(space, keys)))
 
 
 def diameter(space: Space, cloud):
@@ -774,7 +735,7 @@ def _directed(space: Space, x: np.ndarray, index: NeighborIndex) -> float:
     reach = index.tree.query(_tree_coords(space, x), k=1)[0]
     rows = np.flatnonzero(reach >= reach.max() / stretch * (1.0 - _TREE_SLACK))
     keys, _ = index.nearest(x[rows], stretch)
-    return float(_decode_gram(space, keys.max()))
+    return float(decode_key(space, keys.max()))
 
 
 def hausdorff(space: Space, a, b) -> float:

@@ -13,11 +13,13 @@ from isodiam.geometry import (
     ball_volume,
     bisector,
     check_point,
+    decode_key,
     distance,
     form,
     frame,
     geodesic_point,
     normalize_to_space,
+    pair_key,
     plane_eval,
     project_gnomonic,
     random_unit_tangent,
@@ -100,6 +102,70 @@ class TestDistance:
         d2 = distance(space, ys, xs)
         assert np.allclose(d1, d2, atol=1e-12)
         assert np.all(d1 >= 0.0)
+
+
+def _vectors(data, space, rows):
+    """Random ambient vectors of magnitudes 1e-3 to 1e3, not on the quadric."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = substream(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    return rng.standard_normal((rows, space.ambient_dim)) * scale
+
+
+#: every curvature with n = 2..6, so ambient dimensions 2..7
+KEY_SPACES = [Space(c, n) for c in (1, 0, -1) for n in range(2, 7)]
+
+
+class TestPairKey:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(space=st.sampled_from(KEY_SPACES), m=st.integers(1, 40), n=st.integers(1, 40),
+           data=st.data())
+    def test_same_bits_at_every_shape(self, space, m, n, data):
+        # one pair's key alone, in a batch of pairs and in a broadcast block
+        x = _vectors(data, space, m)
+        y = _vectors(data, space, n)
+        block = pair_key(space, x[:, None], y)
+        assert block.shape == (m, n)
+        rng = substream(m, n)
+        rows = rng.integers(0, m, 30)
+        cols = rng.integers(0, n, 30)
+        assert np.array_equal(pair_key(space, x[rows], y[cols]), block[rows, cols])
+        for i, j in zip(rows[:5], cols[:5]):
+            assert pair_key(space, x[i], y[j]) == block[i, j]
+            assert distance(space, x[i], y[j]) == decode_key(space, block[i, j])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(space=st.sampled_from(KEY_SPACES), data=st.data())
+    def test_form_is_the_left_to_right_sum(self, space, data):
+        # the sequential sum, whose bits np.sum also gives below 8 terms, so
+        # distance, greedy acceptance, rebase radii and envelopes keep theirs
+        x = _vectors(data, space, 50)
+        y = _vectors(data, space, 50)
+        k = space.ambient_dim - (space.curvature == -1)
+        ref = []
+        for u, v in zip(x.tolist(), y.tolist()):
+            total = u[0] * v[0]
+            for j in range(1, k):
+                total += u[j] * v[j]
+            ref.append(u[-1] * v[-1] - total if space.curvature == -1 else total)
+        assert np.array_equal(form(space, x, y), np.array(ref))
+        summed = np.sum(x[:, :k] * y[:, :k], axis=-1)
+        if space.curvature == -1:
+            summed = x[:, -1] * y[:, -1] - summed
+        assert np.array_equal(form(space, x, y), summed)
+        if space.curvature == 0:
+            assert np.array_equal(pair_key(space, x, y), np.sum((x - y) ** 2, axis=-1))
+            assert np.array_equal(distance(space, x, y), np.linalg.norm(x - y, axis=-1))
+
+    def test_keys_increase_with_distance(self, space):
+        xs, ys = random_pairs(space, 200, seed=12)
+        order = np.argsort(distance(space, xs, ys), kind="stable")
+        assert np.all(np.diff(pair_key(space, xs, ys)[order]) >= 0.0)
+
+    def test_decode_clamps_drift(self):
+        assert decode_key(S2, -1.0 - 1e-15) == 0.0
+        assert decode_key(H2, 1.0 - 1e-15) == 0.0
+        assert decode_key(E2, 0.0) == 0.0
 
 
 class TestGeodesic:

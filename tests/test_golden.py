@@ -2,11 +2,31 @@
 change in membership or sampling arithmetic that flips a single sample shows up
 as a different report digest.
 
-The digests were recorded with numpy 2.4 / OpenBLAS on x86-64; a platform
-with a different BLAS may sum in another order and legitimately disagree.
-They were last re-recorded when every stream came to be keyed directly by its
-(seed, step, role) coordinate instead of by an integer hashed from it, a
-declared change: the planes and rebase steps are identical, the clouds and
+The digests were recorded with numpy 2.4 / OpenBLAS on x86-64.  The sample
+metrics take no BLAS call: their distance keys are summed column by column
+in a fixed order.  Only ball and plane membership still go through matrix
+products, so a platform with a different BLAS may round a membership test
+near a boundary in another way and legitimately disagree.
+
+They were last re-recorded when every sample metric (diameter, spacing,
+Hausdorff distance, and the campaigns' sampled diameter) came to be decoded
+from geometry.pair_key, the column-by-column kernel behind distance, in
+place of matrix-product Gram keys.  Membership, sampling, volumes and planes
+are unchanged; only those metric values moved, at most 3.7e-13 relative
+(spacing), 1.1e-14 (Hausdorff), 1.4e-16 (flow diameter) and 3.1e-15
+(sampled diameter).  The digests went
+S2 flow     fd17b14d206a44eeb915f20b8a24f52b51b04142fc21b39a34c7f057c3d32b50 ->
+            20b517489e8fe5b00392e62620af4f959827c702568431b4be80f2ea6c413c46,
+H2 flow     68ed264308350697e5e0f3658eb67d835acbad74157eaae92adac61e4c870fe2 ->
+            1a5c11e86fa143f182a029e8e29c48230a77fe146fd19414a6fc87ecd9db8266,
+S2 campaign 6a4d40c658d2aef3bf14d66613cb2badaf2a2fa4e9414dedd7f1d7c53d8ec4e2 ->
+            cbda352b5d1c1cd408d66ec81bdbe87a56810a682042e8d7171430530e299bca,
+H2 campaign 6223ba7aac0ae0a0c4f9f7bbbc2b260c0b50986a971ae9988e535e6147406822 ->
+            23b279d0f95892b7dc1f8026f0e4e0f5cc1a0a09f8782b3c95cb0a5728228b10.
+
+Before that, the flow digests were re-recorded when every stream came to be
+keyed directly by its (seed, step, role) coordinate instead of by an integer
+hashed from it, a declared change: the planes and rebase steps are identical, the clouds and
 volumes are redrawn, and before the rebase each step's volume stays within
 1.2 sigma of the old one.  The digests went
 S2 176ed60b3311ea23015014d665600376a0311c0938e7fac5800278515d701ffc ->
@@ -26,8 +46,8 @@ same configurations.  The flow digests did not change then: a flow draws its
 directions at the pole, where both frames are the identity.
 
 No digest changed when the sample metrics moved from all-pairs Gram scans to
-kd-tree nearest neighbors and a pruned farthest pair: each search picks the
-scan's pair, and takes its key with np.vecdot, which rounds as the scan's
+kd-tree nearest neighbors and a pruned farthest pair: each search picked the
+scan's pair, and took its key with np.vecdot, which rounded as the scan's
 matrix product did on these flows.
 """
 
@@ -69,8 +89,8 @@ def test_h2_two_caps_flow(tmp_path):
 
 
 @pytest.mark.parametrize("curvature, D, seed, digest", [
-    (1, 1.0, 71, "6a4d40c658d2aef3bf14d66613cb2badaf2a2fa4e9414dedd7f1d7c53d8ec4e2"),
-    (-1, 1.5, 72, "6223ba7aac0ae0a0c4f9f7bbbc2b260c0b50986a971ae9988e535e6147406822"),
+    (1, 1.0, 71, "cbda352b5d1c1cd408d66ec81bdbe87a56810a682042e8d7171430530e299bca"),
+    (-1, 1.5, 72, "23b279d0f95892b7dc1f8026f0e4e0f5cc1a0a09f8782b3c95cb0a5728228b10"),
 ], ids=["S2", "H2"])
 def test_short_campaign(tmp_path, curvature, D, seed, digest):
     report = verify_isodiametric(CampaignConfig(
@@ -79,5 +99,5 @@ def test_short_campaign(tmp_path, curvature, D, seed, digest):
     assert _csv_digest(report, tmp_path) == digest
 
 
-S2_DENTED_DIGEST = "fd17b14d206a44eeb915f20b8a24f52b51b04142fc21b39a34c7f057c3d32b50"
-H2_CAPS_DIGEST = "68ed264308350697e5e0f3658eb67d835acbad74157eaae92adac61e4c870fe2"
+S2_DENTED_DIGEST = "20b517489e8fe5b00392e62620af4f959827c702568431b4be80f2ea6c413c46"
+H2_CAPS_DIGEST = "1a5c11e86fa143f182a029e8e29c48230a77fe146fd19414a6fc87ecd9db8266"

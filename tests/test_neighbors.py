@@ -1,20 +1,20 @@
 """The kd-tree nearest neighbors and the pruned farthest pair in isodiam.regions,
-against the all-pairs Gram scan they replaced, which stays here as the
+against an all-pairs scan of geometry.pair_key, which stays here as the
 brute-force reference.
 
-Each search picks a pair and reports the distance decoded from that pair's
-Gram key, taken row by row with np.vecdot.  The pair must be the scan's
-pair or tie it within the key's rounding, and the diameter must be the
-scan's to the bit.  On generic clouds within 3 of the pole, spacing and
-Hausdorff distance agree with the scan to 1e-12 relative: the scan took its
-keys from a matrix product, whose rounding of an entry can depend on the
-matrix shape (a 2-by-1 product is not rounded as a 512-by-n one is).
-Duplicates, pairs 1e-9 apart and random rings hold near-coincident points,
-whose distances no key resolves; there the picked pairs must tie the scan's
-within the rounding.
+pair_key sums column by column, so a pair's key has the same bits in a scan
+block as in a search's small batch.  Each search must therefore pick the
+scan's pair (ties to the lowest index) and report the distance decoded from
+the scan's key to the bit: the diameter, every nearest-neighbor key, the
+spacing and the Hausdorff distance.  Every reported distance is also
+``distance`` of the pair that attained it.  Against exact rational keys,
+pair_key is within a few ulps on R^n, where the matrix-product Gram form
+|x|^2 + |y|^2 - 2 x.y it replaced cancelled, and within the a-priori bound
+of a d-term dot product on S^n and H^n.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,14 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodiam.geometry import Ball, Space, geodesic_point, random_unit_tangent
+from isodiam.geometry import (
+    Ball,
+    Space,
+    decode_key,
+    distance,
+    geodesic_point,
+    pair_key,
+    random_unit_tangent,
+)
 from isodiam.regions import (
     NeighborIndex,
     PointCloud,
-    _decode_gram,
     _farthest_pair,
-    _gram_distance_chunk,
     _pairwise_extremes,
+    _stretch,
+    diameter,
     hausdorff,
     uniform_in_ball,
 )
@@ -38,52 +46,34 @@ from isodiam.rng import substream
 SPACES = {"R2": Space.euclidean(2), "S2": Space.sphere(2), "H2": Space.hyperbolic(2),
           "S3": Space.sphere(3)}
 H2 = SPACES["H2"]
-#: rows of the key matrix the reference scan holds at once, as the old scan did
+#: rows of the key matrix the reference scan holds at once
 CHUNK = 512
 #: cloud shapes; "far" is an H2 cloud 10 to 15 from the pole, drawn on H2 only
 KINDS = ("ball", "duplicates", "pair", "close", "annulus", "far")
-#: kinds whose spacing and Hausdorff distance hold 1e-12 relative; the others
-#: place points so close that one ulp of a key moves a decoded distance more
-GENERIC = ("ball", "pair")
+EPS = np.finfo(float).eps
+
+
+def scan_keys(space, x, y):
+    """The full key matrix, in row chunks."""
+    return np.vstack([pair_key(space, x[i0:i0 + CHUNK, None], y)
+                      for i0 in range(0, x.shape[0], CHUNK)])
 
 
 def scan_extremes(space, pts):
     """The all-pairs scan: max key, its first pair in row-major order, and
-    each row's min key to another row."""
-    n = pts.shape[0]
-    best = -np.inf
-    bi = bj = 0
-    nn = np.empty(n)
-    for i0 in range(0, n, CHUNK):
-        block = pts[i0:i0 + CHUNK]
-        g = _gram_distance_chunk(space, block, pts)
-        rows = np.arange(block.shape[0])
-        g[rows, i0 + rows] = -np.inf
-        r, c = divmod(int(np.argmax(g)), n)
-        if g[r, c] > best:
-            best = float(g[r, c])
-            bi, bj = i0 + r, c
-        g[rows, i0 + rows] = np.inf
-        nn[i0:i0 + CHUNK] = g.min(axis=1)
-    return best, bi, bj, nn
-
-
-def scan_keys(space, x, y):
-    """The full key matrix, in the scan's row chunks."""
-    return np.vstack([_gram_distance_chunk(space, x[i0:i0 + CHUNK], y)
-                      for i0 in range(0, x.shape[0], CHUNK)])
+    each row's min key to another row with the first column attaining it."""
+    g = scan_keys(space, pts, pts)
+    rows = np.arange(pts.shape[0])
+    g[rows, rows] = -np.inf
+    bi, bj = divmod(int(np.argmax(g)), pts.shape[0])
+    top = float(g[bi, bj])
+    g[rows, rows] = np.inf
+    return top, bi, bj, g.min(axis=1), np.argmin(g, axis=1)
 
 
 def scan_directed(space, x, y):
     """The scan's directed Hausdorff key: max over rows of x of the min key to y."""
     return float(scan_keys(space, x, y).min(axis=1).max())
-
-
-def key_rounding(space, *clouds):
-    """How far two evaluations of one key may differ: a few ulps of the largest
-    squared coordinate norm, which bounds every product the key sums."""
-    m = max(float(np.einsum("nd,nd->n", c, c).max()) for c in clouds)
-    return 16 * space.ambient_dim * np.finfo(float).eps * m
 
 
 def _pole_ball(space, rng, n, spread):
@@ -131,12 +121,10 @@ def _space(space_name, kind):
 def test_farthest_pair_is_the_scans(space_name, kind, n, seed):
     space = _space(space_name, kind)
     pts = make_cloud(space, kind, n, seed)
-    top, bi, bj, _ = scan_extremes(space, pts)
+    top, bi, bj, _, _ = scan_extremes(space, pts)
     d, i, j = _farthest_pair(space, pts)
-    assert i != j
-    keys = scan_keys(space, pts, pts)
-    assert (i, j) == (bi, bj) or keys[i, j] >= top - key_rounding(space, pts)
-    assert d == float(_decode_gram(space, top))
+    assert (i, j) == (bi, bj)
+    assert d == float(decode_key(space, top))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -144,7 +132,7 @@ def test_farthest_pair_is_the_scans(space_name, kind, n, seed):
 def test_spacing_neighbors_are_the_scans(space_name, kind, n, seed):
     space = _space(space_name, kind)
     pts = make_cloud(space, kind, n, seed)
-    _, _, _, nn = scan_extremes(space, pts)
+    _, _, _, nn, nearest = scan_extremes(space, pts)
     index = NeighborIndex(space, pts)
     own = np.arange(pts.shape[0])
     keys, cols = index.nearest(pts, index.stretch, own=own)
@@ -153,13 +141,10 @@ def test_spacing_neighbors_are_the_scans(space_name, kind, n, seed):
     same = (pts[cols][:, None, :] == pts[None, :, :]).all(axis=2)
     same[own, own] = False
     assert np.all(cols == np.argmax(same, axis=1))
-    picked = scan_keys(space, pts, pts)[own, cols]
-    assert np.all(picked <= nn + key_rounding(space, pts))
+    assert np.array_equal(cols, nearest)
+    assert np.array_equal(keys, nn)
     spacing = _pairwise_extremes(space, pts)[3]
-    assert spacing == float(np.mean(_decode_gram(space, keys)))
-    if kind in GENERIC:
-        ref = float(np.mean(_decode_gram(space, nn)))
-        assert abs(spacing - ref) <= 1e-12 * ref
+    assert spacing == float(np.mean(decode_key(space, nn)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -173,11 +158,7 @@ def test_hausdorff_is_the_scans(space_name, kind, n, seed, other, m):
     ref_key = max(scan_directed(space, a, b), scan_directed(space, b, a))
     h = hausdorff(space, a, b)
     assert h == hausdorff(space, PointCloud(a, 1.0), PointCloud(b, 1.0))
-    tie = key_rounding(space, a, b)
-    assert _decode_gram(space, ref_key - tie) <= h <= _decode_gram(space, ref_key + tie)
-    if kind in GENERIC and other in GENERIC:
-        ref = float(_decode_gram(space, ref_key))
-        assert abs(h - ref) <= 1e-12 * ref
+    assert h == float(decode_key(space, ref_key))
 
 
 def test_h2_stretch_is_needed_far_out():
@@ -190,8 +171,8 @@ def test_h2_stretch_is_needed_far_out():
     _, cols = index.nearest(pts, index.stretch, own=own)
     assert index.stretch > 1e4
     assert np.count_nonzero(first[:, 1] != cols) > 0
-    _, _, _, nn = scan_extremes(H2, pts)
-    assert np.all(scan_keys(H2, pts, pts)[own, cols] <= nn + key_rounding(H2, pts))
+    _, _, _, _, nearest = scan_extremes(H2, pts)
+    assert np.array_equal(cols, nearest)
 
 
 def test_two_point_cloud():
@@ -201,8 +182,62 @@ def test_two_point_cloud():
         assert (i, j) == (0, 1)
         diam, _, _, spacing = _pairwise_extremes(space, pts)
         assert diam == d
-        assert spacing == pytest.approx(d, rel=1e-12)
+        assert spacing == d
         assert math.isfinite(d) and d > 0.0
+
+
+SELF_SPACES = {**SPACES, "H3": Space.hyperbolic(3)}
+
+
+def _attained(space, x, other):
+    """The distance from each row of x to its nearest point in ``other`` by
+    the search, and that point's index."""
+    index = NeighborIndex(space, other)
+    own = np.arange(x.shape[0]) if x is other else None
+    keys, cols = index.nearest(x, max(index.stretch, _stretch(space, x)), own=own)
+    return decode_key(space, keys), cols
+
+
+def _check_self_consistent(space, a, b):
+    d, x, y = diameter(space, a)
+    assert d == float(distance(space, x, y))
+    if a.shape[0] > 1:
+        spacings, cols = _attained(space, a, a)
+        assert np.array_equal(spacings, distance(space, a, a[cols]))
+        assert _pairwise_extremes(space, a)[3] == float(np.mean(spacings))
+    # the Hausdorff distance is the larger directed max-min, at the pair that attains it
+    candidates = []
+    for x, y in ((a, b), (b, a)):
+        reach, cols = _attained(space, x, y)
+        row = int(np.argmax(reach))
+        candidates.append((float(reach[row]), x[row], y[cols[row]]))
+    h, x, y = max(candidates, key=lambda c: c[0])
+    assert hausdorff(space, a, b) == h == float(distance(space, x, y))
+
+
+@pytest.mark.parametrize("space_name", sorted(SELF_SPACES))
+@pytest.mark.parametrize("seed", range(8))
+def test_reported_distances_are_distance_of_their_pairs(space_name, seed):
+    # before pair_key, the scans' matrix-product keys and the keys distance
+    # took could differ in the last ulp
+    space = SELF_SPACES[space_name]
+    rng = substream(900, seed)
+    n, m = (int(v) for v in rng.integers(2, 400, size=2))
+    a = _pole_ball(space, rng, n, 0.7)
+    b = _pole_ball(space, rng, m, 0.7)
+    _check_self_consistent(space, a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 11, 13, 29, 42])
+def test_two_points_against_one_on_s3(seed):
+    # seeds where the Hausdorff key of the old 2-by-1 matrix product sat one
+    # ulp away from the key distance takes
+    space = SELF_SPACES["S3"]
+    rng = substream(seed)
+    a = _pole_ball(space, rng, 2, 1.0)
+    b = _pole_ball(space, rng, 1, 1.0)
+    assert hausdorff(space, a, b) == float(distance(space, a, b[0]).max())
+    _check_self_consistent(space, a, b)
 
 
 def exact_distance(space, x, y):
@@ -224,32 +259,117 @@ def exact_distance(space, x, y):
         return mpmath.acosh(max(c, 1))
 
 
+def exact_key(space, x, y):
+    """pair_key of two float points in exact rational arithmetic."""
+    x = [Fraction(float(v)) for v in x]
+    y = [Fraction(float(v)) for v in y]
+    if space.curvature == 0:
+        return sum((u - v) ** 2 for u, v in zip(x, y))
+    dot = sum(u * v for u, v in zip(x[:-1], y[:-1]))
+    if space.curvature == 1:
+        return -(dot + x[-1] * y[-1])
+    return x[-1] * y[-1] - dot
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1)."""
+    return Fraction(k) * Fraction(EPS / 2) / (1 - k * Fraction(EPS / 2))
+
+
+def key_bound(space, x, y):
+    """The a-priori error bound of a key: gamma_d sum |x_j y_j| for the d-term
+    dot product on S^n and H^n, and gamma_(d+2) times the key for the sum of
+    d rounded squares of rounded differences on R^n."""
+    d = space.ambient_dim
+    if space.curvature == 0:
+        return gamma(d + 2) * exact_key(space, x, y)
+    return gamma(d) * sum(abs(Fraction(float(u)) * Fraction(float(v))) for u, v in zip(x, y))
+
+
+def gram_keys(space, x, y):
+    """The matrix-product Gram keys the searches took before pair_key, kept
+    here only to compare their accuracy with it."""
+    if space.curvature == 1:
+        return -(x @ y.T)
+    if space.curvature == -1:
+        return (x * np.r_[-np.ones(x.shape[1] - 1), 1.0]) @ y.T
+    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.maximum(sq, 0.0)
+
+
 @pytest.mark.parametrize("space_name", ["R2", "S2", "H2"])
 def test_as_exact_as_the_scan(space_name):
-    # against 40-digit distances of the picked pairs, the new spacing and
-    # Hausdorff distance are no farther off than the scan's, within one ulp
+    # the picked pairs' keys against their exact rational values, within the
+    # a-priori bound of the kernel: on R2 about 2 ulps of the key, where the
+    # Gram form the scan used was off by far more; on S2 and H2 the bound of
+    # a dot product, which the scan's keys met too
     space = SPACES[space_name]
     a = make_cloud(space, "ball", 600, seed=11)
     b = make_cloud(space, "ball", 500, seed=12)
-    _, _, _, nn = scan_extremes(space, a)
     index = NeighborIndex(space, a)
     own = np.arange(a.shape[0])
     keys, cols = index.nearest(a, index.stretch, own=own)
+    old = gram_keys(space, a, a)[own, cols]
+    new_err = [abs(Fraction(float(k)) - exact_key(space, a[i], a[j]))
+               for k, i, j in zip(keys, own, cols)]
+    old_err = [abs(Fraction(float(k)) - exact_key(space, a[i], a[j]))
+               for k, i, j in zip(old, own, cols)]
+    bounds = [key_bound(space, a[i], a[j]) for i, j in zip(own, cols)]
+    assert all(e <= bound for e, bound in zip(new_err, bounds))
+    if space.curvature == 0:
+        assert max(new_err) < max(old_err) / 100
+    else:
+        assert all(e <= bound for e, bound in zip(old_err, bounds))
+
+    # the spacing and Hausdorff distance against 40-digit distances of the pairs
     exact = [exact_distance(space, a[i], a[j]) for i, j in zip(own, cols)]
     spacing = float(mpmath.fsum(exact) / len(exact))
-    new = _pairwise_extremes(space, a)[3]
-    old = float(np.mean(_decode_gram(space, nn)))
-    assert abs(new - spacing) <= abs(old - spacing) + np.spacing(spacing)
-    exact = np.array([float(e) for e in exact])
-    assert np.abs(_decode_gram(space, keys) - exact).max() <= \
-        np.abs(_decode_gram(space, nn) - exact).max() + np.spacing(exact.max())
-
-    # the Hausdorff distance is the larger directed one, at the pair it picks
+    assert _pairwise_extremes(space, a)[3] == pytest.approx(spacing, rel=1e-12)
     x, y = max((a, b), (b, a), key=lambda xy: scan_directed(space, *xy))
     keys = scan_keys(space, x, y)
     row = int(np.argmax(keys.min(axis=1)))
     col = int(np.argmin(keys[row]))
     directed = float(exact_distance(space, x[row], y[col]))
-    old = float(_decode_gram(space, keys[row, col]))
-    new = hausdorff(space, a, b)
-    assert abs(new - directed) <= abs(old - directed) + np.spacing(directed)
+    assert hausdorff(space, a, b) == pytest.approx(directed, rel=1e-12)
+
+
+def test_near_pairs_far_from_the_origin_are_exact():
+    # 2000 points within ~1e-3 of (3, 4): every nearest-neighbor key is within
+    # 2 ulps of its exact rational value, and the spacing within 2 ulps of the
+    # 40-digit mean, where the Gram form |x|^2 + |y|^2 - 2 x.y cancels to
+    # errors of order 1e-3 relative
+    space = SPACES["R2"]
+    pts = np.array([3.0, 4.0]) + 1e-3 * substream(41).standard_normal((2000, 2))
+    index = NeighborIndex(space, pts)
+    own = np.arange(pts.shape[0])
+    keys, cols = index.nearest(pts, index.stretch, own=own)
+    exact = [exact_key(space, pts[i], pts[j]) for i, j in zip(own, cols)]
+    assert all(abs(Fraction(float(k)) - e) <= gamma(4) * e for k, e in zip(keys, exact))
+    with mpmath.workdps(40):
+        mean = mpmath.fsum(mpmath.sqrt(mpmath.mpf(e.numerator) / e.denominator)
+                           for e in exact) / len(exact)
+    spacing = _pairwise_extremes(space, pts)[3]
+    assert abs(spacing - float(mean)) <= 2 * EPS * float(mean)
+    old = decode_key(space, gram_keys(space, pts, pts)[own, cols])
+    assert np.max(np.abs(old - decode_key(space, keys)) / decode_key(space, keys)) > 1e-4
+
+
+@pytest.mark.parametrize("space_name", ["S2", "S3", "H2", "H3"])
+def test_keys_within_the_a_priori_bound(space_name):
+    # 3000 pairs at distances from 1e-6 to 3 (2 on S^n) about points up to 3
+    # from the pole: every pair_key is within gamma_d sum |x_j y_j| of its
+    # exact value, in a broadcast block as alone
+    space = SELF_SPACES[space_name]
+    rng = substream(43)
+    e = space.base_point
+    centers = geodesic_point(space, e, random_unit_tangent(space, e, rng, 3000),
+                             rng.uniform(0.0, 3.0, 3000))
+    reach = 2.0 if space.curvature == 1 else 3.0
+    t = 10.0 ** rng.uniform(-6.0, math.log10(reach), 3000)
+    dirs = np.array([random_unit_tangent(space, c, rng) for c in centers])
+    others = geodesic_point(space, centers, dirs, t)
+    keys = pair_key(space, centers, others)
+    assert np.array_equal(keys, np.diagonal(pair_key(space, centers[:, None], others)))
+    for k, x, y in zip(keys, centers, others):
+        assert abs(Fraction(float(k)) - exact_key(space, x, y)) <= key_bound(space, x, y)
