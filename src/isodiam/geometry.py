@@ -102,9 +102,19 @@ def form(space: Space, x, y):
     float or ndarray
     """
     x, y = _columns(space, x, y)
-    if space.curvature == HYPERBOLIC:
-        return x[..., -1] * y[..., -1] - sum(x[..., j] * y[..., j] for j in range(space.dim))
-    return sum(x[..., j] * y[..., j] for j in range(space.ambient_dim))
+    # on H^n the spatial terms are negated: ((-a) + (-b)) + c has the bits
+    # of c - (a + b), as rounding is symmetric in sign
+    spatial = space.dim if space.curvature == HYPERBOLIC else 0
+    return _add_up((-x[..., j] if j < spatial else x[..., j]) * y[..., j]
+                   for j in range(space.ambient_dim))
+
+
+def _add_up(terms):
+    """Add the terms left to right into the first, in place."""
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def check_point(space: Space, x) -> None:
@@ -144,12 +154,13 @@ def pair_key(space: Space, x, y):
     Summed column by column, so a pair's key has the same bits alone, in a
     batch or in a broadcast block.
     """
-    if space.curvature == SPHERICAL:
-        return -form(space, x, y)
     if space.curvature == HYPERBOLIC:
         return form(space, x, y)
     x, y = _columns(space, x, y)
-    return sum(np.square(x[..., j] - y[..., j]) for j in range(space.dim))
+    if space.curvature == SPHERICAL:
+        # (-a) + (-b) has the bits of -(a + b)
+        return _add_up(-x[..., j] * y[..., j] for j in range(space.ambient_dim))
+    return _add_up((x[..., j] - y[..., j]) ** 2 for j in range(space.dim))
 
 
 def decode_key(space: Space, g):
