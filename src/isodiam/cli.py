@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and isodiametric verification campaigns.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("volume", help="ball volume by quadrature, or Monte Carlo region volume")
+    p = sub.add_parser("volume", help="ball volume in closed form, or Monte Carlo region volume")
     _space_args(p)
     p.add_argument("--radius", type=float, help="ball radius (radians of arc when curved)")
     p.add_argument("--region", help="region document; estimates its volume instead")

@@ -28,7 +28,6 @@ keeps every row, its O(n^2) worst case.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from .geometry import (
     Ball,
     Hyperplane,
     Space,
+    _radial_law,
     ball_volume,
     decode_key,
     distance,
@@ -381,140 +381,6 @@ class VolumeEstimate:
     samples_used: int
 
 
-#: powers of h^2 kept in the Taylor series of the radial mass
-_SERIES_TERMS = 12
-#: below this radius the radial mass comes from its Taylor series, within
-#: 1.2 ulps for k <= 4; the closed forms lose digits to cancellation near 0
-#: (up to 140 ulps at 0.25 and 7e4 at 0.05).  A switch at 0.5 would cut the
-#: 140 to 15, but costs 20-50% more per solve at the campaign radii.
-_SERIES_MAX = 0.25
-#: cap on the iteration, which takes 2 to 8 steps on 1e5 draws at r from 0.3 to 3.1
-_MAX_STEPS = 64
-#: Halley's error is about cubic in the last step, so a step below 1e-6 of h
-#: (the radius, or on the sphere the distance to the antipode if nearer)
-#: leaves an error far below one ulp
-_STEP_TOL = 1e-6
-
-
-@functools.lru_cache(maxsize=None)
-def _mass_series(curvature: int, k: int) -> tuple:
-    """c_j with  int_0^h sin^k (or sinh^k) = h^(k+1) * sum_j c_j h^(2j).
-
-    The coefficients of (sin s / s)^k, or (sinh s / s)^k, integrated termwise.
-    """
-    base = np.array([(-curvature) ** j / math.factorial(2 * j + 1)
-                     for j in range(_SERIES_TERMS)])
-    power = np.zeros(_SERIES_TERMS)
-    power[0] = 1.0
-    for _ in range(k):
-        power = np.convolve(power, base)[:_SERIES_TERMS]
-    return tuple(power / (k + 1 + 2 * np.arange(_SERIES_TERMS)))
-
-
-def _radial_mass(curvature: int, k: int, h: np.ndarray, sn: np.ndarray, cs: np.ndarray):
-    """int_0^h sin^k on the sphere, or sinh^k on the hyperboloid, for k >= 2.
-
-    ``sn, cs`` are sin h and cos h (sinh h and cosh h).  From the closed forms
-    h and +-(1 - cos h) by the reduction formula
-    M_j = +-((j-1)/j M_(j-2) - sn^(j-1) cs / j), and from the Taylor series
-    below _SERIES_MAX, so the relative error stays within about 140 ulps
-    (3e-14); the radius solved from it inherits 1/(k + 1) of that.
-    """
-    sign = 1.0 if curvature == SPHERICAL else -1.0
-    mass, power = (sign * (1.0 - cs), sn * sn) if k % 2 else (h, sn)
-    for j in range(k % 2 + 2, k + 1, 2):
-        mass = sign * ((j - 1) / j * mass - power * cs / j)
-        power = power * sn * sn
-    small = h < _SERIES_MAX
-    if small.any():
-        hs = h[small]
-        mass[small] = hs ** (k + 1) * np.polynomial.polynomial.polyval(
-            hs * hs, _mass_series(curvature, k))
-    return mass
-
-
-def _radius_solve(space: Space, r: float, u: np.ndarray) -> np.ndarray:
-    """Radii t in [0, r] with int_0^t f = u int_0^r f, f = sin^(n-1) or sinh^(n-1).
-
-    Newton's method with Halley's second-order correction, kept inside a
-    bracket: a step that leaves it, or has no slope to follow, bisects it.
-    The seed is r u^(1/n) corrected by the first curvature term.  On the
-    sphere a radius past pi/2 is measured from the antipode, so draws near a
-    rim close to pi keep their digits.
-    """
-    n = space.dim
-    k = n - 1
-    curvature = space.curvature
-    trig = (np.sin, np.cos) if curvature == SPHERICAL else (np.sinh, np.cosh)
-
-    def mass(h):
-        sn, cs = trig[0](h), trig[1](h)
-        return _radial_mass(curvature, k, h, sn, cs), sn, cs
-
-    fold = curvature == SPHERICAL and r > math.pi / 2
-    if fold:
-        # int_0^r f = int_0^pi f - int_r^pi f, each from the half nearer 0
-        beyond, half = mass(np.array([math.pi - r, math.pi / 2]))[0]
-        total = 2.0 * half - beyond
-        # past pi/2 the residual is (1 - u) int_0^r f + int_r^pi f - int_t^pi f
-        rest = (1.0 - u) * total + beyond
-    else:
-        total = mass(np.array([r]))[0][0]
-    share = u * total
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, r)
-    # the Euclidean quantile, corrected by the first curvature term of the
-    # mass t^n / n * (1 - K k n t^2 / (6 (n + 2)))
-    t = r * u ** (1.0 / n)
-    t = np.clip(t * (1.0 + curvature * k * (t * t - r * r) / (6.0 * (n + 2))), 0.0, r)
-    for _ in range(_MAX_STEPS):
-        if fold:
-            far = t > math.pi / 2
-            h = np.where(far, math.pi - t, t)
-            m, sn, cs = mass(h)
-            g = np.where(far, rest - m, m - share)
-            cs = np.where(far, -cs, cs)
-        else:
-            h = t
-            m, sn, cs = mass(h)
-            g = m - share
-        lo = np.where(g <= 0.0, t, lo)
-        hi = np.where(g >= 0.0, t, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = g / sn ** k
-            step = t - d / (1.0 - 0.5 * k * d * cs / sn)
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.abs(step - t) <= _STEP_TOL * h
-        t = step
-        if done.all():
-            break
-    return t
-
-
-def _radial_law(space: Space, r: float, u: np.ndarray):
-    """Coefficients (a, b) of the draws a * center + b * direction at radius quantiles u.
-
-    (cos t, sin t) on the sphere, (cosh t, sinh t) on the hyperboloid and
-    (1, t) in Euclidean space, where t is the exact inverse CDF of the radial
-    density at u.
-    """
-    n = space.dim
-    if space.curvature == EUCLIDEAN:
-        return 1.0, r * u ** (1.0 / n)
-    if n == 2:
-        # t = 2 asin(sqrt(u) sin(r/2)) or 2 asinh(sqrt(u) sinh(r/2)), through
-        # 1 - cos t = 2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2)
-        if space.curvature == SPHERICAL:
-            v = u * math.sin(r / 2.0) ** 2
-            return 1.0 - 2.0 * v, 2.0 * np.sqrt(v * (1.0 - v))
-        v = u * math.sinh(r / 2.0) ** 2
-        return 1.0 + 2.0 * v, 2.0 * np.sqrt(v * (1.0 + v))
-    t = _radius_solve(space, r, u)
-    if space.curvature == SPHERICAL:
-        return np.cos(t), np.sin(t)
-    return np.cosh(t), np.sinh(t)
-
-
 def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: int | None = None):
     """Point(s) uniform w.r.t. the volume measure inside a geodesic ball.
 
@@ -527,8 +393,8 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
       evaluated without trigonometry as cos t = 1 - 2 u sin^2(r/2) and
       cosh t = 1 + 2 u sinh^2(r/2);
     - S^n and H^n, n >= 3: bracketed Newton iteration (with Halley's
-      correction) on the exact CDF, from the closed forms of int sin^(n-1)
-      and int sinh^(n-1) and the reduction formula (Taylor series near 0).
+      correction) on the exact CDF, the radial mass ``geometry._radial_mass``
+      behind ``ball_volume``.
 
     Directions are drawn first, then u, one per point.  They lie on the
     closed-form tangent frame at the center (``geometry.frame``), orthonormal

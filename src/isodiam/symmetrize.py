@@ -16,7 +16,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .geometry import (
     EUCLIDEAN,
@@ -27,6 +26,7 @@ from .geometry import (
     ball_volume,
     bisector,
     distance,
+    equal_volume_radius,
     random_unit_tangent,
     reflect,
     side,
@@ -317,24 +317,6 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     vol = volume_estimate(space, candidate, metrics.volume_samples, substream(seed, step, 1))
     return candidate, _measure(space, candidate, metrics, step, substream(seed, step, 0),
                                reference_cloud, vol, plane, rebased)
-
-
-def equal_volume_radius(space: Space, volume: float) -> float:
-    """Radius r with ball_volume(r) = volume, found by bisection to 1e-10."""
-    if volume <= 0.0:
-        raise ValueError("volume must be positive")
-    if space.curvature == SPHERICAL:
-        total = ball_volume(space, math.pi)
-        if volume >= total:
-            return math.pi
-        hi = math.pi
-    else:
-        hi = 1.0
-        while ball_volume(space, hi) < volume:
-            hi *= 2.0
-            if hi > 1e6:
-                raise ValueError("volume out of range")
-    return float(bisect(lambda r: ball_volume(space, r) - volume, 1e-12, hi, xtol=1e-10))
 
 
 def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_epsilon: float,

@@ -11,6 +11,9 @@ from isodiam.rng import substream
 
 SPACES = [Space.sphere(2), Space.euclidean(2), Space.hyperbolic(2)]
 SPACE_IDS = ["S2", "E2", "H2"]
+#: S^n, H^n and R^n for n = 2..5, with ids in the style of SPACE_IDS
+SPACES_TO_5 = [Space(c, n) for c in (1, -1, 0) for n in range(2, 6)]
+SPACES_TO_5_IDS = [{1: "S", -1: "H", 0: "E"}[s.curvature] + str(s.dim) for s in SPACES_TO_5]
 
 
 @pytest.fixture(params=SPACES, ids=SPACE_IDS)

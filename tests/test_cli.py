@@ -391,12 +391,14 @@ class TestUsageErrors:
         ["volume", "--space", "euclidean", "--dim", "2", "--radius", "nan"],
         ["volume", "--space", "hyperbolic", "--dim", "2", "--radius", "nan"],
         ["volume", "--space", "euclidean", "--dim", "2", "--radius", "inf"],
+        ["volume", "--space", "hyperbolic", "--dim", "2", "--radius", "800"],
+        ["volume", "--space", "euclidean", "--dim", "5", "--radius", "1e80"],
         ["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "-1",
          "--trials", "10", "--seed", "1"],
         ["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "nan",
          "--trials", "10", "--seed", "1"],
     ], ids=["volume-nan-S2", "volume-nan-R2", "volume-nan-H2", "volume-inf-R2",
-            "probe-negative", "probe-nan"])
+            "volume-overflow-H2", "volume-overflow-R5", "probe-negative", "probe-nan"])
     def test_bad_radius_prints_no_number(self, capsys, argv):
         rc = main(argv)
         captured = capsys.readouterr()

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from isodiam.geometry import (
     UNIT_TOL,
@@ -25,6 +27,7 @@ from isodiam.geometry import (
     random_unit_tangent,
     reflect,
     side,
+    sphere_area,
     tangent_norm,
     tangent_toward,
     validate_ball,
@@ -32,7 +35,7 @@ from isodiam.geometry import (
 )
 from isodiam.rng import substream
 
-from conftest import random_pairs, random_points
+from conftest import SPACES_TO_5, SPACES_TO_5_IDS, random_pairs, random_points
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
@@ -423,6 +426,27 @@ class TestBallVolume:
             ball_volume(S2, 3.5)
         with pytest.raises(ValueError):
             ball_volume(E2, -1.0)
+
+    @pytest.mark.parametrize("space", SPACES_TO_5, ids=SPACES_TO_5_IDS)
+    def test_as_exact_as_quadrature(self, space):
+        """Against a 40-digit reference, the worst relative error over the radii
+        is at most that of the adaptive quadrature ball_volume once used, plus
+        one rounding."""
+        n, k = space.dim, space.dim - 1
+        f = {1: math.sin, -1: math.sinh, 0: lambda t: t}[space.curvature]
+        g = {1: mpmath.sin, -1: mpmath.sinh, 0: lambda t: t}[space.curvature]
+        area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        rs = list(np.geomspace(1e-6, 3.1, 40)) + ([5.0, 10.0, 20.0] if space.curvature == -1
+                                                  else [])
+        worst_quad = worst = 0.0
+        with mpmath.workdps(40):
+            for r in rs:
+                exact = area * mpmath.quad(lambda t: g(t) ** k, [0, mpmath.mpf(r)])
+                quad = integrate.quad(lambda t: f(t) ** k, 0.0, r, epsabs=1e-14,
+                                      epsrel=1e-12, limit=200)[0] * sphere_area(n)
+                worst_quad = max(worst_quad, float(abs(quad / exact - 1)))
+                worst = max(worst, float(abs(ball_volume(space, r) / exact - 1)))
+        assert worst <= worst_quad + 2.2e-16
 
 
 class TestTangentBasis:

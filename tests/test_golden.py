@@ -8,7 +8,22 @@ in a fixed order.  Only ball and plane membership still go through matrix
 products, so a platform with a different BLAS may round a membership test
 near a boundary in another way and legitimately disagree.
 
-They were last re-recorded when every sample metric (diameter, spacing,
+They were last re-recorded when ball_volume moved from adaptive quadrature
+to the closed-form radial mass, and equal_volume_radius from bisection to
+1e-10 to the inverse of that mass.  Clouds, planes and rebase steps are
+unchanged; volume, its standard error and the campaign margin moved by at
+most 4.0e-16 relative, and the flows' Hausdorff distance by at most 3.6e-10
+relative, through the reference ball's radius.  The digests went
+S2 flow     20b517489e8fe5b00392e62620af4f959827c702568431b4be80f2ea6c413c46 ->
+            7f4e59fdeb4025e0592b4417ce9eb3795cec97783c2f298b628e75f0943a14e5,
+H2 flow     1a5c11e86fa143f182a029e8e29c48230a77fe146fd19414a6fc87ecd9db8266 ->
+            4b8ef765a6fd9fc565e9bb0848ddf1102f4f8fe5aedf9ce3846fb81ef6e607ce,
+S2 campaign cbda352b5d1c1cd408d66ec81bdbe87a56810a682042e8d7171430530e299bca ->
+            3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56,
+H2 campaign 23b279d0f95892b7dc1f8026f0e4e0f5cc1a0a09f8782b3c95cb0a5728228b10 ->
+            2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3.
+
+Before that, they were re-recorded when every sample metric (diameter, spacing,
 Hausdorff distance, and the campaigns' sampled diameter) came to be decoded
 from geometry.pair_key, the column-by-column kernel behind distance, in
 place of matrix-product Gram keys.  Membership, sampling, volumes and planes
@@ -89,8 +104,8 @@ def test_h2_two_caps_flow(tmp_path):
 
 
 @pytest.mark.parametrize("curvature, D, seed, digest", [
-    (1, 1.0, 71, "cbda352b5d1c1cd408d66ec81bdbe87a56810a682042e8d7171430530e299bca"),
-    (-1, 1.5, 72, "23b279d0f95892b7dc1f8026f0e4e0f5cc1a0a09f8782b3c95cb0a5728228b10"),
+    (1, 1.0, 71, "3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56"),
+    (-1, 1.5, 72, "2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3"),
 ], ids=["S2", "H2"])
 def test_short_campaign(tmp_path, curvature, D, seed, digest):
     report = verify_isodiametric(CampaignConfig(
@@ -99,5 +114,5 @@ def test_short_campaign(tmp_path, curvature, D, seed, digest):
     assert _csv_digest(report, tmp_path) == digest
 
 
-S2_DENTED_DIGEST = "20b517489e8fe5b00392e62620af4f959827c702568431b4be80f2ea6c413c46"
-H2_CAPS_DIGEST = "1a5c11e86fa143f182a029e8e29c48230a77fe146fd19414a6fc87ecd9db8266"
+S2_DENTED_DIGEST = "7f4e59fdeb4025e0592b4417ce9eb3795cec97783c2f298b628e75f0943a14e5"
+H2_CAPS_DIGEST = "4b8ef765a6fd9fc565e9bb0848ddf1102f4f8fe5aedf9ce3846fb81ef6e607ce"

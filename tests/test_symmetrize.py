@@ -12,11 +12,13 @@ from isodiam.geometry import (
     Ball,
     Hyperplane,
     Space,
+    ball_volume,
     bisector,
     distance,
     geodesic_point,
     reflect,
     side,
+    sphere_area,
 )
 from isodiam.regions import (
     Difference,
@@ -43,7 +45,7 @@ from isodiam.symmetrize import (
     two_point_symmetrize,
 )
 
-from conftest import random_points
+from conftest import SPACES_TO_5, SPACES_TO_5_IDS, random_points
 
 S2 = Space.sphere(2)
 E = np.array([0.0, 0.0, 1.0])
@@ -186,17 +188,43 @@ class TestChooseHyperplane:
 
 
 class TestEqualVolumeRadius:
+    @pytest.mark.parametrize("space", SPACES_TO_5, ids=SPACES_TO_5_IDS)
     def test_inverts_ball_volume(self, space):
-        from isodiam.geometry import ball_volume
-        for r in (0.3, 0.9, 1.4):
-            if space.curvature == 1 and r >= math.pi:
-                continue
+        rs = list(np.geomspace(1e-6, 3.1, 40)) + ([5.0, 10.0, 20.0] if space.curvature == -1
+                                                  else [])
+        for r in rs:
             v = ball_volume(space, r)
-            assert equal_volume_radius(space, v) == pytest.approx(r, abs=1e-9)
+            back = ball_volume(space, equal_volume_radius(space, v))
+            assert abs(back - v) <= 2e-15 * space.dim * v, r
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 30])
+    def test_huge_hyperbolic_volumes(self, n):
+        # the bracket's mass stays finite where a radius of 1 + asinh(m^(1/k)) overflows
+        space = Space.hyperbolic(n)
+        v = ball_volume(space, equal_volume_radius(space, 1e300))
+        assert v == pytest.approx(1e300, rel=1e-13)
+
+    def test_flow_flat_reference_radius(self):
+        # the radius of flow-flat's pole cap comes back to within 2 ulps
+        assert abs(equal_volume_radius(S2, ball_volume(S2, 0.8)) - 0.8) <= 2 * math.ulp(0.8)
+
+    @pytest.mark.parametrize("space", SPACES_TO_5 + [Space.sphere(6), Space.sphere(10)],
+                             ids=SPACES_TO_5_IDS + ["S6", "S10"])
+    def test_tiny_volumes(self, space):
+        # the Euclidean radius with the first curvature term, exact to O(t^5)
+        n = space.dim
+        for volume in (1e-30, 1e-200):
+            t = (n * volume / sphere_area(n)) ** (1.0 / n)
+            want = t * (1.0 + space.curvature * (n - 1) * t * t / (6.0 * (n + 2)))
+            assert equal_volume_radius(space, volume) == pytest.approx(want, rel=1e-15)
 
     def test_total_sphere_volume(self):
-        from isodiam.geometry import ball_volume
         assert equal_volume_radius(S2, ball_volume(S2, math.pi)) == math.pi
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_volume(self, volume):
+        with pytest.raises(ValueError, match=f"got {volume}"):
+            equal_volume_radius(S2, volume)
 
 
 class TestFlow:
