@@ -412,9 +412,9 @@ def sphere_area(n: int) -> float:
 _SERIES_TERMS = 40
 #: below this radius the mass comes from its Taylor series: the closed forms
 #: cancel near 0 (on S5, 3.5e-14 relative at 0.3, where a switch at 0.25 left
-#: them, and all digits at 1e-6).  The series on every row of the campaign's
-#: S3 and H3 balls (radii 0.18 to 0.78) makes a solve of 1e5 draws at 0.6
-#: take about twice as long as with the switch at 0.25 (18-31 ms against 11-18).
+#: them, and all digits at 1e-6).  Every row of the campaign's S3 and H3
+#: balls (radii 0.18 to 0.78) is below it, so their solves run the series
+#: alone: 13-16 ms for 1e5 draws at 0.6 (x86-64, numpy 2.4).
 _SERIES_MAX = 0.8
 #: cap on the iteration, which takes 2 to 8 steps on 1e5 draws at r from 0.3 to 3.1
 _MAX_STEPS = 64
@@ -452,9 +452,10 @@ def _radial_mass(space: Space, h: np.ndarray):
     R^n: h^n / n.  S^n and H^n: the closed forms h (k even) or 2 sin^2(h/2),
     2 sinh^2(h/2) (k odd, where 1 - cos h cancels), raised by the reduction
     formula M_j = +-((j-1)/j M_(j-2) - sn^(j-1) cs / j), then the Taylor
-    series on the rows below _SERIES_MAX.  1e5 rows on S3 or H3 take 5 to
-    7 ms, half of it in the series; computing each branch on its own rows
-    alone cost more, in indexing.
+    series on the rows below _SERIES_MAX, which alone is computed when every
+    row is below it, as at the campaign's radii.  Where both branches have
+    rows, the closed forms run on every row: computing each branch on its
+    own rows alone cost more, in indexing.
     """
     k = space.dim - 1
     if space.curvature == EUCLIDEAN:
@@ -462,15 +463,27 @@ def _radial_mass(space: Space, h: np.ndarray):
     sign, sin, cos = (1.0, np.sin, np.cos) if space.curvature == SPHERICAL else (
         -1.0, np.sinh, np.cosh)
     sn, cs = sin(h), cos(h)
+    small = h < _SERIES_MAX
+    if small.all():
+        return _series_mass(space.curvature, k, h), sn, cs
     mass, power = (2.0 * sin(0.5 * h) ** 2, sn * sn) if k % 2 else (h, sn)
     for j in range(k % 2 + 2, k + 1, 2):
         mass = sign * ((j - 1) / j * mass - power * cs / j)
         power = power * sn * sn
-    small = h < _SERIES_MAX
-    hs = h[small]
-    mass[small] = hs ** (k + 1) * np.polynomial.polynomial.polyval(
-        hs * hs, _mass_series(space.curvature, k))
+    mass[small] = _series_mass(space.curvature, k, h[small])
     return mass, sn, cs
+
+
+def _series_mass(curvature: int, k: int, h: np.ndarray) -> np.ndarray:
+    """h^(k+1) * sum_j c_j h^(2j) by Horner's rule in place, with the bits of
+    np.polynomial.polynomial.polyval at a fraction of its cost."""
+    coeffs = _mass_series(curvature, k)
+    h2 = h * h
+    acc = np.full_like(h, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= h2
+        acc += c
+    return h ** (k + 1) * acc
 
 
 def _radius_solve(space: Space, r: float, u: np.ndarray) -> np.ndarray:
@@ -630,6 +643,8 @@ def random_unit_tangent(space: Space, z, rng: np.random.Generator, size: int | N
     basis = frame(space, z)[:space.dim]
     m = 1 if size is None else int(size)
     coeffs = rng.standard_normal((m, space.dim))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    # the squares summed column by column, left to right: the bits of
+    # np.linalg.norm(axis=1) for n < 8, at a fraction of its cost
+    coeffs /= np.sqrt(_add_up(coeffs[:, j] * coeffs[:, j] for j in range(space.dim)))[:, None]
     u = coeffs @ basis
     return u[0] if size is None else u

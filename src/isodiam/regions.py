@@ -136,38 +136,45 @@ def symmetrized_depth(region) -> int:
 
 
 def _ball_group(space: Space, balls):
-    """Membership of pts in each of several balls at once, as pts -> (N, M) mask.
+    """Membership of pts in each of several balls at once, as pts -> (M, N) mask.
 
-    Centers and thresholds are packed once, at compile time.  Comparisons are
-    in form space (cos r on S, cosh r on H, r^2 on R), so every ball leaf in a
-    tree goes through the identical arithmetic.
+    Row j holds ball j's test of the N points, so a Union or an Intersection
+    reduces over axis 0, row by row.  Centers and thresholds are packed once,
+    at compile time.  Comparisons are in form space (cos r on S, cosh r on H,
+    r^2 on R), so every ball leaf in a tree goes through the identical
+    arithmetic: one matrix product of the (form-signed) centers with pts.T
+    on S^n and H^n; on R^n, per ball, the key summed over contiguous
+    coordinate rows, each differenced before it is squared, as in pair_key.
     """
     centers = np.stack([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
     if space.curvature == SPHERICAL:
-        centers_t = np.ascontiguousarray(centers.T)
-        cos_r = np.cos(radii)[None, :]
-        return lambda pts: pts @ centers_t >= cos_r
-    if space.curvature == EUCLIDEAN:
-        leaves = [(b.center, b.radius * b.radius) for b in balls]
+        cos_r = np.cos(radii)[:, None]
+        return lambda pts: centers @ pts.T >= cos_r
+    if space.curvature == HYPERBOLIC:
+        # B(c, x) = c_e x_e - <c_0, x_0>: negate the spatial part once
+        signed = centers.copy()
+        signed[:, :-1] *= -1.0
+        cosh_r = np.cosh(radii)[:, None]
+        return lambda pts: signed @ pts.T <= cosh_r
+    leaves = [(b.center, b.radius * b.radius) for b in balls]
 
-        def euclidean(pts):
-            out = np.empty((pts.shape[0], len(leaves)), dtype=bool)
-            for j, (c, r2) in enumerate(leaves):
-                d = pts - c
-                out[:, j] = np.einsum("nd,nd->n", d, d) <= r2
-            return out
+    def euclidean(pts):
+        cols = np.ascontiguousarray(pts.T)
+        out = np.empty((len(leaves), cols.shape[1]), dtype=bool)
+        key = np.empty(cols.shape[1])
+        term = np.empty_like(key)
+        for j, (c, r2) in enumerate(leaves):
+            np.subtract(cols[0], c[0], out=key)
+            key *= key
+            for i in range(1, cols.shape[0]):
+                np.subtract(cols[i], c[i], out=term)
+                term *= term
+                key += term
+            np.less_equal(key, r2, out=out[j])
+        return out
 
-        return euclidean
-    axis = centers[:, -1]
-    rest = centers[:, :-1]
-    cosh_r = np.cosh(radii)[None, :]
-
-    def hyperbolic(pts):
-        g = np.einsum("n,m->nm", pts[:, -1], axis) - np.einsum("nd,md->nm", pts[:, :-1], rest)
-        return g <= cosh_r
-
-    return hyperbolic
+    return euclidean
 
 
 def _plane_form(space: Space, plane: Hyperplane):
@@ -190,13 +197,15 @@ def compile_region(space: Space, region):
 
     The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
     Union and Intersection nodes test their ball children as one packed
-    group, then visit the other children only on the rows still undecided.
+    group, an (M, N) mask with one ball per row reduced over axis 0, then
+    visit the other children only on the rows still undecided.  A lone ball
+    takes row 0 of its one-ball group.
     A Symmetrized node calls its inner evaluator at most twice per batch, so
     a chain of depth d costs at most 2^d inner calls.
     """
     if isinstance(region, Ball):
         group = _ball_group(space, [region])
-        return lambda pts: group(pts)[:, 0]
+        return lambda pts: group(pts)[0]
     if isinstance(region, HalfSpace):
         values = _plane_form(space, region.plane)
         orientation = region.plane.orientation
@@ -209,7 +218,7 @@ def compile_region(space: Space, region):
 
         def boolean(pts):
             if group is not None:
-                res = group(pts).any(axis=1) if is_union else group(pts).all(axis=1)
+                res = group(pts).any(axis=0) if is_union else group(pts).all(axis=0)
             else:
                 res = np.full(pts.shape[0], not is_union)
             for child in rest:

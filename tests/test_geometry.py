@@ -9,9 +9,12 @@ from scipy import integrate
 
 from isodiam.geometry import (
     UNIT_TOL,
+    _SERIES_MAX,
     Ball,
     Hyperplane,
     Space,
+    _mass_series,
+    _radial_mass,
     ball_volume,
     bisector,
     check_point,
@@ -447,6 +450,37 @@ class TestBallVolume:
                 worst_quad = max(worst_quad, float(abs(quad / exact - 1)))
                 worst = max(worst, float(abs(ball_volume(space, r) / exact - 1)))
         assert worst <= worst_quad + 2.2e-16
+
+
+class TestBitExactRewrites:
+    """Cheaper arithmetic that must keep the bits of the formulas it replaced."""
+
+    @pytest.mark.parametrize("space", SPACES_TO_5, ids=SPACES_TO_5_IDS)
+    def test_random_unit_tangent_has_the_bits_of_the_norm_formula(self, space):
+        n = space.dim
+        if space.curvature == 0:
+            z = np.linspace(-0.7, 0.4, n)
+        else:
+            z = point_from_pole(space, 0.7, np.linspace(1.0, 0.2, n))
+        u = random_unit_tangent(space, z, substream(64), 20_000)
+        coeffs = substream(64).standard_normal((20_000, n))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        assert u.tobytes() == (coeffs @ frame(space, z)[:n]).tobytes()
+
+    @pytest.mark.parametrize("space", [s for s in SPACES_TO_5 if s.curvature != 0],
+                             ids=[i for i in SPACES_TO_5_IDS if not i.startswith("E")])
+    def test_radial_mass_series_has_the_bits_of_polyval(self, space):
+        k = space.dim - 1
+        rng = substream(65)
+        small = rng.uniform(0.0, _SERIES_MAX, 20_000)
+        small[:2] = 0.0, np.nextafter(_SERIES_MAX, 0.0)
+        mixed = rng.uniform(0.0, 3.0, 20_000)
+        for h in (small, mixed):
+            rows = h < _SERIES_MAX
+            hs = h[rows]
+            ref = hs ** (k + 1) * np.polynomial.polynomial.polyval(
+                hs * hs, _mass_series(space.curvature, k))
+            assert _radial_mass(space, h)[0][rows].tobytes() == ref.tobytes()
 
 
 class TestTangentBasis:

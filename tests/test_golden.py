@@ -4,9 +4,17 @@ as a different report digest.
 
 The digests were recorded with numpy 2.4 / OpenBLAS on x86-64.  The sample
 metrics take no BLAS call: their distance keys are summed column by column
-in a fixed order.  Only ball and plane membership still go through matrix
-products, so a platform with a different BLAS may round a membership test
-near a boundary in another way and legitimately disagree.
+in a fixed order, and so are R^n ball memberships.  Only S^n and H^n ball
+membership (one matrix product of the centers with the points per group of
+balls) and plane membership still go through matrix products, so a platform
+with a different BLAS may round a membership test near a boundary in another
+way and legitimately disagree.
+
+The R2 and H3 campaigns were first recorded before ball groups became
+(balls, points) masks: one matrix product of the form-signed centers on H^n
+in place of two einsum calls, and column-by-column keys on R^n in place of
+an einsum.  Keys moved by an ulp on some entries (H^n, and R^n for n >= 3),
+no membership decision moved, and none of the six digests changed.
 
 They were last re-recorded when ball_volume moved from adaptive quadrature
 to the closed-form radial mass, and equal_volume_radius from bisection to
@@ -103,13 +111,15 @@ def test_h2_two_caps_flow(tmp_path):
     assert _csv_digest(report, tmp_path) == H2_CAPS_DIGEST
 
 
-@pytest.mark.parametrize("curvature, D, seed, digest", [
-    (1, 1.0, 71, "3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56"),
-    (-1, 1.5, 72, "2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3"),
-], ids=["S2", "H2"])
-def test_short_campaign(tmp_path, curvature, D, seed, digest):
+@pytest.mark.parametrize("curvature, dim, D, seed, digest", [
+    (1, 2, 1.0, 71, "3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56"),
+    (-1, 2, 1.5, 72, "2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3"),
+    (0, 2, 1.0, 75, "8d2af212fa9afa29615f1fb77858ebeae582573a4bbf522454a5352efeaab692"),
+    (-1, 3, 1.2, 80, "b054fdf5a6f23d84e081f21a91e70cd2fc15a0000e63e5ab60d83dde81192820"),
+], ids=["S2", "H2", "R2", "H3"])
+def test_short_campaign(tmp_path, curvature, dim, D, seed, digest):
     report = verify_isodiametric(CampaignConfig(
-        curvature=curvature, dim=2, D=D, trials=5, seed=seed, volume_samples=4000,
+        curvature=curvature, dim=dim, D=D, trials=5, seed=seed, volume_samples=4000,
         region_density=300.0))
     assert _csv_digest(report, tmp_path) == digest
 

@@ -30,13 +30,15 @@ from isodiam.regions import (
     Union,
     bounding_ball,
     contains,
+    diameter,
     uniform_in_ball,
 )
 from isodiam.rng import substream
 
 from conftest import random_plane
 
-SPACES = {"R2": Space.euclidean(2), "S2": Space.sphere(2), "H2": Space.hyperbolic(2)}
+SPACES = {f"{name}{n}": Space(curvature, n)
+          for name, curvature in (("R", 0), ("S", 1), ("H", -1)) for n in (2, 3)}
 
 
 def reference(space, region, x) -> bool:
@@ -97,7 +99,7 @@ def _on_plane(space, plane, pts):
     return raw / 2.0 if space.curvature == EUCLIDEAN else normalize_to_space(space, raw)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(space_name=st.sampled_from(sorted(SPACES)), depth=st.integers(0, 9),
        kind=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_matches_per_point_reference(space_name, depth, kind, seed):
@@ -114,6 +116,41 @@ def test_matches_per_point_reference(space_name, depth, kind, seed):
     pts = np.concatenate(pts)
     expected = np.array([reference(space, region, x) for x in pts])
     assert np.array_equal(contains(space, region, pts), expected)
+
+
+def _assert_matches_reference(space, region, pts):
+    expected = np.array([reference(space, region, x) for x in pts])
+    assert 0 < expected.sum() < len(pts)
+    assert np.array_equal(contains(space, region, pts), expected)
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+def test_union_cut_by_twelve_guard_balls(space_name):
+    """A campaign region: a union intersected with 12 balls of radius D
+    about points of it, as the diameter trim builds them."""
+    space = SPACES[space_name]
+    rng = substream(73)
+    union = Union(tuple(_random_ball(space, rng) for _ in range(3)))
+    envelope = bounding_ball(space, union)
+    pts = uniform_in_ball(space, envelope, rng, size=400)
+    members = pts[contains(space, union, pts)]
+    D = 0.7 * diameter(space, members)[0]
+    region = Intersection((union,) + tuple(Ball(w, D) for w in members[:12]))
+    _assert_matches_reference(space, region, pts)
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+def test_union_of_192_balls(space_name):
+    """A flow's sparse rebase region, and the dense one: its envelope less
+    the union."""
+    space = SPACES[space_name]
+    rng = substream(74)
+    envelope = Ball(space.base_point, 0.8)
+    centers = uniform_in_ball(space, envelope, rng, size=192)
+    union = Union(tuple(Ball(c, 0.4 * 192 ** (-1 / space.dim)) for c in centers))
+    pts = uniform_in_ball(space, envelope, rng, size=150)
+    _assert_matches_reference(space, union, pts)
+    _assert_matches_reference(space, Difference(envelope, union), pts)
 
 
 @pytest.mark.parametrize("space_name", sorted(SPACES))
