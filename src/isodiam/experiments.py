@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import SPHERICAL, Ball, Space, ball_volume, distance
+from .geometry import SPHERICAL, Ball, Space, ball_volume, distance, key_threshold, pair_key
 from .regionio import region_digest
 from .regions import (
     Difference,
@@ -255,30 +256,47 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     accounted as accepted_count * envelope_volume / candidate_count; returns
     the accepted cloud, the deficit against the ball of radius D/2, and sigma.
 
+    The test runs on keys: a candidate stays live while its largest
+    ``pair_key`` to the accepted set is at most g* = ``key_threshold(D)``, the
+    largest float that the ``decode_key`` in force maps to at most D.  The
+    first live candidate is accepted, and one vector ``pair_key`` from it to
+    the rest of the live set drops every candidate whose key is above g*.  A
+    pair's key has the same bits in any batch shape and ``decode_key`` is
+    non-decreasing, so this accepts exactly the candidates whose every
+    ``distance`` is at most D.  The cost is O(accepted x live) key columns.
+
     sigma is the binomial error of independent draws.  Acceptance depends on
     the path taken, so sigma is only a lower bound on the seed-to-seed spread
     (the z-scores of 60 seeds spread 1.47, not 1).
     """
     _check_diameter_bound(space, D)
+    if isinstance(candidate_count, bool) or not isinstance(candidate_count, numbers.Integral):
+        raise ValueError(f"candidate_count must be an integer, got {candidate_count!r}")
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be at least 1, got {candidate_count}")
+    candidate_count = int(candidate_count)
     pole = space.base_point
     env = Ball(pole, D)
     v_env = ball_volume(space, D)
     rng = substream(seed)
-    cand = uniform_in_ball(space, env, rng, size=int(candidate_count))
+    cand = uniform_in_ball(space, env, rng, size=candidate_count)
     if seed_with_ball:
         inner = distance(space, cand, pole) <= D / 2.0
         cand = np.concatenate([cand[inner], cand[~inner]])
-    accepted = np.empty_like(cand)
-    count = 0
-    for x in cand:
-        if count == 0 or bool(np.all(distance(space, accepted[:count], x) <= D)):
-            accepted[count] = x
-            count += 1
-    frac = count / candidate_count
+    g_max = key_threshold(space, D)
+    # one contiguous row per coordinate: a column mask of (ambient_dim, N)
+    # costs less than a row mask of (N, ambient_dim)
+    live = np.ascontiguousarray(cand.T)
+    accepted = []
+    while live.shape[1]:
+        # a copy, so that no accepted point holds a dropped live block in memory
+        x = live[:, 0].copy()
+        accepted.append(x)
+        rest = live[:, 1:]
+        live = rest.take(np.flatnonzero(pair_key(space, x, rest.T) <= g_max), axis=1)
+    frac = len(accepted) / candidate_count
     vol = v_env * frac
     sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
     deficit = ball_volume(space, D / 2.0) - vol
-    cloud = PointCloud(points=accepted[:count], weight=v_env / candidate_count)
+    cloud = PointCloud(points=np.array(accepted), weight=v_env / candidate_count)
     return cloud, deficit, sigma

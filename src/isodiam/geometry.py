@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,35 @@ def decode_key(space: Space, g):
     if space.curvature == HYPERBOLIC:
         return np.arccosh(np.clip(g, 1.0, None))
     return np.sqrt(np.maximum(g, 0.0))
+
+
+def key_threshold(space: Space, D: float) -> float:
+    """The largest finite float g whose ``decode_key`` is at most D >= 0.
+
+    As ``decode_key`` is non-decreasing, ``pair_key(x, y) <= key_threshold(D)``
+    holds exactly when ``distance(x, y) <= D``.  Found by bisection on the
+    bit patterns of the floats, ranked as integers in the order of their values.
+    """
+    lo, hi = _float_rank(-math.inf), _float_rank(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if decode_key(space, _ranked_float(mid)) <= D:
+            lo = mid
+        else:
+            hi = mid
+    return _ranked_float(lo)
+
+
+def _float_rank(g: float) -> int:
+    """An integer increasing with the float g (both zeros rank 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", g))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ranked_float(rank: int) -> float:
+    """The float of that ``_float_rank``."""
+    bits = rank if rank >= 0 else -rank | (1 << 63)
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 def distance(space: Space, x, y):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from isodiam.experiments import (
     random_admissible_region,
     verify_isodiametric,
 )
-from isodiam.geometry import Ball, Space, ball_volume
+from isodiam.geometry import Ball, Space, ball_volume, distance
 from isodiam.regionio import region_digest
-from isodiam.regions import _pairwise_extremes, contains, sample
+from isodiam.regions import PointCloud, _pairwise_extremes, contains, sample, uniform_in_ball
 from isodiam.rng import substream
 
 from conftest import dented_ball_region, two_caps_region
@@ -100,7 +101,56 @@ class TestVerifyIsodiametric:
         assert CampaignConfig.from_json(path) == config
 
 
+def _reference_greedy(space, D, candidate_count, seed, seed_with_ball=False):
+    """The per-candidate loop: one distance from each candidate to the accepted set."""
+    pole = space.base_point
+    v_env = ball_volume(space, D)
+    cand = uniform_in_ball(space, Ball(pole, D), substream(seed), size=candidate_count)
+    if seed_with_ball:
+        inner = distance(space, cand, pole) <= D / 2.0
+        cand = np.concatenate([cand[inner], cand[~inner]])
+    accepted = np.empty_like(cand)
+    count = 0
+    for x in cand:
+        if count == 0 or bool(np.all(distance(space, accepted[:count], x) <= D)):
+            accepted[count] = x
+            count += 1
+    frac = count / candidate_count
+    sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
+    deficit = ball_volume(space, D / 2.0) - v_env * frac
+    return PointCloud(points=accepted[:count], weight=v_env / candidate_count), deficit, sigma
+
+
+_REFERENCE_CASES = [(space, D, seed, False)
+                    for space in (S2, H2, E2, Space.sphere(3), Space.hyperbolic(3))
+                    for D in (0.5, 1.2, 2.0) for seed in (5, 6)]
+_REFERENCE_CASES += [(space, 1.2, seed, True) for space in (S2, H2) for seed in (5, 6)]
+
+
 class TestGreedyMaximal:
+    @pytest.mark.parametrize(
+        "space, D, seed, seed_with_ball", _REFERENCE_CASES,
+        ids=[f"{'HRS'[s.curvature + 1]}{s.dim}-D{D}-seed{seed}" + ("-ball" if ball else "")
+             for s, D, seed, ball in _REFERENCE_CASES])
+    def test_matches_per_candidate_reference(self, space, D, seed, seed_with_ball):
+        cloud, deficit, sigma = greedy_maximal(space, D, 3000, seed, seed_with_ball=seed_with_ball)
+        ref_cloud, ref_deficit, ref_sigma = _reference_greedy(space, D, 3000, seed, seed_with_ball)
+        assert cloud.points.tobytes() == ref_cloud.points.tobytes()
+        assert cloud.weight == ref_cloud.weight
+        assert np.float64(deficit).tobytes() == np.float64(ref_deficit).tobytes()
+        assert np.float64(sigma).tobytes() == np.float64(ref_sigma).tobytes()
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, 2.0])
+    def test_rejects_non_integer_candidate_count(self, count):
+        with pytest.raises(ValueError, match="candidate_count"):
+            greedy_maximal(S2, 1.0, count, 1)
+
+    def test_accepts_numpy_integer_candidate_count(self):
+        a = greedy_maximal(S2, 1.0, np.int64(500), 1)
+        b = greedy_maximal(S2, 1.0, 500, 1)
+        assert a[0].points.tobytes() == b[0].points.tobytes()
+        assert (a[1], a[2]) == (b[1], b[2])
+
     def test_seeded_with_ball_reaches_ball_volume(self):
         cloud, deficit, sigma = greedy_maximal(S2, 1.2, 20000, seed=160, seed_with_ball=True)
         assert abs(deficit) <= 3 * sigma

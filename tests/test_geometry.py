@@ -23,6 +23,7 @@ from isodiam.geometry import (
     form,
     frame,
     geodesic_point,
+    key_threshold,
     normalize_to_space,
     pair_key,
     plane_eval,
@@ -178,6 +179,33 @@ class TestPairKey:
         assert decode_key(S2, -1.0 - 1e-15) == 0.0
         assert decode_key(H2, 1.0 - 1e-15) == 0.0
         assert decode_key(E2, 0.0) == 0.0
+
+
+def _consecutive_floats(g, n):
+    """The n floats below g, g, and the n floats above it, in increasing order."""
+    below, above = [g], [g]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+class TestKeyThreshold:
+    @pytest.mark.parametrize("space, D", [
+        (S2, 1e-8), (S2, 1.2), (S2, math.pi - 1e-9),
+        (H2, 1e-8), (H2, 1.2), (H2, 20.0),
+        (E2, 1e-8), (E2, 1.2), (E2, 1e6),
+    ], ids=["S2-1e-8", "S2-1.2", "S2-pi", "H2-1e-8", "H2-1.2", "H2-20",
+            "R2-1e-8", "R2-1.2", "R2-1e6"])
+    def test_largest_key_within_D(self, space, D):
+        g = key_threshold(space, D)
+        assert decode_key(space, g) <= D < decode_key(space, np.nextafter(g, np.inf))
+        # key <= g stands for distance <= D only where decode_key is
+        # non-decreasing, and is the same function on arrays as on scalars
+        around = _consecutive_floats(g, 4000)
+        decoded = decode_key(space, around)
+        assert np.all(np.diff(decoded) >= 0.0)
+        assert np.array_equal(decoded, [decode_key(space, v) for v in around])
 
 
 class TestGeodesic:

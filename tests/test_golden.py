@@ -10,6 +10,11 @@ balls) and plane membership still go through matrix products, so a platform
 with a different BLAS may round a membership test near a boundary in another
 way and legitimately disagree.
 
+The three greedy digests hash the standard output of `isodiam greedy`.  They
+were recorded while the probe still took one `distance` from each candidate
+to the accepted set, and they hold for the running-maximum-key loop that
+replaced it.
+
 The R2 and H3 campaigns were first recorded before ball groups became
 (balls, points) masks: one matrix product of the form-signed centers on H^n
 in place of two einsum calls, and column-by-column keys on R^n in place of
@@ -78,6 +83,7 @@ import hashlib
 
 import pytest
 
+from isodiam.cli import main
 from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
@@ -122,6 +128,21 @@ def test_short_campaign(tmp_path, curvature, dim, D, seed, digest):
         curvature=curvature, dim=dim, D=D, trials=5, seed=seed, volume_samples=4000,
         region_density=300.0))
     assert _csv_digest(report, tmp_path) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--space", "sphere", "--dim", "2", "--D", "2.0", "--candidates", "5000", "--seed", "5"],
+     "112fc15f7cb67c820881dc54f65e78c0b1d1599851fd12dfa2b9a97572c76970"),
+    (["--space", "hyperbolic", "--dim", "2", "--D", "1.2", "--candidates", "5000", "--seed", "6"],
+     "96012a12740c17eb7009751b9a234e1f4509413962c3fb81047170f98baa5bd6"),
+    (["--space", "euclidean", "--dim", "2", "--D", "0.5", "--candidates", "5000", "--seed", "7",
+      "--seed-ball"],
+     "eea3f8b6621688184eaabb861d8a3cede7e078aad724fadbcaf93e05a2262bd3"),
+], ids=["S2", "H2", "R2-seed-ball"])
+def test_greedy_stdout(capsys, argv, digest):
+    assert main(["greedy", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 S2_DENTED_DIGEST = "7f4e59fdeb4025e0592b4417ce9eb3795cec97783c2f298b628e75f0943a14e5"
