@@ -7,6 +7,12 @@ from the tree; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
 errors.
 
+A Certified node is its region plus a few core balls certified to lie inside
+it, as a flow's rebase builds them.  Two-point symmetrization is monotone
+and maps a ball to itself or to its mirror image, so the evaluator carries
+the cores up every Symmetrized level above and decides the rows inside them
+there without the inner chain, with unchanged answers (``compile_region``).
+
 The metrics of a sample cloud are exact searches over ``geometry.pair_key``
 (-cos d, cosh d or d^2, increasing in d), the one kernel behind ``distance``
 too.  It sums column by column, so a pair's key has the same bits in a scan
@@ -58,6 +64,15 @@ from .geometry import (
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
+#: each core radius undercuts its certified slack by this, and a core centre
+#: nearer a symmetrization plane than this (in form value) is dropped.  The
+#: slack is decoded from pair_key distances, which arccos and arccosh leave
+#: off by up to sqrt(2 eps) ~ 1.5e-8 near 0; a core test of radius near 0
+#: passes rows up to sqrt(2 delta) ~ 8e-8 beyond it, for delta ~ 3e-15, the
+#: ball test's rounding on rows that drifted ~1e-16 per mirror over
+#: DEFAULT_DEPTH_CAP levels.  Those sum to under 1e-7; this leaves a factor
+#: of ten over them.
+CORE_MARGIN = 1e-6
 #: rows of the key matrix a scan holds at once
 _CHUNK = 256
 #: rows farthest from the centre whose own farthest points seed the diameter bound
@@ -120,8 +135,24 @@ class Symmetrized:
     inner: object
 
 
+@dataclass(frozen=True, eq=False)
+class Certified:
+    """``region`` itself, with ``cores``: balls each certified to lie inside it.
+
+    Documents, digests, envelopes and depths see ``region`` alone; the
+    membership evaluator carries the cores up its Symmetrized chain (see
+    ``compile_region``).  A flow's rebased region is built with them.
+    """
+
+    region: object
+    cores: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "cores", tuple(self.cores))
+
+
 #: any node of the region tree (geometry.Ball doubles as the leaf node)
-Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized
+Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized | Certified
 
 
 def symmetrized_depth(region) -> int:
@@ -132,22 +163,23 @@ def symmetrized_depth(region) -> int:
         return max(symmetrized_depth(c) for c in region.children)
     if isinstance(region, Difference):
         return max(symmetrized_depth(region.a), symmetrized_depth(region.b))
+    if isinstance(region, Certified):
+        return symmetrized_depth(region.region)
     return 0
 
 
-def _ball_group(space: Space, balls):
-    """Membership of pts in each of several balls at once, as pts -> (M, N) mask.
+def _ball_group(space: Space, centers: np.ndarray, radii: np.ndarray):
+    """Membership of pts in each of M balls at once, as pts -> (M, N) mask.
 
-    Row j holds ball j's test of the N points, so a Union or an Intersection
-    reduces over axis 0, row by row.  Centers and thresholds are packed once,
-    at compile time.  Comparisons are in form space (cos r on S, cosh r on H,
-    r^2 on R), so every ball leaf in a tree goes through the identical
-    arithmetic: one matrix product of the (form-signed) centers with pts.T
-    on S^n and H^n; on R^n, per ball, the key summed over contiguous
-    coordinate rows, each differenced before it is squared, as in pair_key.
+    The balls come packed as an (M, d) array of centers and M radii.  Row j
+    holds ball j's test of the N points, so a Union or an Intersection
+    reduces over axis 0, row by row.  Thresholds are packed once, at compile
+    time.  Comparisons are in form space (cos r on S, cosh r on H, r^2 on R),
+    so every ball leaf in a tree goes through the identical arithmetic: one
+    matrix product of the (form-signed) centers with pts.T on S^n and H^n; on
+    R^n, per ball, the key summed over contiguous coordinate rows, each
+    differenced before it is squared, as in pair_key.
     """
-    centers = np.stack([b.center for b in balls])
-    radii = np.array([b.radius for b in balls])
     if space.curvature == SPHERICAL:
         cos_r = np.cos(radii)[:, None]
         return lambda pts: centers @ pts.T >= cos_r
@@ -157,7 +189,7 @@ def _ball_group(space: Space, balls):
         signed[:, :-1] *= -1.0
         cosh_r = np.cosh(radii)[:, None]
         return lambda pts: signed @ pts.T <= cosh_r
-    leaves = [(b.center, b.radius * b.radius) for b in balls]
+    leaves = list(zip(centers, radii * radii))
 
     def euclidean(pts):
         cols = np.ascontiguousarray(pts.T)
@@ -192,27 +224,64 @@ def _plane_form(space: Space, plane: Hyperplane):
     return lambda pts: pts @ q
 
 
-def compile_region(space: Space, region):
-    """Walk the tree once and return its exact membership evaluator.
+def _pack(balls):
+    """An (M, d) array of ball centers and an array of their M radii."""
+    return np.stack([b.center for b in balls]), np.array([b.radius for b in balls])
 
-    The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
-    Union and Intersection nodes test their ball children as one packed
-    group, an (M, N) mask with one ball per row reduced over axis 0, then
-    visit the other children only on the rows still undecided.  A lone ball
-    takes row 0 of its one-ball group.
-    A Symmetrized node calls its inner evaluator at most twice per batch, so
-    a chain of depth d costs at most 2^d inner calls.
-    """
+
+def _ball_leaves(region) -> int:
+    """Number of Ball leaves in the tree."""
     if isinstance(region, Ball):
-        group = _ball_group(space, [region])
-        return lambda pts: group(pts)[0]
+        return 1
+    if isinstance(region, (Union, Intersection)):
+        return sum(_ball_leaves(c) for c in region.children)
+    if isinstance(region, Difference):
+        return _ball_leaves(region.a) + _ball_leaves(region.b)
+    if isinstance(region, Symmetrized):
+        return _ball_leaves(region.inner)
+    if isinstance(region, Certified):
+        return _ball_leaves(region.region)
+    return 0
+
+
+def _map_cores(space: Space, plane: Hyperplane, values, cores):
+    """The images of packed core balls under one symmetrization, or None.
+
+    A core whose centre has signed plane value above CORE_MARGIN is kept, one
+    below -CORE_MARGIN moves to its mirror image, and one nearer the plane
+    than that is dropped, as its side is not decided exactly there.
+    """
+    centers, radii = cores
+    v = plane.orientation * values(centers)
+    keep = np.abs(v) > CORE_MARGIN
+    if not keep.any():
+        return None
+    centers, v = centers[keep], v[keep]
+    below = v < 0.0
+    if below.any():
+        centers[below] = reflect(space, plane, centers[below])
+    return centers, radii[keep]
+
+
+def _compile(space: Space, region):
+    """(evaluator, cores) of the tree: its membership evaluator, and the core
+    balls certified inside the region and worth testing, packed as
+    (centers, radii), or None."""
+    if isinstance(region, Certified):
+        evaluate, _ = _compile(space, region.region)
+        # a core test pays only while it is cheaper than the leaves it skips
+        worth = 0 < len(region.cores) < _ball_leaves(region.region)
+        return evaluate, _pack(region.cores) if worth else None
+    if isinstance(region, Ball):
+        group = _ball_group(space, *_pack([region]))
+        return (lambda pts: group(pts)[0]), None
     if isinstance(region, HalfSpace):
         values = _plane_form(space, region.plane)
         orientation = region.plane.orientation
-        return lambda pts: orientation * values(pts) >= -SIDE_TOL
+        return (lambda pts: orientation * values(pts) >= -SIDE_TOL), None
     if isinstance(region, (Union, Intersection)):
         balls = [c for c in region.children if isinstance(c, Ball)]
-        group = _ball_group(space, balls) if balls else None
+        group = _ball_group(space, *_pack(balls)) if balls else None
         rest = [compile_region(space, c) for c in region.children if not isinstance(c, Ball)]
         is_union = isinstance(region, Union)
 
@@ -229,7 +298,7 @@ def compile_region(space: Space, region):
                 res[idx] = child(pts[idx])
             return res
 
-        return boolean
+        return boolean, None
     if isinstance(region, Difference):
         a = compile_region(space, region.a)
         b = compile_region(space, region.b)
@@ -241,11 +310,14 @@ def compile_region(space: Space, region):
                 res[idx] = ~b(pts[idx])
             return res
 
-        return difference
+        return difference, None
     if isinstance(region, Symmetrized):
-        inner = compile_region(space, region.inner)
+        inner, cores = _compile(space, region.inner)
         plane = region.plane
         values = _plane_form(space, plane)
+        if cores is not None:
+            cores = _map_cores(space, plane, values, cores)
+        in_core = None if cores is None else _ball_group(space, *cores)
         p = plane.normal
         if space.curvature == HYPERBOLIC:
             qq = p[-1] * p[-1] - p[:-1] @ p[:-1]
@@ -256,28 +328,75 @@ def compile_region(space: Space, region):
 
         def symmetrized(pts):
             # x is in the symmetrization iff (x in A or sigma x in A) on H^+ and
-            # (x in A and sigma x in A) on H^-; the first query settles every
-            # row whose answer agrees with its side, and only the others get
-            # mirrored.  Mirrors skip renormalization; the drift per
-            # reflection is ~1e-16 against membership tolerances of 1e-10.
+            # (x in A and sigma x in A) on H^-; a row in a core image is in
+            # already, the first query settles every other row whose answer
+            # agrees with its side, and only the rest get mirrored.  Mirrors
+            # skip renormalization; the drift per reflection is ~1e-16
+            # against membership tolerances of 1e-10.
             v = values(pts)
             on_plus = orientation * v >= -SIDE_TOL
-            res = inner(pts)
-            need = np.flatnonzero(res != on_plus)
+            if in_core is None:
+                res = inner(pts)
+                need = np.flatnonzero(res != on_plus)
+            else:
+                res = in_core(pts).any(axis=0)
+                rest = np.flatnonzero(~res)
+                here = inner(pts[rest])
+                res[rest] = here
+                need = rest[here != on_plus[rest]]
             if need.size:
                 mirrors = pts[need] - (scale * v[need])[:, None] * p
                 res[need] = inner(mirrors)
             return res
 
-        return symmetrized
+        return symmetrized, cores
     raise ValueError(f"unknown region node {type(region).__name__}")
+
+
+def compile_region(space: Space, region):
+    """Walk the tree once and return its exact membership evaluator.
+
+    The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
+    Union and Intersection nodes test their ball children as one packed
+    group, an (M, N) mask with one ball per row reduced over axis 0, then
+    visit the other children only on the rows still undecided.  A lone ball
+    takes row 0 of its one-ball group.
+    A Symmetrized node calls its inner evaluator at most twice per batch, so
+    a chain of depth d costs at most 2^d inner calls.
+
+    Core balls.  A Certified node's cores are carried up through every
+    Symmetrized level above it at compile time, each level mapping them by
+    ``_map_cores``, and a level marks the rows inside a core image as members
+    without querying its inner chain: one packed ball group, reduced by
+    ``any`` over axis 0.  The cores are tested only when they are fewer balls
+    than the leaves below them, so a chain over a 193-ball rebase tests at
+    most 32 cores at every level, and a bare ball or a dented ball carries
+    none and runs as before.  Any other node passes no cores up.
+
+    Why the masks do not change.  Let E be the evaluator of the level below,
+    with B(c, rho) inside the set it decides, and S the level's rule: x on
+    the closed H^+ (the SIDE_TOL tie band included) is in if x or its mirror
+    is in E, x on H^- if both are.  S is monotone in E, so S(E) contains S
+    applied to B(c, rho) alone.  With c strictly in H^+, that is B(c, rho)
+    again: a row of B on H^+ is in by itself, and the mirror of a row of B
+    on H^- is nearer c than the row.  With c strictly in H^-, it is the
+    mirror ball B(sigma c, rho): a row on H^+ has its mirror in B(c, rho),
+    and a row on H^- has both itself and its mirror there, as c and the row
+    share a side.  A centre within CORE_MARGIN of the plane is dropped,
+    so its side is never in doubt.  What is tested is a rounded ball test on
+    rounded mirrors, so each core radius undercuts its certified slack by
+    CORE_MARGIN, which covers those errors (see there).
+    """
+    return _compile(space, region)[0]
 
 
 def contains(space: Space, region, x):
     """Exact membership of x in the region.
 
     Points exactly on a symmetrization plane use the H^+ rule (closed half
-    space).  Accepts a single point (returns bool) or an (N, d) batch.
+    space).  Accepts a single point (returns bool) or an (N, d) batch.  The
+    region is compiled by ``compile_region`` on every call, core balls
+    included; a Certified node answers as its region does.
     """
     depth = symmetrized_depth(region)
     if depth > DEFAULT_DEPTH_CAP:
@@ -349,6 +468,8 @@ def bounding_ball(space: Space, region) -> Ball:
         inner = bounding_ball(space, region.inner)
         mirrored = Ball(reflect(space, region.plane, inner.center), inner.radius)
         return _merge_two_balls(space, inner, mirrored)
+    if isinstance(region, Certified):
+        return bounding_ball(space, region.region)
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 

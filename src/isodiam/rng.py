@@ -21,10 +21,28 @@ from __future__ import annotations
 import numpy as np
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, if it is a number without a fraction and not a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            whole = int(value)
+            if whole == value:
+                return whole
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for the (seed, path) coordinate; same inputs, same stream."""
-    seed = int(seed)
+    """Philox generator for the (seed, path) coordinate; same inputs, same stream.
+
+    The seed and each path element must be integers (numpy's included), or
+    numbers without a fraction; a bool, or a number such as 2.5, raises
+    ValueError naming it rather than being truncated to another stream.
+    """
+    seed = _whole("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    key = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
+    key = np.random.SeedSequence(
+        entropy=seed, spawn_key=tuple(_whole(f"path element {i}", p) for i, p in enumerate(path)))
     return np.random.Generator(np.random.Philox(key))

@@ -33,7 +33,9 @@ from .geometry import (
     validate_hyperplane,
 )
 from .regions import (
+    CORE_MARGIN,
     DEFAULT_DEPTH_CAP,
+    Certified,
     Difference,
     PointCloud,
     Symmetrized,
@@ -114,6 +116,8 @@ def two_point_symmetrize(space: Space, h: Hyperplane, region):
 IDENTITY_CHECK_POINTS = 1000
 #: ball centres of a rebased region's union
 REBASE_CENTERS = 192
+#: core balls certified inside a rebased region, at most
+REBASE_CORES = 32
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,14 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     samples (no envelope-scale inflation).  Either way the common radius is
     the empirical quantile over the calibration proposals that reproduces the
     target volume.
+
+    The result is Certified with up to REBASE_CORES core balls, built from
+    the calibration proposals and their distances, with no further draw.  A
+    proposal p at distance dmin from the nearest centre, and d_env from the
+    envelope's, has certified radius rho = min(dmin - r, env.r - d_env) in
+    the dense case (clear of every hole, inside the envelope) and
+    rho = r - dmin in the sparse one (inside the nearest ball), less
+    CORE_MARGIN.  ``_core_cover`` picks the cores.
     """
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
@@ -266,7 +278,27 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     k = min(max(k, 1), n_cal - 1)
     r = float(np.partition(dmin, k - 1)[k - 1]) + 1e-12
     balls = Union(tuple(Ball(c, r) for c in centers))
-    return Difference(env, balls) if dense else balls
+    if dense:
+        d_env = distance(space, props, env.center)
+        slack = np.minimum(dmin - r, env.radius - d_env)
+        return Certified(Difference(env, balls), _core_cover(space, props, slack - CORE_MARGIN))
+    return Certified(balls, _core_cover(space, props, r - dmin - CORE_MARGIN))
+
+
+def _core_cover(space: Space, props: np.ndarray, rho: np.ndarray) -> tuple:
+    """Up to REBASE_CORES balls B(p, rho_p) about the proposals, greedily.
+
+    Each round takes the live proposal with the largest rho, then drops
+    every proposal within rho of it, by one vector distance; a proposal is
+    live while it is undropped and its rho is positive.
+    """
+    cores = []
+    live = np.flatnonzero(rho > 0.0)
+    while live.size and len(cores) < REBASE_CORES:
+        i = live[np.argmax(rho[live])]
+        cores.append(Ball(props[i], rho[i]))
+        live = live[distance(space, props[live], props[i]) > rho[i]]
+    return tuple(cores)
 
 
 def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.random.Generator,

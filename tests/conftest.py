@@ -81,3 +81,13 @@ def two_caps_region(space):
     c1 = geodesic_point(space, pole, axis, 0.17)
     c2 = geodesic_point(space, pole, -axis, 0.17)
     return Union((Ball(c1, 0.52), Ball(c2, 0.52)))
+
+
+def dumbbell_region(space):
+    """Union of two balls of radius 0.3 centred 0.5 either way along the first
+    axis from the pole: it fills under a third of its envelope, so a flow
+    rebases it to a union of member balls."""
+    pole = space.base_point
+    axis = _first_axis(space)
+    return Union((Ball(geodesic_point(space, pole, axis, 0.5), 0.3),
+                  Ball(geodesic_point(space, pole, -axis, 0.5), 0.3)))

@@ -479,6 +479,24 @@ class TestBallVolume:
                 worst = max(worst, float(abs(ball_volume(space, r) / exact - 1)))
         assert worst <= worst_quad + 2.2e-16
 
+    @pytest.mark.parametrize("n", [6, 8, 10, 16])
+    def test_spheres_above_five_stay_near_quadrature(self, n):
+        """S^n for n > 5, against a 17-piece 40-digit reference (one undivided
+        mpmath.quad is off by 7e-9 for sin^9): within 2e-15 relative from
+        r = 0.05 to 3.1, and on both sides of pi/2, where the positive series
+        hands over to the reduction formula.  The adaptive quadrature once
+        used reached 1.2e-15 on S16; the Taylor switch at 0.8 left 2.2e-14."""
+        k = n - 1
+        rs = list(np.linspace(0.05, 3.1, 62)) + [math.pi / 2, np.nextafter(math.pi / 2, 0.0)]
+        worst = 0.0
+        with mpmath.workdps(40):
+            area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            for r in rs:
+                cuts = [mpmath.mpf(float(r)) * i / 17 for i in range(18)]
+                exact = area * mpmath.quad(lambda t: mpmath.sin(t) ** k, cuts)
+                worst = max(worst, float(abs(ball_volume(Space.sphere(n), r) / exact - 1)))
+        assert worst <= 2e-15
+
 
 class TestBitExactRewrites:
     """Cheaper arithmetic that must keep the bits of the formulas it replaced."""

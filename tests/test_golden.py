@@ -77,6 +77,13 @@ No digest changed when the sample metrics moved from all-pairs Gram scans to
 kd-tree nearest neighbors and a pruned farthest pair: each search picked the
 scan's pair, and took its key with np.vecdot, which rounded as the scan's
 matrix product did on these flows.
+
+The S2 dumbbell flow, across two sparse rebases (a union of member balls),
+and the H2 dented-ball flow, across one dense rebase (the envelope less
+holes), were recorded before rebased regions carried certified core balls,
+and hold with them: a core marks a row only where the whole chain accepts
+it.  With the S2 dented-ball flow they cover both rebase branches and both
+curved spaces.
 """
 
 import hashlib
@@ -88,7 +95,7 @@ from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
-from conftest import dented_ball_region, two_caps_region
+from conftest import dented_ball_region, dumbbell_region, two_caps_region
 
 S2 = Space.sphere(2)
 H2 = Space.hyperbolic(2)
@@ -107,6 +114,24 @@ def test_s2_dented_ball_flow_across_a_rebase(tmp_path):
         metrics=MetricsConfig(cloud_density=800.0, volume_samples=6000, rebase_depth=4))
     assert [s.rebased for s in report.steps].count(True) == 1
     assert _csv_digest(report, tmp_path) == S2_DENTED_DIGEST
+
+
+def test_s2_dumbbell_flow_across_sparse_rebases(tmp_path):
+    report = run_flow(
+        S2, dumbbell_region(S2), RandomThroughPole(), max_steps=5,
+        stop_epsilon=0.0, seed=21,
+        metrics=MetricsConfig(cloud_density=400.0, volume_samples=3000, rebase_depth=2))
+    assert [s.rebased for s in report.steps].count(True) == 2
+    assert _csv_digest(report, tmp_path) == S2_DUMBBELL_DIGEST
+
+
+def test_h2_dented_ball_flow_across_a_rebase(tmp_path):
+    report = run_flow(
+        H2, dented_ball_region(H2), RandomThroughPole(), max_steps=6,
+        stop_epsilon=0.0, seed=22,
+        metrics=MetricsConfig(cloud_density=400.0, volume_samples=3000, rebase_depth=3))
+    assert [s.rebased for s in report.steps].count(True) == 1
+    assert _csv_digest(report, tmp_path) == H2_DENTED_DIGEST
 
 
 def test_h2_two_caps_flow(tmp_path):
@@ -147,3 +172,5 @@ def test_greedy_stdout(capsys, argv, digest):
 
 S2_DENTED_DIGEST = "7f4e59fdeb4025e0592b4417ce9eb3795cec97783c2f298b628e75f0943a14e5"
 H2_CAPS_DIGEST = "4b8ef765a6fd9fc565e9bb0848ddf1102f4f8fe5aedf9ce3846fb81ef6e607ce"
+S2_DUMBBELL_DIGEST = "63aa3e9c7cdf536690b865c190e54ad562c948f80f1b0ed0a83e0594a1c8627a"
+H2_DENTED_DIGEST = "b6bfd0457a6b6343081ee39bdb2d3c96dcb7f836e4e4b6023deb3c38eb9e5031"

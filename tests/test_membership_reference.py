@@ -1,9 +1,13 @@
 """The compiled membership evaluator against a plain per-point evaluator.
 
 The reference below follows the definitions one point at a time: geodesic
-distance for balls, ``side`` for half spaces and the H^+ tie rule, and
-``reflect`` for the mirror image under a symmetrization plane.
+distance for balls (one vector distance to the ball children of a union),
+``side`` for half spaces and the H^+ tie rule, and ``reflect`` for the
+mirror image under a symmetrization plane.  It reads a Certified node as its
+region and never looks at the cores.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,14 +19,20 @@ from isodiam.geometry import (
     EUCLIDEAN,
     SIDE_TOL,
     Ball,
+    Hyperplane,
     Space,
     distance,
+    geodesic_point,
     normalize_to_space,
     plane_eval,
+    random_unit_tangent,
     reflect,
     side,
+    tangent_toward,
 )
 from isodiam.regions import (
+    CORE_MARGIN,
+    Certified,
     Difference,
     HalfSpace,
     Intersection,
@@ -32,10 +42,12 @@ from isodiam.regions import (
     contains,
     diameter,
     uniform_in_ball,
+    volume_estimate,
 )
 from isodiam.rng import substream
+from isodiam.symmetrize import REBASE_CORES, MetricsConfig, _rebase_approximation
 
-from conftest import random_plane
+from conftest import dented_ball_region, dumbbell_region, random_plane
 
 SPACES = {f"{name}{n}": Space(curvature, n)
           for name, curvature in (("R", 0), ("S", 1), ("H", -1)) for n in (2, 3)}
@@ -47,11 +59,17 @@ def reference(space, region, x) -> bool:
     if isinstance(region, HalfSpace):
         return side(space, region.plane, x) >= 0
     if isinstance(region, Union):
-        return any(reference(space, c, x) for c in region.children)
+        balls = [c for c in region.children if isinstance(c, Ball)]
+        if balls and np.any(distance(space, x, np.stack([b.center for b in balls]))
+                            <= np.array([b.radius for b in balls])):
+            return True
+        return any(reference(space, c, x) for c in region.children if not isinstance(c, Ball))
     if isinstance(region, Intersection):
         return all(reference(space, c, x) for c in region.children)
     if isinstance(region, Difference):
         return reference(space, region.a, x) and not reference(space, region.b, x)
+    if isinstance(region, Certified):
+        return reference(space, region.region, x)
     if isinstance(region, Symmetrized):
         here = reference(space, region.inner, x)
 
@@ -159,8 +177,8 @@ def test_each_symmetrized_level_at_most_doubles_the_queries(space_name, monkeypa
     batches = []
     compile_group = regions._ball_group
 
-    def counting_group(space, balls):
-        group = compile_group(space, balls)
+    def counting_group(space, centers, radii):
+        group = compile_group(space, centers, radii)
 
         def counted(pts):
             batches.append(len(pts))
@@ -177,3 +195,102 @@ def test_each_symmetrized_level_at_most_doubles_the_queries(space_name, monkeypa
     pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=500)
     contains(space, region, pts)
     assert 0 < len(batches) <= 2**depth
+
+
+REBASE_SPACES = ["H2", "H3", "R2", "S2", "S3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _rebased(space_name, dense):
+    """A flow's rebase of the dented ball (dense: the envelope less a union of
+    holes) or of the dumbbell (sparse: a union of member balls)."""
+    space = SPACES[space_name]
+    region = dented_ball_region(space) if dense else dumbbell_region(space)
+    target = volume_estimate(space, region, 4000, substream(91)).value
+    base = _rebase_approximation(space, region, target, MetricsConfig(volume_samples=2000),
+                                 substream(92))
+    assert isinstance(base, Certified)
+    assert isinstance(base.region, Difference if dense else Union)
+    assert 0 < len(base.cores) <= REBASE_CORES
+    return base
+
+
+def _beside_cores(space, base, planes, rng):
+    """Rows 5e-4 beyond the rim of each core's image at the top of the chain
+    that lie outside the region: the rows a core grown by 1e-3 would claim.
+
+    The test carries each core through the planes (innermost first) itself,
+    and keeps up to two of 32 rim points per image that the evaluator of
+    the chain without cores rejects."""
+    plain = base.region
+    for plane in planes:
+        plain = Symmetrized(plane, plain)
+    out = []
+    for core in base.cores:
+        c = core.center
+        for plane in planes:
+            v = plane.orientation * plane_eval(space, plane, c)
+            if abs(v) <= CORE_MARGIN:
+                break
+            if v < 0:
+                c = reflect(space, plane, c)
+        else:
+            rim = geodesic_point(space, c, random_unit_tangent(space, c, rng, 32),
+                                 core.radius + 5e-4)
+            out.append(rim[~contains(space, plain, rim)][:2])
+    return np.concatenate(out) if out else np.empty((0, space.ambient_dim))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(space_name=st.sampled_from(REBASE_SPACES), dense=st.booleans(), depth=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_certified_rebase_chains_match_the_reference(space_name, dense, depth, seed):
+    """Rebased regions with their cores, under 1-9 random planes: every row,
+    uniform in the envelope, just beyond a core image's rim, or on a plane,
+    is decided as the reference decides it without the cores."""
+    space = SPACES[space_name]
+    base = _rebased(space_name, dense)
+    rng = substream(seed)
+    planes = [random_plane(space, rng) for _ in range(depth)]
+    region = base
+    for plane in planes:
+        region = Symmetrized(plane, region)
+    pts = [uniform_in_ball(space, bounding_ball(space, region), rng, size=40),
+           _beside_cores(space, base, planes, rng)]
+    for plane in planes:
+        on = _on_plane(space, plane, uniform_in_ball(space, Ball(space.base_point, 0.8), rng, 8))
+        pts.append(on)
+    pts = np.concatenate(pts)
+    expected = np.array([reference(space, region, x) for x in pts])
+    assert np.array_equal(contains(space, region, pts), expected)
+
+
+@pytest.mark.parametrize("v, kept", [(0.5 * CORE_MARGIN, None), (-0.5 * CORE_MARGIN, None),
+                                     (2 * CORE_MARGIN, "same"), (-2 * CORE_MARGIN, "mirror")],
+                         ids=["within-plus", "within-minus", "beyond-plus", "beyond-minus"])
+def test_a_core_centred_within_the_margin_of_a_plane_is_dropped(v, kept):
+    """A deliberately false core about the pole, outside its region: one
+    centred within CORE_MARGIN (in form value) of the plane is dropped, so
+    the rows around it are decided by the chain; one just beyond the margin
+    is kept or mirrored."""
+    space = SPACES["S2"]
+    pole = space.base_point
+    far = [geodesic_point(space, pole, np.array([0.0, s, 0.0]), 1.2) for s in (1.0, -1.0)]
+    bogus = Ball(pole, 0.2)
+    plane = Hyperplane(np.array([np.sqrt(1.0 - v * v), 0.0, v]))
+    region = Symmetrized(plane, Certified(Union(tuple(Ball(c, 0.3) for c in far)), (bogus,)))
+    _, cores = regions._compile(space, region)
+    if kept is None:
+        assert cores is None
+        pts = uniform_in_ball(space, bogus, substream(93), size=50)
+        _assert_matches_reference_all_out(space, region, pts)
+    else:
+        centers, radii = cores
+        assert radii.tolist() == [0.2]
+        want = pole if kept == "same" else reflect(space, plane, pole)
+        assert np.array_equal(centers[0], want)
+
+
+def _assert_matches_reference_all_out(space, region, pts):
+    assert not any(reference(space, region, x) for x in pts)
+    assert not contains(space, region, pts).any()

@@ -1,12 +1,15 @@
 """Stream keys: every random stream is named once, by its (seed, *path) coordinate."""
 
 import collections
+import re
 
+import numpy as np
 import pytest
 
 from isodiam.cli import main
 from isodiam.geometry import Ball, Space
 from isodiam.regionio import save_region
+from isodiam.rng import substream
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
 from conftest import dented_ball_region
@@ -45,3 +48,25 @@ def test_flow_step_reads_documented_keys(stream_keys):
                            (seed, 1, 3), (seed, 1, 4), (seed, 1, 1), (seed, 1, 0),
                            (seed, 2, 3), (seed, 2, 7), (seed, 2, 4), (seed, 2, 1), (seed, 2, 0)]
 
+
+
+@pytest.mark.parametrize("seed, path, bad", [
+    (2.5, (), "seed must be an integer, got 2.5"),
+    (True, (), "seed must be an integer, got True"),
+    (np.float64(0.5), (), "seed must be an integer, got"),
+    ("3", (), "seed must be an integer, got '3'"),
+    (float("nan"), (), "seed must be an integer, got nan"),
+    (3, (1, 1.7), "path element 1 must be an integer, got 1.7"),
+    (3, (False,), "path element 0 must be an integer, got False"),
+    (3, (np.bool_(True), 2), "path element 0 must be an integer, got"),
+], ids=["float-seed", "bool-seed", "numpy-float-seed", "str-seed", "nan-seed", "float-path",
+        "bool-path", "numpy-bool-path"])
+def test_substream_refuses_a_seed_it_would_truncate(seed, path, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        substream(seed, *path)
+
+
+def test_substream_takes_integers_of_any_kind():
+    want = substream(7, 2, 3).random(4)
+    for seed, path in [(np.int64(7), (np.int32(2), np.uint8(3))), (7.0, (2, np.float64(3.0)))]:
+        assert np.array_equal(substream(seed, *path).random(4), want)
