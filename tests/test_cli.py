@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import isodiam
+from isodiam import experiments
 from isodiam.cli import main
 from isodiam.geometry import Ball, Space, ball_volume
 from isodiam.regionio import save_region
@@ -366,9 +367,10 @@ class TestUsageErrors:
         ({"sigma_threshold": math.nan}, "sigma_threshold must be finite and non-negative"),
         ({"sigma_threshold": math.inf}, "sigma_threshold must be finite and non-negative"),
         ({"sigma_threshold": -1.0}, "sigma_threshold must be finite and non-negative"),
-        ({"volume_samples": 50}, "samples must be at least 100, got 50"),
+        ({"volume_samples": 50}, "volume_samples must be at least 100, got 50"),
+        ({"region_density": 0.0}, "region_density must be finite and positive, got 0.0"),
     ], ids=["unknown-key", "string-trials", "int-flag", "sigma-nan", "sigma-inf",
-            "sigma-negative", "volume-samples"])
+            "sigma-negative", "volume-samples", "region-density"])
     def test_malformed_verify_config(self, tmp_path, capsys, extra, expected):
         cfg = tmp_path / "campaign.json"
         cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
@@ -379,6 +381,17 @@ class TestUsageErrors:
         assert rc == 2
         assert expected in captured.err
         assert not out.exists()
+
+    def test_bad_verify_config_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(config, trial):
+            raise AssertionError(f"trial {trial} ran")
+
+        monkeypatch.setattr(experiments, "_run_trial", no_trial)
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
+                                   "seed": 11, "volume_samples": 50}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "volume_samples must be at least 100, got 50" in capsys.readouterr().err
 
     def test_verify_config_missing_key(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.json"

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from isodiam import experiments
 from isodiam.experiments import (
     CampaignConfig,
+    _worker_count,
     greedy_maximal,
     random_admissible_region,
     verify_isodiametric,
@@ -93,6 +98,88 @@ class TestVerifyIsodiametric:
             verify_isodiametric(config, out_csv=csv_path, out_json=json_path)
             blobs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_records_do_not_depend_on_the_worker_count(self):
+        # 20000 volume samples: each estimate spans two blocks
+        config = CampaignConfig(curvature=1, dim=2, D=1.5, trials=7, seed=154,
+                                volume_samples=20000, region_density=300.0)
+        runs = [verify_isodiametric(config, workers=w).records for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_worker_count_is_capped_by_cores_and_trials(self):
+        # a pure function: no thread is started for any count asked for
+        cores = len(os.sched_getaffinity(0))
+        assert _worker_count(10 ** 6) == cores
+        assert _worker_count(5, 10 ** 6) == min(cores, 5)
+        assert _worker_count(10 ** 6, 10 ** 6) == cores
+        assert _worker_count(3, 1) == 1
+        assert _worker_count(1) == 1
+        assert _worker_count(4, np.int64(1)) == 1
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 1.5, 2.0, "2"])
+    def test_invalid_worker_count_is_named(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            _worker_count(10, workers)
+
+    def test_invalid_worker_count_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=3, seed=155)
+        with pytest.raises(ValueError, match="workers"):
+            verify_isodiametric(config, workers=0)
+
+    def test_first_failing_trial_in_order_raises(self, monkeypatch):
+        run_trial = experiments._run_trial
+
+        def failing(config, trial):
+            if trial in (2, 4):
+                raise RuntimeError(f"trial {trial} failed")
+            return run_trial(config, trial)
+
+        monkeypatch.setattr(experiments, "_run_trial", failing)
+        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=6, seed=156,
+                                volume_samples=1000, region_density=200.0)
+        with pytest.raises(RuntimeError, match="trial 2 failed"):
+            verify_isodiametric(config, workers=2)
+
+    def test_worker_threads_filter_no_warnings(self, monkeypatch):
+        # warnings.catch_warnings is not thread-safe: only the main thread may enter it
+        entered = []
+        original = warnings.catch_warnings
+
+        def recording(*args, **kwargs):
+            entered.append(threading.current_thread() is threading.main_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(warnings, "catch_warnings", recording)
+        config = CampaignConfig(curvature=-1, dim=2, D=1.5, trials=4, seed=157,
+                                volume_samples=1000, region_density=200.0)
+        verify_isodiametric(config, workers=2)
+        assert all(entered)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 1.5, "trials must be an integer, got 1.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("trials", 0, "trials must be at least 1, got 0"),
+        ("volume_samples", 50, "volume_samples must be at least 100, got 50"),
+        ("volume_samples", 150.7, "volume_samples must be an integer, got 150.7"),
+        ("volume_samples", True, "volume_samples must be an integer, got True"),
+        ("region_density", 0.0, "region_density must be finite and positive, got 0.0"),
+        ("region_density", -3.0, "region_density must be finite and positive, got -3.0"),
+        ("region_density", math.nan, "region_density must be finite and positive, got nan"),
+        ("region_density", math.inf, "region_density must be finite and positive, got inf"),
+    ])
+    def test_config_rejects_bad_counts_by_name(self, field, value, message):
+        settings = {"curvature": 1, "dim": 2, "D": 1.2, "trials": 3, "seed": 9, field: value}
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**settings)
+
+    def test_config_takes_numpy_integers(self):
+        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=np.int64(3), seed=9,
+                                volume_samples=np.int64(500))
+        assert config.trials == 3
 
     def test_config_json_round_trip(self, tmp_path):
         config = CampaignConfig(curvature=-1, dim=3, D=1.1, trials=3, seed=9)

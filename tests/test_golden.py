@@ -84,6 +84,9 @@ holes), were recorded before rebased regions carried certified core balls,
 and hold with them: a core marks a row only where the whole chain accepts
 it.  With the S2 dented-ball flow they cover both rebase branches and both
 curved spaces.
+
+Each campaign digest is checked at one worker thread and at two.  All were
+recorded when the trials ran one after another, and hold on a thread pool.
 """
 
 import hashlib
@@ -149,10 +152,10 @@ def test_h2_two_caps_flow(tmp_path):
     (-1, 3, 1.2, 80, "b054fdf5a6f23d84e081f21a91e70cd2fc15a0000e63e5ab60d83dde81192820"),
 ], ids=["S2", "H2", "R2", "H3"])
 def test_short_campaign(tmp_path, curvature, dim, D, seed, digest):
-    report = verify_isodiametric(CampaignConfig(
-        curvature=curvature, dim=dim, D=D, trials=5, seed=seed, volume_samples=4000,
-        region_density=300.0))
-    assert _csv_digest(report, tmp_path) == digest
+    config = CampaignConfig(curvature=curvature, dim=dim, D=D, trials=5, seed=seed,
+                            volume_samples=4000, region_density=300.0)
+    for workers in (1, 2):
+        assert _csv_digest(verify_isodiametric(config, workers=workers), tmp_path) == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

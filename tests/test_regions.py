@@ -27,8 +27,12 @@ from isodiam.regions import (
     RegionDepthError,
     Symmetrized,
     UnboundedRegionError,
+    VolumeEstimate,
     Union,
+    _BLOCK,
+    _ball_draws,
     _pairwise_extremes,
+    _place,
     bounding_ball,
     contains,
     diameter,
@@ -40,13 +44,15 @@ from isodiam.regions import (
 )
 from isodiam.rng import substream
 
-from conftest import random_points
+from conftest import SPACES_TO_5, SPACES_TO_5_IDS, dented_ball_region, random_plane, random_points
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
 H2 = Space.hyperbolic(2)
 E = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
+SPACES_TO_4 = [s for s in SPACES_TO_5 if s.dim <= 4]
+SPACES_TO_4_IDS = [i for s, i in zip(SPACES_TO_5, SPACES_TO_5_IDS) if s.dim <= 4]
 
 
 def three_chunk_cloud(space, n, seed):
@@ -558,6 +564,37 @@ class TestVolumeEstimate:
     def test_min_samples_enforced(self):
         with pytest.raises(ValueError):
             volume_estimate(S2, Ball(E, 0.5), 50, substream(69))
+
+    @pytest.mark.parametrize("samples", [150.7, 200.0, True, "200", math.nan])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            volume_estimate(S2, Ball(E, 0.5), samples, substream(69))
+
+    def test_takes_numpy_integer_samples(self):
+        est = volume_estimate(S2, Ball(E, 0.5), np.int64(500), substream(69))
+        assert est == volume_estimate(S2, Ball(E, 0.5), 500, substream(69))
+        assert type(est.samples_used) is int
+
+    @pytest.mark.parametrize("size", [100, _BLOCK, 6 * _BLOCK + 1695])
+    @pytest.mark.parametrize("space", SPACES_TO_4, ids=SPACES_TO_4_IDS)
+    def test_blocks_match_one_whole_batch(self, space, size):
+        """The block loop has the bits of uniform_in_ball and one contains call."""
+        region = Symmetrized(random_plane(space, substream(73)), dented_ball_region(space))
+        env = bounding_ball(space, region)
+        whole = uniform_in_ball(space, env, substream(74), size=size)
+        dirs, u = _ball_draws(space, env, substream(74), size)
+        blocks = [_place(space, env, dirs[i:i + _BLOCK], u[i:i + _BLOCK])
+                  for i in range(0, size, _BLOCK)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        inside = contains(space, region, whole)
+        assert np.array_equal(np.concatenate([contains(space, region, b) for b in blocks]),
+                              inside)
+        p = np.count_nonzero(inside) / size
+        v_env = ball_volume(space, env.radius)
+        est = volume_estimate(space, region, size, substream(74))
+        assert est == VolumeEstimate(value=v_env * p,
+                                     std_error=v_env * math.sqrt(p * (1.0 - p) / size),
+                                     samples_used=size)
 
     def test_ball_matches_quadrature_over_seeds(self):
         # statistical calibration of the estimator over 100 seeds
