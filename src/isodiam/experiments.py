@@ -9,10 +9,14 @@ fraction.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -208,14 +212,74 @@ class CampaignReport:
             fh.write("\n")
 
 
-def _worker_count(trials: int, workers=None) -> int:
-    """Threads for a campaign: one per available core, at most ``workers``
-    if given, and never more than the trials."""
-    cores = len(os.sched_getaffinity(0))
-    if workers is not None:
-        _check_count("workers", workers, 1)
-        cores = min(cores, workers)
+def _worker_count(trials: int) -> int:
+    """Threads for a campaign: one per core the process may use, never more
+    than the trials."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cores = os.cpu_count() or 1
     return min(cores, trials)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(set, get) of the thread count of an OpenBLAS mapped into this process,
+    or None: there is no /proc/self/maps (it is Linux's), or numpy runs on
+    another BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's own wheels prefix and suffix the symbols; a system OpenBLAS does not
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+#: campaigns holding OpenBLAS at one thread, and its count before the first of them
+_blas_hold = {"campaigns": 0, "threads": 0}
+_blas_hold_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, then restore its count once no campaign
+    holds it.  Trial threads on every core leave its threads no core: on 2
+    cores with OpenBLAS at its default 2, two trial threads ran a campaign no
+    faster than one."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    with _blas_hold_lock:
+        if _blas_hold["campaigns"] == 0:
+            _blas_hold["threads"] = get_threads()
+            set_threads(1)
+        _blas_hold["campaigns"] += 1
+    try:
+        yield
+    finally:
+        with _blas_hold_lock:
+            _blas_hold["campaigns"] -= 1
+            if _blas_hold["campaigns"] == 0:
+                set_threads(_blas_hold["threads"])
 
 
 def _run_trial(config: CampaignConfig, trial: int):
@@ -236,8 +300,7 @@ def _run_trial(config: CampaignConfig, trial: int):
     return region, est, diam
 
 
-def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None, *,
-                        workers=None) -> CampaignReport:
+def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> CampaignReport:
     """Run the volume-vs-ball comparison over random admissible regions.
 
     Trial 0 is the exact ball of radius D/2 when configured, reproducing the
@@ -245,28 +308,30 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None, *,
     by more than sigma_threshold standard errors.  Violations are findings
     recorded in the report, not errors.
 
-    The trials run on a thread pool, one thread per available core, or at
-    most ``workers``.  Each trial draws from its own substreams only, and
-    its record is made in this thread, in trial order, as its result comes
-    back, so the report has the same bytes at any worker count.  The first
-    trial, in trial order, that raises stops the campaign with its error.
+    The trials run on a thread pool, one thread per available core, with
+    OpenBLAS held at one thread while more than one runs.  Each trial draws
+    from its own substreams only, and its record is made in this thread, in
+    trial order, as its result comes back, so the report has the same bytes
+    at any worker count.  The first trial, in trial order, that raises stops
+    the campaign with its error.
     """
-    threads = _worker_count(config.trials, workers)
+    threads = _worker_count(config.trials)
     v_ball = ball_volume(config.space, config.D / 2.0)
     records = []
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        pending = [pool.submit(_run_trial, config, trial) for trial in range(config.trials)]
-        for trial, future in enumerate(pending):
-            region, est, diam = future.result()
-            margin = est.value - v_ball
-            records.append(TrialRecord(
-                trial=trial, digest=region_digest(region), volume=est.value,
-                std_error=est.std_error, sampled_diameter=diam, margin=margin,
-                violation=margin > config.sigma_threshold * est.std_error,
-            ))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _one_blas_thread() if threads > 1 else contextlib.nullcontext():
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            pending = [pool.submit(_run_trial, config, trial) for trial in range(config.trials)]
+            for trial, future in enumerate(pending):
+                region, est, diam = future.result()
+                margin = est.value - v_ball
+                records.append(TrialRecord(
+                    trial=trial, digest=region_digest(region), volume=est.value,
+                    std_error=est.std_error, sampled_diameter=diam, margin=margin,
+                    violation=margin > config.sigma_threshold * est.std_error,
+                ))
+        finally:
+            pool.shutdown(cancel_futures=True)
     report = CampaignReport(config=config, ball_reference_volume=v_ball, records=records)
     if out_csv:
         report.write_csv(out_csv)

@@ -50,6 +50,7 @@ from .geometry import (
     Ball,
     Hyperplane,
     Space,
+    _radial_coeffs,
     _radial_law,
     ball_volume,
     decode_key,
@@ -539,14 +540,16 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
 
 
 def _ball_draws(space: Space, ball: Ball, rng: np.random.Generator, m: int):
-    """The (directions, u) of m draws in the ball: every direction, then every u."""
+    """The directions and radial parameters (``_radial_law``) of m draws in
+    the ball: every direction, then every u."""
     dirs = random_unit_tangent(space, ball.center, rng, m)
-    return dirs, rng.random(m)
+    return dirs, _radial_law(space, ball.radius, rng.random(m))
 
 
-def _place(space: Space, ball: Ball, dirs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The points of draws (dirs, u) in the ball, formed row by row."""
-    a, b = _radial_law(space, ball.radius, u)
+def _place(space: Space, ball: Ball, dirs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The points of draws (dirs, p), row by row, so a slice of the draws
+    gives the same slice of points, bit for bit."""
+    a, b = _radial_coeffs(space, ball.radius, p)
     pts = np.empty_like(dirs)
     # column by column: a trailing axis of length n + 1 broadcasts slowly
     for j, cj in enumerate(np.asarray(ball.center, dtype=float)):
@@ -779,23 +782,21 @@ def volume_estimate(space: Space, region, samples: int,
     """Hit-or-miss Monte Carlo volume over the bounding ball.
 
     value = V(envelope) * hits / samples, with the exact binomial standard
-    error of the estimator.  The draws are ``uniform_in_ball``'s, made at
-    once in its order; the points are formed and tested in blocks of
-    _BLOCK rows, so a call holds one block's membership temporaries at a
-    time.  The points are formed row by row, so the hits are those of one
-    whole batch, with one caveat on S^n and H^n, n >= 3: ``_radius_solve``
-    iterates a batch until its slowest row converges, so a block could stop
-    a row one step before the whole batch does.  None did in 96 radii and
-    dimensions, 9.6e6 rows: every block of _BLOCK rows held a slowest row.
+    error of the estimator.  The draws and their radial parameters are
+    ``uniform_in_ball``'s, made at once in its order; the points are formed
+    and tested in blocks of _BLOCK rows, so a call holds one block's
+    membership temporaries at a time, and the hits are those of one whole
+    batch.
     """
     _check_count("samples", samples, 100)
     samples = int(samples)
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
-    dirs, u = _ball_draws(space, env, rng, samples)
+    dirs, p = _ball_draws(space, env, rng, samples)
     hits = 0
     for i0 in range(0, samples, _BLOCK):
-        pts = _place(space, env, dirs[i0:i0 + _BLOCK], u[i0:i0 + _BLOCK])
+        rows = slice(i0, i0 + _BLOCK)
+        pts = _place(space, env, dirs[rows], p[rows])
         hits += int(np.count_nonzero(contains(space, region, pts)))
     p = hits / samples
     return VolumeEstimate(

@@ -40,7 +40,7 @@ from isodiam.regions import (
 from isodiam.rng import substream
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
-from conftest import dented_ball_region, two_caps_region
+from conftest import dented_ball_region, trial_threads, two_caps_region
 
 S2 = Space.sphere(2)
 S3 = Space.sphere(3)
@@ -419,7 +419,8 @@ def test_criterion_10_determinism(tmp_path):
         config = CampaignConfig(curvature=1, dim=2, D=1.4, trials=6, seed=580,
                                 volume_samples=20000, region_density=400.0)
         # one worker thread, then two: the bytes must not depend on the count
-        verify_isodiametric(config, out_csv=vc, out_json=vj, workers=k)
+        with trial_threads(k):
+            verify_isodiametric(config, out_csv=vc, out_json=vj)
         fc = tmp_path / f"flow{k}.csv"
         fj = tmp_path / f"flow{k}.json"
         rep = run_flow(S2, dented_ball_region(S2), RandomThroughPole(), max_steps=5,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import threading
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from isodiam import experiments
 from isodiam.experiments import (
     CampaignConfig,
+    _openblas_threads,
     _worker_count,
     greedy_maximal,
     random_admissible_region,
@@ -20,7 +22,7 @@ from isodiam.regionio import region_digest
 from isodiam.regions import PointCloud, _pairwise_extremes, contains, sample, uniform_in_ball
 from isodiam.rng import substream
 
-from conftest import dented_ball_region, two_caps_region
+from conftest import dented_ball_region, trial_threads, two_caps_region
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
@@ -103,32 +105,97 @@ class TestVerifyIsodiametric:
         # 20000 volume samples: each estimate spans two blocks
         config = CampaignConfig(curvature=1, dim=2, D=1.5, trials=7, seed=154,
                                 volume_samples=20000, region_density=300.0)
-        runs = [verify_isodiametric(config, workers=w).records for w in (1, 2, 3)]
+        runs = []
+        for k in (1, 2, 3):
+            with trial_threads(k):
+                runs.append(verify_isodiametric(config).records)
         assert runs[0] == runs[1] == runs[2]
 
-    def test_worker_count_is_capped_by_cores_and_trials(self):
+    def test_worker_count_is_capped_by_cores_and_trials(self, monkeypatch):
         # a pure function: no thread is started for any count asked for
-        cores = len(os.sched_getaffinity(0))
-        assert _worker_count(10 ** 6) == cores
-        assert _worker_count(5, 10 ** 6) == min(cores, 5)
-        assert _worker_count(10 ** 6, 10 ** 6) == cores
-        assert _worker_count(3, 1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+        assert _worker_count(10 ** 6) == 5
+        assert _worker_count(3) == 3
         assert _worker_count(1) == 1
-        assert _worker_count(4, np.int64(1)) == 1
 
-    @pytest.mark.parametrize("workers", [0, -2, True, 1.5, 2.0, "2"])
-    def test_invalid_worker_count_is_named(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            _worker_count(10, workers)
+    def test_worker_count_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count(10 ** 6) == 3
+        assert _worker_count(2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(10 ** 6) == 1
 
-    def test_invalid_worker_count_starts_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+    def test_openblas_holds_one_thread_while_trials_share_the_cores(self, monkeypatch):
+        counts, seen = [3], []
+        monkeypatch.setattr(experiments, "_openblas_threads",
+                            lambda: (counts.append, lambda: counts[-1]))
+        run_trial = experiments._run_trial
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
-        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=3, seed=155)
-        with pytest.raises(ValueError, match="workers"):
-            verify_isodiametric(config, workers=0)
+        def recording(config, trial):
+            seen.append(counts[-1])
+            if trial == 3:
+                raise RuntimeError("trial 3 failed")
+            return run_trial(config, trial)
+
+        monkeypatch.setattr(experiments, "_run_trial", recording)
+        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=3, seed=158,
+                                volume_samples=1000, region_density=200.0)
+        with trial_threads(2):
+            verify_isodiametric(config)
+        assert seen == [1, 1, 1] and counts == [3, 1, 3]
+        # one trial thread leaves the BLAS threads alone
+        seen.clear()
+        with trial_threads(1):
+            verify_isodiametric(config)
+        assert seen == [3, 3, 3] and counts == [3, 1, 3]
+        # a failing trial still restores the count
+        failing = CampaignConfig(curvature=1, dim=2, D=1.2, trials=5, seed=158,
+                                 volume_samples=1000, region_density=200.0)
+        with trial_threads(2), pytest.raises(RuntimeError, match="trial 3 failed"):
+            verify_isodiametric(failing)
+        assert counts == [3, 1, 3, 1, 3]
+
+    def test_overlapping_campaigns_restore_the_blas_count_after_the_last(self, monkeypatch):
+        counts = [3]
+        monkeypatch.setattr(experiments, "_openblas_threads",
+                            lambda: (counts.append, lambda: counts[-1]))
+        held = threading.Barrier(4, timeout=30.0)
+        during = []
+
+        def campaign():
+            with experiments._one_blas_thread():
+                held.wait()
+                during.append(counts[-1])
+                held.wait()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=campaign) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in callers)
+        assert during == [1, 1, 1, 1] and counts == [3, 1, 3]
+
+    def test_finds_the_openblas_numpy_runs_on(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas or not os.path.exists("/proc/self/maps"):
+            pytest.skip(f"numpy runs on {blas}, or the process has no memory map to search")
+        set_threads, get_threads = _openblas_threads()
+        before = get_threads()
+        assert before >= 1
+        try:
+            set_threads(1)
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+        assert get_threads() == before
 
     def test_first_failing_trial_in_order_raises(self, monkeypatch):
         run_trial = experiments._run_trial
@@ -141,8 +208,8 @@ class TestVerifyIsodiametric:
         monkeypatch.setattr(experiments, "_run_trial", failing)
         config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=6, seed=156,
                                 volume_samples=1000, region_density=200.0)
-        with pytest.raises(RuntimeError, match="trial 2 failed"):
-            verify_isodiametric(config, workers=2)
+        with trial_threads(2), pytest.raises(RuntimeError, match="trial 2 failed"):
+            verify_isodiametric(config)
 
     def test_worker_threads_filter_no_warnings(self, monkeypatch):
         # warnings.catch_warnings is not thread-safe: only the main thread may enter it
@@ -156,7 +223,8 @@ class TestVerifyIsodiametric:
         monkeypatch.setattr(warnings, "catch_warnings", recording)
         config = CampaignConfig(curvature=-1, dim=2, D=1.5, trials=4, seed=157,
                                 volume_samples=1000, region_density=200.0)
-        verify_isodiametric(config, workers=2)
+        with trial_threads(2):
+            verify_isodiametric(config)
         assert all(entered)
 
     @pytest.mark.parametrize("field, value, message", [

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from isodiam import geometry
 from isodiam.geometry import (
     UNIT_TOL,
     _SERIES_MAX,
@@ -15,6 +16,7 @@ from isodiam.geometry import (
     Space,
     _mass_series,
     _radial_mass,
+    _radius_solve,
     ball_volume,
     bisector,
     check_point,
@@ -527,6 +529,18 @@ class TestBitExactRewrites:
             ref = hs ** (k + 1) * np.polynomial.polynomial.polyval(
                 hs * hs, _mass_series(space.curvature, k))
             assert _radial_mass(space, h)[0][rows].tobytes() == ref.tobytes()
+
+
+    @pytest.mark.parametrize("space", [s for s in SPACES_TO_5 if s.curvature != 0],
+                             ids=[i for i in SPACES_TO_5_IDS if not i.startswith("E")])
+    def test_radius_solve_in_row_chunks_has_the_bits_of_one_batch(self, space, monkeypatch):
+        # every row steps until all rows have converged, whatever the chunk size
+        u = substream(66).random(5000)
+        for r in (0.3, 1.2, 3.0 if space.curvature == 1 else 8.0):
+            monkeypatch.setattr(geometry, "_SOLVE_ROWS", u.size)
+            whole = _radius_solve(space, r, u)
+            monkeypatch.setattr(geometry, "_SOLVE_ROWS", 7)
+            assert _radius_solve(space, r, u).tobytes() == whole.tobytes()
 
 
 class TestTangentBasis:

@@ -98,7 +98,7 @@ from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
-from conftest import dented_ball_region, dumbbell_region, two_caps_region
+from conftest import dented_ball_region, dumbbell_region, trial_threads, two_caps_region
 
 S2 = Space.sphere(2)
 H2 = Space.hyperbolic(2)
@@ -154,8 +154,9 @@ def test_h2_two_caps_flow(tmp_path):
 def test_short_campaign(tmp_path, curvature, dim, D, seed, digest):
     config = CampaignConfig(curvature=curvature, dim=dim, D=D, trials=5, seed=seed,
                             volume_samples=4000, region_density=300.0)
-    for workers in (1, 2):
-        assert _csv_digest(verify_isodiametric(config, workers=workers), tmp_path) == digest
+    for k in (1, 2):
+        with trial_threads(k):
+            assert _csv_digest(verify_isodiametric(config), tmp_path) == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

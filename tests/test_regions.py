@@ -582,8 +582,8 @@ class TestVolumeEstimate:
         region = Symmetrized(random_plane(space, substream(73)), dented_ball_region(space))
         env = bounding_ball(space, region)
         whole = uniform_in_ball(space, env, substream(74), size=size)
-        dirs, u = _ball_draws(space, env, substream(74), size)
-        blocks = [_place(space, env, dirs[i:i + _BLOCK], u[i:i + _BLOCK])
+        dirs, p = _ball_draws(space, env, substream(74), size)
+        blocks = [_place(space, env, dirs[i:i + _BLOCK], p[i:i + _BLOCK])
                   for i in range(0, size, _BLOCK)]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
         inside = contains(space, region, whole)
