@@ -44,6 +44,12 @@ class RegionGenerationError(RuntimeError):
 
 #: fresh draws random_admissible_region makes before it gives up
 _GENERATION_ATTEMPTS = 20
+#: live candidates the greedy probe decides among themselves at once
+_HEAD_BLOCK = 32
+#: live columns the greedy filter holds keys for at once, per accepted head:
+#: at 32 heads, 2^12 columns (1 MB of keys) took 1.3 s on the README's
+#: 100k-candidate greedy and 2^14 columns (4 MB) 2.3 s, on a 2-vCPU host
+_FILTER_COLUMNS = 2 ** 12
 
 
 def _check_diameter_bound(space: Space, D: float) -> None:
@@ -352,11 +358,16 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     The test runs on keys: a candidate stays live while its largest
     ``pair_key`` to the accepted set is at most g* = ``key_threshold(D)``, the
     largest float that the ``decode_key`` in force maps to at most D.  The
-    first live candidate is accepted, and one vector ``pair_key`` from it to
-    the rest of the live set drops every candidate whose key is above g*.  A
-    pair's key has the same bits in any batch shape and ``decode_key`` is
-    non-decreasing, so this accepts exactly the candidates whose every
-    ``distance`` is at most D.  The cost is O(accepted x live) key columns.
+    first ``_HEAD_BLOCK`` live candidates are decided among themselves from
+    their own key matrix, in order: a head is accepted exactly when no head
+    accepted before it has a key to it above g*.  One vector ``pair_key``
+    from the accepted heads to the rest of the live set, ``_FILTER_COLUMNS``
+    columns at a time, then drops every candidate with a key above g* to any
+    of them.  Heads precede every other live candidate, a pair's key has the
+    same bits in any batch shape and either argument order, and
+    ``decode_key`` is non-decreasing, so this accepts exactly the candidates
+    whose every ``distance`` to an earlier accepted one is at most D.  The
+    cost is O(accepted x live) key columns, in one Python pass per block.
 
     sigma is the binomial error of independent draws.  Acceptance depends on
     the path taken, so sigma is only a lower bound on the seed-to-seed spread
@@ -379,14 +390,29 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     live = np.ascontiguousarray(cand.T)
     accepted = []
     while live.shape[1]:
+        block = live[:, :_HEAD_BLOCK].T
+        # a NaN key conflicts, as a NaN distance is not at most D
+        conflict = ~(pair_key(space, block[:, None, :], block) <= g_max)
+        kept, blocked = [], np.zeros(len(block), dtype=bool)
+        for i in range(len(block)):
+            if not blocked[i]:
+                kept.append(i)
+                blocked |= conflict[i]
         # a copy, so that no accepted point holds a dropped live block in memory
-        x = live[:, 0].copy()
-        accepted.append(x)
-        rest = live[:, 1:]
-        live = rest.take(np.flatnonzero(pair_key(space, x, rest.T) <= g_max), axis=1)
-    frac = len(accepted) / candidate_count
+        heads = block[kept]
+        accepted.append(heads)
+        rest = live[:, len(block):]
+        keep = np.empty(rest.shape[1], dtype=bool)
+        for start in range(0, rest.shape[1], _FILTER_COLUMNS):
+            cols = rest[:, start:start + _FILTER_COLUMNS].T
+            # the maximum of keys holding a NaN is NaN, which is dropped
+            keep[start:start + len(cols)] = (
+                pair_key(space, heads[:, None, :], cols).max(axis=0) <= g_max)
+        live = rest.take(np.flatnonzero(keep), axis=1)
+    points = np.concatenate(accepted)
+    frac = len(points) / candidate_count
     vol = v_env * frac
     sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
     deficit = ball_volume(space, D / 2.0) - vol
-    cloud = PointCloud(points=np.array(accepted), weight=v_env / candidate_count)
+    cloud = PointCloud(points=points, weight=v_env / candidate_count)
     return cloud, deficit, sigma

@@ -25,8 +25,10 @@ from .geometry import (
     Space,
     ball_volume,
     bisector,
+    decode_key,
     distance,
     equal_volume_radius,
+    pair_key,
     random_unit_tangent,
     reflect,
     side,
@@ -268,9 +270,7 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     pool = outside_idx if dense else member_idx
     m = min(REBASE_CENTERS, pool.size)
     centers = props[rng.choice(pool, size=m, replace=False)]
-    dmin = np.full(n_cal, np.inf)
-    for c in centers:
-        dmin = np.minimum(dmin, distance(space, props, c))
+    dmin = _nearest_distance(space, props, centers)
     if dense:
         k = int(round((1.0 - target_volume / v_env) * n_cal))
     else:
@@ -283,6 +283,16 @@ def _rebase_approximation(space: Space, region, target_volume: float,
         slack = np.minimum(dmin - r, env.radius - d_env)
         return Certified(Difference(env, balls), _core_cover(space, props, slack - CORE_MARGIN))
     return Certified(balls, _core_cover(space, props, r - dmin - CORE_MARGIN))
+
+
+def _nearest_distance(space: Space, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest centre, decoded once from the
+    running minimum of ``pair_key``.  As ``decode_key`` is non-decreasing, it
+    has the bits of the minimum of the per-centre ``distance``."""
+    keys = pair_key(space, points, centers[0])
+    for c in centers[1:]:
+        np.minimum(keys, pair_key(space, points, c), out=keys)
+    return decode_key(space, keys)
 
 
 def _core_cover(space: Space, props: np.ndarray, rho: np.ndarray) -> tuple:

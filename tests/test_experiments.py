@@ -276,6 +276,15 @@ def _reference_greedy(space, D, candidate_count, seed, seed_with_ball=False):
     return PointCloud(points=accepted[:count], weight=v_env / candidate_count), deficit, sigma
 
 
+def _assert_matches_reference(space, D, count, seed, seed_with_ball=False):
+    cloud, deficit, sigma = greedy_maximal(space, D, count, seed, seed_with_ball=seed_with_ball)
+    ref_cloud, ref_deficit, ref_sigma = _reference_greedy(space, D, count, seed, seed_with_ball)
+    assert cloud.points.tobytes() == ref_cloud.points.tobytes()
+    assert cloud.weight == ref_cloud.weight
+    assert np.float64(deficit).tobytes() == np.float64(ref_deficit).tobytes()
+    assert np.float64(sigma).tobytes() == np.float64(ref_sigma).tobytes()
+
+
 _REFERENCE_CASES = [(space, D, seed, False)
                     for space in (S2, H2, E2, Space.sphere(3), Space.hyperbolic(3))
                     for D in (0.5, 1.2, 2.0) for seed in (5, 6)]
@@ -288,12 +297,25 @@ class TestGreedyMaximal:
         ids=[f"{'HRS'[s.curvature + 1]}{s.dim}-D{D}-seed{seed}" + ("-ball" if ball else "")
              for s, D, seed, ball in _REFERENCE_CASES])
     def test_matches_per_candidate_reference(self, space, D, seed, seed_with_ball):
-        cloud, deficit, sigma = greedy_maximal(space, D, 3000, seed, seed_with_ball=seed_with_ball)
-        ref_cloud, ref_deficit, ref_sigma = _reference_greedy(space, D, 3000, seed, seed_with_ball)
-        assert cloud.points.tobytes() == ref_cloud.points.tobytes()
-        assert cloud.weight == ref_cloud.weight
-        assert np.float64(deficit).tobytes() == np.float64(ref_deficit).tobytes()
-        assert np.float64(sigma).tobytes() == np.float64(ref_sigma).tobytes()
+        _assert_matches_reference(space, D, 3000, seed, seed_with_ball)
+
+    @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 65])
+    @pytest.mark.parametrize("space", [S2, H2, E2], ids=["S2", "H2", "R2"])
+    def test_partial_and_exact_head_blocks_match_the_reference(self, space, count):
+        # 31, 32 and 33 candidates end just short of, on and just past a block
+        _assert_matches_reference(space, 2.0, count, 7)
+
+    def test_narrow_filter_chunks_match_the_reference(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_FILTER_COLUMNS", 7)
+        _assert_matches_reference(S2, 1.2, 3000, 5)
+        _assert_matches_reference(H2, 1.2, 3000, 6, seed_with_ball=True)
+
+    @pytest.mark.parametrize("block", [1, 700])
+    def test_any_head_block_matches_the_reference(self, monkeypatch, block):
+        # one head per block is the per-acceptance loop; 700 heads hold all 600
+        monkeypatch.setattr(experiments, "_HEAD_BLOCK", block)
+        _assert_matches_reference(S2, 1.2, 600, 5)
+        _assert_matches_reference(Space.hyperbolic(3), 0.5, 600, 6)
 
     @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, 2.0])
     def test_rejects_non_integer_candidate_count(self, count):

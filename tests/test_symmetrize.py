@@ -38,6 +38,7 @@ from isodiam.symmetrize import (
     RandomThroughPole,
     FlowStep,
     SphericalDiameterWarning,
+    _nearest_distance,
     choose_hyperplane,
     equal_volume_radius,
     flow_step,
@@ -399,6 +400,19 @@ class TestFlow:
             for rec in report.steps[1:]:
                 assert abs(rec.volume.value - base.volume.value) <= \
                     3 * math.hypot(rec.volume.std_error, base.volume.std_error)
+
+
+@pytest.mark.parametrize("space", [S2, Space.hyperbolic(2), Space.euclidean(2),
+                                   Space.sphere(3), Space.hyperbolic(3)],
+                         ids=["S2", "H2", "R2", "S3", "H3"])
+def test_nearest_distance_has_the_bits_of_the_per_centre_distances(space):
+    # centres drawn from the points, as a rebase draws them, so some distances are 0
+    points = random_points(space, 3000, 133, spread=1.5)
+    centers = points[substream(134).choice(len(points), size=192, replace=False)]
+    dmin = np.full(len(points), np.inf)
+    for c in centers:
+        dmin = np.minimum(dmin, distance(space, points, c))
+    assert _nearest_distance(space, points, centers).tobytes() == dmin.tobytes()
 
 
 def test_campaign_computes_no_spacing(monkeypatch):
