@@ -28,7 +28,7 @@ from .geometry import (
     tangent_toward,
     validate_ball,
 )
-from .regions import _as_points, diameter, uniform_in_ball
+from .regions import _as_points, _check_count, diameter, uniform_in_ball
 from .rng import substream
 
 
@@ -97,8 +97,7 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     back to the space, plus the original samples themselves.  Spherical clouds
     must have sampled diameter at most pi/2.
     """
-    if hull_samples < 1:
-        raise ValueError(f"hull_samples must be at least 1, got {hull_samples}")
+    _check_count("hull_samples", hull_samples, 1)
     pts = _as_points(cloud)
     d0, _, _ = diameter(space, pts)
     if space.curvature == SPHERICAL:
@@ -128,8 +127,7 @@ def ball_convexity_probe(space: Space, ball: Ball, trials: int, seed: int):
     balls give zero violations; spherical balls of radius in [pi/2, pi) do not.
     """
     validate_ball(space, ball)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_count("trials", trials, 1)
     rng = substream(seed)
     xs = uniform_in_ball(space, ball, rng, size=int(trials))
     ys = uniform_in_ball(space, ball, rng, size=int(trials))

@@ -30,6 +30,7 @@ from .regions import (
     PointCloud,
     Union,
     _check_count,
+    _check_positive,
     _farthest_pair,
     _sample_points,
     uniform_in_ball,
@@ -54,8 +55,7 @@ _FILTER_COLUMNS = 2 ** 12
 
 def _check_diameter_bound(space: Space, D: float) -> None:
     """Raise ValueError unless D is finite, positive, and below pi on the sphere."""
-    if not (math.isfinite(D) and D > 0.0):
-        raise ValueError(f"diameter bound D must be finite and positive, got {D}")
+    _check_positive("diameter bound D", D)
     if space.curvature == SPHERICAL and D >= math.pi:
         raise ValueError(f"diameter bound D must be below pi on the sphere, got {D}")
 
@@ -72,6 +72,7 @@ def random_admissible_region(space: Space, D: float, complexity: int,
     ``rng`` in turn.
     """
     _check_diameter_bound(space, D)
+    _check_count("complexity", complexity, 1)
     pole = space.base_point
     half = D / 2.0
     for _ in range(_GENERATION_ATTEMPTS):
@@ -130,11 +131,8 @@ class CampaignConfig:
         _check_diameter_bound(self.space, self.D)
         _check_count("trials", self.trials, 1)
         _check_count("volume_samples", self.volume_samples, 100)
-        if not (math.isfinite(self.region_density) and self.region_density > 0.0):
-            raise ValueError(f"region_density must be finite and positive, "
-                             f"got {self.region_density}")
-        if self.complexity < 1:
-            raise ValueError(f"complexity must be at least 1, got {self.complexity}")
+        _check_positive("region_density", self.region_density)
+        _check_count("complexity", self.complexity, 1)
         if not (math.isfinite(self.sigma_threshold) and self.sigma_threshold >= 0.0):
             raise ValueError(f"sigma_threshold must be finite and non-negative, "
                              f"got {self.sigma_threshold}")
@@ -324,20 +322,17 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> 
     threads = _worker_count(config.trials)
     v_ball = ball_volume(config.space, config.D / 2.0)
     records = []
-    with _one_blas_thread() if threads > 1 else contextlib.nullcontext():
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            pending = [pool.submit(_run_trial, config, trial) for trial in range(config.trials)]
-            for trial, future in enumerate(pending):
-                region, est, diam = future.result()
-                margin = est.value - v_ball
-                records.append(TrialRecord(
-                    trial=trial, digest=region_digest(region), volume=est.value,
-                    std_error=est.std_error, sampled_diameter=diam, margin=margin,
-                    violation=margin > config.sigma_threshold * est.std_error,
-                ))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with _one_blas_thread() if threads > 1 else contextlib.nullcontext(), \
+            ThreadPoolExecutor(max_workers=threads) as pool:
+        # map yields in trial order and cancels the pending trials on the first error
+        results = pool.map(functools.partial(_run_trial, config), range(config.trials))
+        for trial, (region, est, diam) in enumerate(results):
+            margin = est.value - v_ball
+            records.append(TrialRecord(
+                trial=trial, digest=region_digest(region), volume=est.value,
+                std_error=est.std_error, sampled_diameter=diam, margin=margin,
+                violation=margin > config.sigma_threshold * est.std_error,
+            ))
     report = CampaignReport(config=config, ball_reference_volume=v_ball, records=records)
     if out_csv:
         report.write_csv(out_csv)

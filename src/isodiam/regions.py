@@ -2,8 +2,8 @@
 
 A region is an immutable CSG tree over geodesic balls and half spaces, plus
 symmetrization nodes realizing the two-point rearrangement.  Membership is
-evaluated exactly (no discretization) by an evaluator compiled once per query
-from the tree; each Symmetrized level at most doubles the inner queries.  All
+evaluated exactly (no discretization) by an evaluator compiled once per node
+and cached; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
 errors.
 
@@ -11,7 +11,7 @@ A Certified node is its region plus a few core balls certified to lie inside
 it, as a flow's rebase builds them.  Two-point symmetrization is monotone
 and maps a ball to itself or to its mirror image, so the evaluator carries
 the cores up every Symmetrized level above and decides the rows inside them
-there without the inner chain, with unchanged answers (``compile_region``).
+there without the inner chain, with unchanged answers (``_compile``).
 
 The metrics of a sample cloud are exact searches over ``geometry.pair_key``
 (-cos d, cosh d or d^2, increasing in d), the one kernel behind ``distance``
@@ -34,6 +34,7 @@ keeps every row, its O(n^2) worst case.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -75,6 +76,9 @@ DEFAULT_DEPTH_CAP = 24
 #: DEFAULT_DEPTH_CAP levels.  Those sum to under 1e-7; this leaves a factor
 #: of ten over them.
 CORE_MARGIN = 1e-6
+#: (space, node) entries kept by each of the evaluator, envelope and depth
+#: caches, which keep those nodes and the trees below them alive
+_NODE_CACHE = 256
 #: rows of the key matrix a scan holds at once
 _CHUNK = 256
 #: rows of draws a volume estimate forms and tests at once
@@ -145,7 +149,7 @@ class Certified:
 
     Documents, digests, envelopes and depths see ``region`` alone; the
     membership evaluator carries the cores up its Symmetrized chain (see
-    ``compile_region``).  A flow's rebased region is built with them.
+    ``_compile``).  A flow's rebased region is built with them.
     """
 
     region: object
@@ -159,6 +163,7 @@ class Certified:
 Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized | Certified
 
 
+@functools.lru_cache(maxsize=_NODE_CACHE)
 def symmetrized_depth(region) -> int:
     """Maximum nesting depth of Symmetrized nodes in the tree."""
     if isinstance(region, Symmetrized):
@@ -228,24 +233,15 @@ def _plane_form(space: Space, plane: Hyperplane):
     return lambda pts: pts @ q
 
 
+def _frozen(centers: np.ndarray, radii: np.ndarray):
+    """(centers, radii), made read-only: compiled nodes share them."""
+    centers.flags.writeable = radii.flags.writeable = False
+    return centers, radii
+
+
 def _pack(balls):
-    """An (M, d) array of ball centers and an array of their M radii."""
-    return np.stack([b.center for b in balls]), np.array([b.radius for b in balls])
-
-
-def _ball_leaves(region) -> int:
-    """Number of Ball leaves in the tree."""
-    if isinstance(region, Ball):
-        return 1
-    if isinstance(region, (Union, Intersection)):
-        return sum(_ball_leaves(c) for c in region.children)
-    if isinstance(region, Difference):
-        return _ball_leaves(region.a) + _ball_leaves(region.b)
-    if isinstance(region, Symmetrized):
-        return _ball_leaves(region.inner)
-    if isinstance(region, Certified):
-        return _ball_leaves(region.region)
-    return 0
+    """An (M, d) array of ball centers and an array of their M radii, read-only."""
+    return _frozen(np.stack([b.center for b in balls]), np.array([b.radius for b in balls]))
 
 
 def _map_cores(space: Space, plane: Hyperplane, values, cores):
@@ -264,18 +260,53 @@ def _map_cores(space: Space, plane: Hyperplane, values, cores):
     below = v < 0.0
     if below.any():
         centers[below] = reflect(space, plane, centers[below])
-    return centers, radii[keep]
+    return _frozen(centers, radii[keep])
 
 
+@functools.lru_cache(maxsize=_NODE_CACHE)
 def _compile(space: Space, region):
-    """(evaluator, cores) of the tree: its membership evaluator, and the core
-    balls certified inside the region and worth testing, packed as
-    (centers, radii), or None."""
+    """(evaluator, cores) of the tree: its exact membership evaluator, and the
+    core balls certified inside the region, packed as (centers, radii), or None.
+
+    Both are built once per (space, node) and cached, as are ``bounding_ball``
+    and ``symmetrized_depth``: nodes are immutable and hash by identity, so
+    every later query of a region reuses its evaluator, and a flow's new
+    Symmetrized level reuses the evaluator and mapped cores of the chain
+    below it.  Evaluators hold no state and packed arrays are read-only, so
+    threads share them.
+
+    The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
+    Union and Intersection nodes test their ball children as one packed
+    group, an (M, N) mask with one ball per row reduced over axis 0, then
+    visit the other children only on the rows still undecided.  A lone ball
+    takes row 0 of its one-ball group.
+    A Symmetrized node calls its inner evaluator at most twice per batch, so
+    a chain of depth d costs at most 2^d inner calls.
+
+    Core balls.  A Certified node's cores are carried up through every
+    Symmetrized level above it, each level mapping them by ``_map_cores``,
+    and a level marks the rows inside a core image as members without
+    querying its inner chain: one packed ball group, reduced by ``any`` over
+    axis 0.  A rebase carries at most 32 cores; a bare ball or a dented ball
+    carries none.  Any other node passes no cores up.
+
+    Why the masks do not change.  Let E be the evaluator of the level below,
+    with B(c, rho) inside the set it decides, and S the level's rule: x on
+    the closed H^+ (the SIDE_TOL tie band included) is in if x or its mirror
+    is in E, x on H^- if both are.  S is monotone in E, so S(E) contains S
+    applied to B(c, rho) alone.  With c strictly in H^+, that is B(c, rho)
+    again: a row of B on H^+ is in by itself, and the mirror of a row of B
+    on H^- is nearer c than the row.  With c strictly in H^-, it is the
+    mirror ball B(sigma c, rho): a row on H^+ has its mirror in B(c, rho),
+    and a row on H^- has both itself and its mirror there, as c and the row
+    share a side.  A centre within CORE_MARGIN of the plane is dropped,
+    so its side is never in doubt.  What is tested is a rounded ball test on
+    rounded mirrors, so each core radius undercuts its certified slack by
+    CORE_MARGIN, which covers those errors (see there).
+    """
     if isinstance(region, Certified):
         evaluate, _ = _compile(space, region.region)
-        # a core test pays only while it is cheaper than the leaves it skips
-        worth = 0 < len(region.cores) < _ball_leaves(region.region)
-        return evaluate, _pack(region.cores) if worth else None
+        return evaluate, _pack(region.cores) if region.cores else None
     if isinstance(region, Ball):
         group = _ball_group(space, *_pack([region]))
         return (lambda pts: group(pts)[0]), None
@@ -286,7 +317,7 @@ def _compile(space: Space, region):
     if isinstance(region, (Union, Intersection)):
         balls = [c for c in region.children if isinstance(c, Ball)]
         group = _ball_group(space, *_pack(balls)) if balls else None
-        rest = [compile_region(space, c) for c in region.children if not isinstance(c, Ball)]
+        rest = [_compile(space, c)[0] for c in region.children if not isinstance(c, Ball)]
         is_union = isinstance(region, Union)
 
         def boolean(pts):
@@ -304,8 +335,8 @@ def _compile(space: Space, region):
 
         return boolean, None
     if isinstance(region, Difference):
-        a = compile_region(space, region.a)
-        b = compile_region(space, region.b)
+        a, _ = _compile(space, region.a)
+        b, _ = _compile(space, region.b)
 
         def difference(pts):
             res = a(pts)
@@ -357,55 +388,18 @@ def _compile(space: Space, region):
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 
-def compile_region(space: Space, region):
-    """Walk the tree once and return its exact membership evaluator.
-
-    The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
-    Union and Intersection nodes test their ball children as one packed
-    group, an (M, N) mask with one ball per row reduced over axis 0, then
-    visit the other children only on the rows still undecided.  A lone ball
-    takes row 0 of its one-ball group.
-    A Symmetrized node calls its inner evaluator at most twice per batch, so
-    a chain of depth d costs at most 2^d inner calls.
-
-    Core balls.  A Certified node's cores are carried up through every
-    Symmetrized level above it at compile time, each level mapping them by
-    ``_map_cores``, and a level marks the rows inside a core image as members
-    without querying its inner chain: one packed ball group, reduced by
-    ``any`` over axis 0.  The cores are tested only when they are fewer balls
-    than the leaves below them, so a chain over a 193-ball rebase tests at
-    most 32 cores at every level, and a bare ball or a dented ball carries
-    none and runs as before.  Any other node passes no cores up.
-
-    Why the masks do not change.  Let E be the evaluator of the level below,
-    with B(c, rho) inside the set it decides, and S the level's rule: x on
-    the closed H^+ (the SIDE_TOL tie band included) is in if x or its mirror
-    is in E, x on H^- if both are.  S is monotone in E, so S(E) contains S
-    applied to B(c, rho) alone.  With c strictly in H^+, that is B(c, rho)
-    again: a row of B on H^+ is in by itself, and the mirror of a row of B
-    on H^- is nearer c than the row.  With c strictly in H^-, it is the
-    mirror ball B(sigma c, rho): a row on H^+ has its mirror in B(c, rho),
-    and a row on H^- has both itself and its mirror there, as c and the row
-    share a side.  A centre within CORE_MARGIN of the plane is dropped,
-    so its side is never in doubt.  What is tested is a rounded ball test on
-    rounded mirrors, so each core radius undercuts its certified slack by
-    CORE_MARGIN, which covers those errors (see there).
-    """
-    return _compile(space, region)[0]
-
-
 def contains(space: Space, region, x):
     """Exact membership of x in the region.
 
     Points exactly on a symmetrization plane use the H^+ rule (closed half
     space).  Accepts a single point (returns bool) or an (N, d) batch.  The
-    region is compiled by ``compile_region`` on every call, core balls
-    included; a Certified node answers as its region does.
+    evaluator is ``_compile``'s, built on the first query of the region and
+    cached, core balls included; a Certified node answers as its region does.
     """
     depth = symmetrized_depth(region)
     if depth > DEFAULT_DEPTH_CAP:
         raise RegionDepthError(f"symmetrized nesting {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
-    evaluate = compile_region(space, region)
+    evaluate, _ = _compile(space, region)
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return bool(evaluate(pts[None, :])[0])
@@ -438,6 +432,7 @@ def _enclose_balls(space: Space, balls) -> Ball:
     return out
 
 
+@functools.lru_cache(maxsize=_NODE_CACHE)
 def bounding_ball(space: Space, region) -> Ball:
     """A ball guaranteed to contain the region; not necessarily minimal.
 
@@ -575,8 +570,7 @@ def _sample_points(space: Space, region, density: float, rng: np.random.Generato
     """The points ``sample`` keeps, without its warning: a caller that expects
     empty draws need not filter warnings, which no thread but the main one may
     do (``warnings.catch_warnings`` is not thread-safe)."""
-    if not (math.isfinite(density) and density > 0.0):
-        raise ValueError(f"density must be finite and positive, got {density}")
+    _check_positive("density", density)
     env = bounding_ball(space, region)
     n_env = int(np.ceil(density * ball_volume(space, env.radius)))
     props = uniform_in_ball(space, env, rng, size=n_env)
@@ -775,6 +769,12 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError, naming the value, unless it is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def volume_estimate(space: Space, region, samples: int,

@@ -43,6 +43,8 @@ from .regions import (
     Symmetrized,
     Union,
     VolumeEstimate,
+    _check_count,
+    _check_positive,
     _pairwise_extremes,
     bounding_ball,
     contains,
@@ -132,8 +134,9 @@ class MetricsConfig:
     rebase_depth: int = 9
 
     def __post_init__(self):
-        if self.rebase_depth < 1:
-            raise ValueError(f"rebase_depth must be at least 1, got {self.rebase_depth}")
+        _check_positive("cloud_density", self.cloud_density)
+        _check_count("volume_samples", self.volume_samples, 100)
+        _check_count("rebase_depth", self.rebase_depth, 1)
         if self.rebase_depth > DEFAULT_DEPTH_CAP:
             raise ValueError(f"rebase_depth must be at most the symmetrized depth cap "
                              f"{DEFAULT_DEPTH_CAP}, got {self.rebase_depth}")
@@ -371,8 +374,7 @@ def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_eps
     not raised.  The stop criterion compares sample clouds, so it carries the
     sampling slack recorded per step in the ``spacing`` column.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    _check_count("max_steps", max_steps, 1)
     if not math.isfinite(stop_epsilon):
         raise ValueError(f"stop_epsilon must be finite, got {stop_epsilon}")
     metrics = metrics or MetricsConfig()

@@ -171,6 +171,21 @@ class TestHullDiameterCheck:
         with pytest.raises(ValueError):
             hull_diameter_check(S2, pts, 100, seed=98)
 
+    @pytest.mark.parametrize("hull_samples, message", [
+        (2.5, "hull_samples must be an integer, got 2.5"),
+        (True, "hull_samples must be an integer, got True"),
+        (0, "hull_samples must be at least 1, got 0"),
+    ])
+    def test_hull_samples_must_be_a_count(self, hull_samples, message):
+        pts = random_points(E2, 30, seed=99, spread=0.6)
+        with pytest.raises(ValueError, match=message):
+            hull_diameter_check(E2, pts, hull_samples, seed=200)
+
+    def test_hull_samples_take_numpy_integers(self):
+        pts = random_points(E2, 30, seed=99, spread=0.6)
+        assert hull_diameter_check(E2, pts, np.int64(500), seed=200) == \
+            hull_diameter_check(E2, pts, 500, seed=200)
+
     def test_hull_never_exceeds(self, space):
         for k in range(5):
             pts = random_points(space, 30, seed=99 + k, spread=0.6)
@@ -202,6 +217,19 @@ class TestBallConvexityProbe:
     def test_euclidean_balls_convex(self):
         count, _ = ball_convexity_probe(E2, Ball(np.zeros(2), 1.5), 4000, seed=104)
         assert count == 0
+
+    @pytest.mark.parametrize("trials, message", [
+        (2.5, "trials must be an integer, got 2.5"),
+        (True, "trials must be an integer, got True"),
+        (0, "trials must be at least 1, got 0"),
+    ])
+    def test_trials_must_be_a_count(self, trials, message):
+        with pytest.raises(ValueError, match=message):
+            ball_convexity_probe(S2, Ball(E, 1.0), trials, seed=105)
+
+    def test_trials_take_numpy_integers(self):
+        count, _ = ball_convexity_probe(S2, Ball(E, 3 * math.pi / 4), np.int64(2000), seed=105)
+        assert count == ball_convexity_probe(S2, Ball(E, 3 * math.pi / 4), 2000, seed=105)[0]
 
     def test_determinism(self):
         a = ball_convexity_probe(S2, Ball(E, 3 * math.pi / 4), 2000, seed=105)

@@ -59,6 +59,20 @@ class TestRandomAdmissibleRegion:
         with pytest.raises(ValueError, match="diameter bound D"):
             random_admissible_region(E2, float("nan"), 3, substream(1))
 
+    @pytest.mark.parametrize("complexity, message", [
+        (2.5, "complexity must be an integer, got 2.5"),
+        (True, "complexity must be an integer, got True"),
+        (0, "complexity must be at least 1, got 0"),
+    ])
+    def test_complexity_must_be_a_count(self, complexity, message):
+        with pytest.raises(ValueError, match=message):
+            random_admissible_region(S2, 1.2, complexity, substream(1))
+
+    def test_complexity_takes_numpy_integers(self):
+        region = random_admissible_region(S2, 1.2, np.int64(1), substream(140))
+        assert region_digest(region) == region_digest(
+            random_admissible_region(S2, 1.2, 1, substream(140)))
+
 
 class TestVerifyIsodiametric:
     def test_small_campaign_no_violations(self, tmp_path):
@@ -238,6 +252,9 @@ class TestVerifyIsodiametric:
         ("region_density", -3.0, "region_density must be finite and positive, got -3.0"),
         ("region_density", math.nan, "region_density must be finite and positive, got nan"),
         ("region_density", math.inf, "region_density must be finite and positive, got inf"),
+        ("complexity", 2.5, "complexity must be an integer, got 2.5"),
+        ("complexity", True, "complexity must be an integer, got True"),
+        ("complexity", 0, "complexity must be at least 1, got 0"),
     ])
     def test_config_rejects_bad_counts_by_name(self, field, value, message):
         settings = {"curvature": 1, "dim": 2, "D": 1.2, "trials": 3, "seed": 9, field: value}
@@ -246,8 +263,8 @@ class TestVerifyIsodiametric:
 
     def test_config_takes_numpy_integers(self):
         config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=np.int64(3), seed=9,
-                                volume_samples=np.int64(500))
-        assert config.trials == 3
+                                volume_samples=np.int64(500), complexity=np.int64(2))
+        assert config.trials == 3 and config.complexity == 2
 
     def test_config_json_round_trip(self, tmp_path):
         config = CampaignConfig(curvature=-1, dim=3, D=1.1, trials=3, seed=9)

@@ -8,6 +8,8 @@ region and never looks at the cores.
 """
 
 import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,3 +296,98 @@ def test_a_core_centred_within_the_margin_of_a_plane_is_dropped(v, kept):
 def _assert_matches_reference_all_out(space, region, pts):
     assert not any(reference(space, region, x) for x in pts)
     assert not contains(space, region, pts).any()
+
+
+def _certified_chain(space, rng, depth, cores):
+    """A union of three random balls with the first ``cores`` of their
+    concentric half balls as cores, under ``depth`` random planes."""
+    balls = [_random_ball(space, rng) for _ in range(3)]
+    region = Certified(Union(tuple(balls)),
+                       tuple(Ball(b.center, b.radius / 2.0) for b in balls[:cores]))
+    planes = [random_plane(space, rng) for _ in range(depth)]
+    for plane in planes:
+        region = Symmetrized(plane, region)
+    return region, planes
+
+
+def _count_builds(monkeypatch):
+    """The planes ``_map_cores`` maps cores through, and the ball groups
+    ``_ball_group`` packs, from here on."""
+    mapped, groups = [], []
+    map_cores, ball_group = regions._map_cores, regions._ball_group
+
+    def counting_map(space, plane, values, cores):
+        mapped.append(plane)
+        return map_cores(space, plane, values, cores)
+
+    def counting_group(space, centers, radii):
+        groups.append(len(radii))
+        return ball_group(space, centers, radii)
+
+    monkeypatch.setattr(regions, "_map_cores", counting_map)
+    monkeypatch.setattr(regions, "_ball_group", counting_group)
+    return mapped, groups
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+def test_repeated_queries_compile_a_chain_once(space_name, monkeypatch):
+    """Every query after the first reuses the chain's evaluator: no core is
+    mapped and no ball group packed again, and the shared cores are read-only."""
+    space = SPACES[space_name]
+    mapped, groups = _count_builds(monkeypatch)
+    rng = substream(75)
+    region, planes = _certified_chain(space, rng, 6, cores=2)
+    pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=200)
+    first = contains(space, region, pts)
+    assert mapped == planes
+    built = len(groups)
+    for _ in range(3):
+        assert np.array_equal(contains(space, region, pts), first)
+        assert contains(space, region, pts[0]) == first[0]
+    assert mapped == planes and len(groups) == built
+    centers, radii = regions._compile(space, region)[1]
+    assert not centers.flags.writeable and not radii.flags.writeable
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+def test_a_growing_chain_maps_its_cores_once_per_level(space_name, monkeypatch):
+    """As a flow grows its chain, one Symmetrized level per step, queried
+    several times a step, each level maps the cores once, on its first query."""
+    space = SPACES[space_name]
+    mapped, _ = _count_builds(monkeypatch)
+    rng = substream(76)
+    region, _ = _certified_chain(space, rng, 0, cores=2)
+    planes = []
+    for _ in range(8):
+        planes.append(random_plane(space, rng))
+        region = Symmetrized(planes[-1], region)
+        pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=100)
+        for _ in range(4):
+            contains(space, region, pts)
+        assert mapped == planes
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+def test_cold_warm_and_threaded_masks_agree(space_name):
+    """A chain whose base has as many cores as leaves answers as the
+    reference does with a cold cache, with a warm one, and from two threads
+    querying one fresh copy of it at once."""
+    space = SPACES[space_name]
+    region, _ = _certified_chain(space, substream(77), 5, cores=3)
+    fresh, _ = _certified_chain(space, substream(77), 5, cores=3)
+    pts = uniform_in_ball(space, bounding_ball(space, region), substream(78), size=120)
+    expected = np.array([reference(space, region, x) for x in pts])
+    for cached in (regions._compile, regions.bounding_ball, regions.symmetrized_depth):
+        cached.cache_clear()
+    assert np.array_equal(contains(space, region, pts), expected)
+    assert np.array_equal(contains(space, region, pts), expected)
+    barrier = threading.Barrier(2, timeout=60.0)
+
+    def query():
+        barrier.wait()
+        return contains(space, fresh, pts)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        masks = [f.result() for f in [pool.submit(query) for _ in range(2)]]
+    for mask in masks:
+        assert np.array_equal(mask, expected)

@@ -426,3 +426,38 @@ def test_campaign_computes_no_spacing(monkeypatch):
     assert all(r.sampled_diameter > 0.0 for r in report.records)
     assert built == []
     assert calls == []
+
+
+class TestCountsAndDensities:
+    @pytest.mark.parametrize("field, value, message", [
+        ("volume_samples", 2500.5, "volume_samples must be an integer, got 2500.5"),
+        ("volume_samples", True, "volume_samples must be an integer, got True"),
+        ("volume_samples", 50, "volume_samples must be at least 100, got 50"),
+        ("rebase_depth", 2.5, "rebase_depth must be an integer, got 2.5"),
+        ("rebase_depth", True, "rebase_depth must be an integer, got True"),
+        ("rebase_depth", 0, "rebase_depth must be at least 1, got 0"),
+        ("cloud_density", math.nan, "cloud_density must be finite and positive, got nan"),
+        ("cloud_density", 0.0, "cloud_density must be finite and positive, got 0.0"),
+        ("cloud_density", -5.0, "cloud_density must be finite and positive, got -5.0"),
+        ("cloud_density", math.inf, "cloud_density must be finite and positive, got inf"),
+    ])
+    def test_metrics_config_names_a_bad_value(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MetricsConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_steps, message", [
+        (2.5, "max_steps must be an integer, got 2.5"),
+        (True, "max_steps must be an integer, got True"),
+        (0, "max_steps must be at least 1, got 0"),
+    ])
+    def test_run_flow_names_a_bad_step_count(self, max_steps, message):
+        with pytest.raises(ValueError, match=message):
+            run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=max_steps,
+                     stop_epsilon=0.0, seed=3, metrics=FAST)
+
+    def test_numpy_integers_are_counts(self):
+        metrics = MetricsConfig(cloud_density=300.0, volume_samples=np.int64(1000),
+                                rebase_depth=np.int32(2))
+        report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=np.int64(1),
+                          stop_epsilon=0.0, seed=3, metrics=metrics)
+        assert len(report.steps) == 2
