@@ -97,7 +97,7 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     back to the space, plus the original samples themselves.  Spherical clouds
     must have sampled diameter at most pi/2.
     """
-    _check_count("hull_samples", hull_samples, 1)
+    hull_samples = _check_count("hull_samples", hull_samples, 1)
     pts = _as_points(cloud)
     d0, _, _ = diameter(space, pts)
     if space.curvature == SPHERICAL:
@@ -111,8 +111,8 @@ def hull_diameter_check(space: Space, cloud, hull_samples: int, seed: int):
     proj = project_gnomonic(space, pts)
     rng = substream(seed)
     k = min(space.dim + 1, proj.shape[0])
-    idx = rng.integers(0, proj.shape[0], size=(int(hull_samples), k))
-    wts = rng.standard_exponential((int(hull_samples), k))
+    idx = rng.integers(0, proj.shape[0], size=(hull_samples, k))
+    wts = rng.standard_exponential((hull_samples, k))
     wts /= wts.sum(axis=1, keepdims=True)
     combos = np.einsum("mk,mkd->md", wts, proj[idx])
     hull_pts = np.vstack([pts, normalize_to_space(space, combos)])
@@ -127,10 +127,10 @@ def ball_convexity_probe(space: Space, ball: Ball, trials: int, seed: int):
     balls give zero violations; spherical balls of radius in [pi/2, pi) do not.
     """
     validate_ball(space, ball)
-    _check_count("trials", trials, 1)
+    trials = _check_count("trials", trials, 1)
     rng = substream(seed)
-    xs = uniform_in_ball(space, ball, rng, size=int(trials))
-    ys = uniform_in_ball(space, ball, rng, size=int(trials))
+    xs = uniform_in_ball(space, ball, rng, size=trials)
+    ys = uniform_in_ball(space, ball, rng, size=trials)
     t = distance(space, xs, ys)
     usable = t > 1e-9
     if space.curvature == SPHERICAL:

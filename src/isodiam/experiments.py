@@ -128,11 +128,12 @@ class CampaignConfig:
     sigma_threshold: float = 3.0
 
     def __post_init__(self):
+        # stored as ints, numpy's included, so the reports that echo them are JSON
+        for name, least in (("curvature", -1), ("dim", 2), ("trials", 1), ("seed", 0),
+                            ("volume_samples", 100), ("complexity", 1)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         _check_diameter_bound(self.space, self.D)
-        _check_count("trials", self.trials, 1)
-        _check_count("volume_samples", self.volume_samples, 100)
         _check_positive("region_density", self.region_density)
-        _check_count("complexity", self.complexity, 1)
         if not (math.isfinite(self.sigma_threshold) and self.sigma_threshold >= 0.0):
             raise ValueError(f"sigma_threshold must be finite and non-negative, "
                              f"got {self.sigma_threshold}")
@@ -369,8 +370,7 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     (the z-scores of 60 seeds spread 1.47, not 1).
     """
     _check_diameter_bound(space, D)
-    _check_count("candidate_count", candidate_count, 1)
-    candidate_count = int(candidate_count)
+    candidate_count = _check_count("candidate_count", candidate_count, 1)
     pole = space.base_point
     env = Ball(pole, D)
     v_env = ball_volume(space, D)

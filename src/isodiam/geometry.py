@@ -453,9 +453,6 @@ _MAX_STEPS = 64
 #: of 1/k leaves an error far below one ulp; far out on H^n, where the mass
 #: grows like e^(k h), 1e-6 of h alone left an ulp (H3 at 20)
 _STEP_TOL = 1e-6
-#: rows a radius solve seeds and steps at once, which bounds its temporaries
-#: (a step on 1e5 rows held 14 MB); the rows are independent, so this moves no bit
-_SOLVE_ROWS = 2 ** 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -555,7 +552,9 @@ def _radius_solve(space: Space, r: float, u: np.ndarray) -> np.ndarray:
     bracket: a step that leaves it, or has no slope to follow, bisects it.
     The seed is r u^(1/n) corrected by the first curvature term.  On the
     sphere a radius past pi/2 is measured from the antipode, so draws near a
-    rim close to pi keep their digits.
+    rim close to pi keep their digits.  Each row stops at the step where it
+    converges, so its bits do not depend on the rows solved with it; the
+    steps run on every row of u and update the live ones.
     """
     n = space.dim
     k = n - 1
@@ -566,83 +565,61 @@ def _radius_solve(space: Space, r: float, u: np.ndarray) -> np.ndarray:
         total, fold = 2.0 * half - beyond, math.pi / 2
     else:
         total, beyond, fold = _radial_mass(space, np.array([r]))[0][0], 0.0, math.inf
+    share = u * total
+    # past the fold the residual is (1 - u) int_0^r f + int_r^pi f - int_t^pi f
+    rest = (1.0 - u) * total + beyond
     lo = np.zeros_like(u)
     hi = np.full_like(u, r)
-    t = np.empty_like(u)
-    chunks = [slice(i0, i0 + _SOLVE_ROWS) for i0 in range(0, u.size, _SOLVE_ROWS)]
-    for rows in chunks:
-        # the Euclidean quantile, corrected by the first curvature term of the mass
-        # t^n / n * (1 - K k n t^2 / (6 (n + 2))), by at most half (S^n near pi)
-        seed = r * u[rows] ** (1.0 / n)
-        t[rows] = np.minimum(seed * np.maximum(
-            1 + curvature * k * (seed * seed - r * r) / (6.0 * (n + 2)), 0.5), r)
+    # the Euclidean quantile, corrected by the first curvature term of the mass
+    # t^n / n * (1 - K k n t^2 / (6 (n + 2))), by at most half (S^n near pi)
+    seed = r * u ** (1.0 / n)
+    t = np.minimum(seed * np.maximum(1 + curvature * k * (seed * seed - r * r) / (6.0 * (n + 2)),
+                                     0.5), r)
+    live = np.ones(u.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
-        # every row steps until all have converged
-        done = True
-        for rows in chunks:
-            done &= _radius_step(space, total, beyond, fold, u[rows], t[rows], lo[rows], hi[rows])
-        if done:
+        far = t > fold
+        h = np.where(far, math.pi - t, t)
+        m, sn, cs = _radial_mass(space, h)
+        g = np.where(far, rest - m, m - share)
+        cs = np.where(far, -cs, cs)
+        lo = np.where(g <= 0.0, t, lo)
+        hi = np.where(g >= 0.0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = g / sn ** k
+            step = t - d / (1.0 - 0.5 * k * d * cs / sn)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        moving = np.abs(step - t) > _STEP_TOL * np.minimum(h, 1.0 / k)
+        t = np.where(live, step, t)
+        live &= moving
+        if not live.any():
             break
     return t
 
 
-def _radius_step(space: Space, total: float, beyond: float, fold: float, u: np.ndarray,
-                 t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """One step of ``_radius_solve`` on rows u, updating the views t, lo and
-    hi in place; whether every row has converged.  Each row's step depends
-    on that row alone."""
-    k = space.dim - 1
-    share = u * total
-    # past the fold the residual is (1 - u) int_0^r f + int_r^pi f - int_t^pi f
-    rest = (1.0 - u) * total + beyond
-    far = t > fold
-    h = np.where(far, math.pi - t, t)
-    m, sn, cs = _radial_mass(space, h)
-    g = np.where(far, rest - m, m - share)
-    cs = np.where(far, -cs, cs)
-    lo[:] = np.where(g <= 0.0, t, lo)
-    hi[:] = np.where(g >= 0.0, t, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = g / sn ** k
-        step = t - d / (1.0 - 0.5 * k * d * cs / sn)
-    step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-    done = bool(np.all(np.abs(step - t) <= _STEP_TOL * np.minimum(h, 1.0 / k)))
-    t[:] = step
-    return done
-
-
-def _radial_law(space: Space, r: float, u: np.ndarray) -> np.ndarray:
-    """The radial parameters of draws at radius quantiles u, which
-    ``_radial_coeffs`` turns into their coefficients row by row: u itself,
-    except on S^n and H^n, n >= 3, where it is the radius t, the exact
-    inverse CDF of the radial density at u, solved for the whole batch.
-    """
-    if space.curvature == EUCLIDEAN or space.dim == 2:
-        return u
-    return _radius_solve(space, r, u)
-
-
-def _radial_coeffs(space: Space, r: float, p: np.ndarray):
+def _radial_coeffs(space: Space, r: float, u: np.ndarray):
     """Coefficients (a, b) of the draws a * center + b * direction in a ball
-    of radius r, from their radial parameters p (``_radial_law``).
+    of radius r, at radius quantiles u, row by row.
 
     (cos t, sin t) on the sphere, (cosh t, sinh t) on the hyperboloid and
-    (1, t) in Euclidean space, where t is the draw's radius.
+    (1, t) in Euclidean space, where t is the draw's radius: the exact inverse
+    CDF of the radial density at u, which on S^n and H^n, n >= 3, is
+    ``_radius_solve``'s.
     """
     n = space.dim
     if space.curvature == EUCLIDEAN:
-        return 1.0, r * p ** (1.0 / n)
+        return 1.0, r * u ** (1.0 / n)
     if n == 2:
         # t = 2 asin(sqrt(u) sin(r/2)) or 2 asinh(sqrt(u) sinh(r/2)), through
         # 1 - cos t = 2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2)
         if space.curvature == SPHERICAL:
-            v = p * math.sin(r / 2.0) ** 2
+            v = u * math.sin(r / 2.0) ** 2
             return 1.0 - 2.0 * v, 2.0 * np.sqrt(v * (1.0 - v))
-        v = p * math.sinh(r / 2.0) ** 2
+        v = u * math.sinh(r / 2.0) ** 2
         return 1.0 + 2.0 * v, 2.0 * np.sqrt(v * (1.0 + v))
+    t = _radius_solve(space, r, u)
     if space.curvature == SPHERICAL:
-        return np.cos(p), np.sin(p)
-    return np.cosh(p), np.sinh(p)
+        return np.cos(t), np.sin(t)
+    return np.cosh(t), np.sinh(t)
 
 
 def ball_volume(space: Space, r: float) -> float:

@@ -52,7 +52,6 @@ from .geometry import (
     Hyperplane,
     Space,
     _radial_coeffs,
-    _radial_law,
     ball_volume,
     decode_key,
     distance,
@@ -81,7 +80,7 @@ CORE_MARGIN = 1e-6
 _NODE_CACHE = 256
 #: rows of the key matrix a scan holds at once
 _CHUNK = 256
-#: rows of draws a volume estimate forms and tests at once
+#: rows of ball draws solved and formed at once, and a volume estimate tests at once
 _BLOCK = 2 ** 14
 #: rows farthest from the centre whose own farthest points seed the diameter bound
 _SEED_ROWS = 8
@@ -530,26 +529,25 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
     by construction even far out on H^n, so the points are formed without
     geodesic_point's per-row unit check.
     """
-    pts = _place(space, ball, *_ball_draws(space, ball, rng, 1 if size is None else int(size)))
+    pts = np.concatenate(list(_ball_blocks(space, ball, rng, 1 if size is None else int(size))))
     return pts[0] if size is None else pts
 
 
-def _ball_draws(space: Space, ball: Ball, rng: np.random.Generator, m: int):
-    """The directions and radial parameters (``_radial_law``) of m draws in
-    the ball: every direction, then every u."""
+def _ball_blocks(space: Space, ball: Ball, rng: np.random.Generator, m: int):
+    """The points of m draws in the ball, in blocks of _BLOCK rows (one empty
+    block for m = 0): every direction is drawn, then every u, and each block
+    solves its own radii, which are those of one whole batch, bit for bit."""
     dirs = random_unit_tangent(space, ball.center, rng, m)
-    return dirs, _radial_law(space, ball.radius, rng.random(m))
-
-
-def _place(space: Space, ball: Ball, dirs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The points of draws (dirs, p), row by row, so a slice of the draws
-    gives the same slice of points, bit for bit."""
-    a, b = _radial_coeffs(space, ball.radius, p)
-    pts = np.empty_like(dirs)
-    # column by column: a trailing axis of length n + 1 broadcasts slowly
-    for j, cj in enumerate(np.asarray(ball.center, dtype=float)):
-        pts[:, j] = a * cj + b * dirs[:, j]
-    return pts
+    u = rng.random(m)
+    center = np.asarray(ball.center, dtype=float)
+    for i0 in range(0, max(m, 1), _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        a, b = _radial_coeffs(space, ball.radius, u[rows])
+        pts = np.empty_like(dirs[rows])
+        # column by column: a trailing axis of length n + 1 broadcasts slowly
+        for j, cj in enumerate(center):
+            pts[:, j] = a * cj + b * dirs[rows, j]
+        yield pts
 
 
 def sample(space: Space, region, density: float, rng: np.random.Generator) -> PointCloud:
@@ -762,13 +760,14 @@ def hausdorff(space: Space, a, b) -> float:
     return max(_directed(space, pa, _index(space, b)), _directed(space, pb, _index(space, a)))
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError, naming the value, unless it is an integer (not a bool)
-    of at least ``least``."""
+def _check_count(name: str, value, least: int) -> int:
+    """value as an int; raise ValueError, naming the value, unless it is an
+    integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def _check_positive(name: str, value) -> None:
@@ -782,22 +781,15 @@ def volume_estimate(space: Space, region, samples: int,
     """Hit-or-miss Monte Carlo volume over the bounding ball.
 
     value = V(envelope) * hits / samples, with the exact binomial standard
-    error of the estimator.  The draws and their radial parameters are
-    ``uniform_in_ball``'s, made at once in its order; the points are formed
-    and tested in blocks of _BLOCK rows, so a call holds one block's
-    membership temporaries at a time, and the hits are those of one whole
-    batch.
+    error of the estimator.  The points are ``uniform_in_ball``'s, tested
+    in its blocks (``_ball_blocks``), so a call holds one block's membership
+    temporaries at a time.
     """
-    _check_count("samples", samples, 100)
-    samples = int(samples)
+    samples = _check_count("samples", samples, 100)
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
-    dirs, p = _ball_draws(space, env, rng, samples)
-    hits = 0
-    for i0 in range(0, samples, _BLOCK):
-        rows = slice(i0, i0 + _BLOCK)
-        pts = _place(space, env, dirs[rows], p[rows])
-        hits += int(np.count_nonzero(contains(space, region, pts)))
+    hits = sum(int(np.count_nonzero(contains(space, region, pts)))
+               for pts in _ball_blocks(space, env, rng, samples))
     p = hits / samples
     return VolumeEstimate(
         value=v_env * p,

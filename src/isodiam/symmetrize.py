@@ -135,8 +135,9 @@ class MetricsConfig:
 
     def __post_init__(self):
         _check_positive("cloud_density", self.cloud_density)
-        _check_count("volume_samples", self.volume_samples, 100)
-        _check_count("rebase_depth", self.rebase_depth, 1)
+        # stored as ints, numpy's included, so the flow report that echoes them is JSON
+        for name, least in (("volume_samples", 100), ("rebase_depth", 1)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         if self.rebase_depth > DEFAULT_DEPTH_CAP:
             raise ValueError(f"rebase_depth must be at most the symmetrized depth cap "
                              f"{DEFAULT_DEPTH_CAP}, got {self.rebase_depth}")
@@ -374,7 +375,7 @@ def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_eps
     not raised.  The stop criterion compares sample clouds, so it carries the
     sampling slack recorded per step in the ``spacing`` column.
     """
-    _check_count("max_steps", max_steps, 1)
+    max_steps = _check_count("max_steps", max_steps, 1)
     if not math.isfinite(stop_epsilon):
         raise ValueError(f"stop_epsilon must be finite, got {stop_epsilon}")
     metrics = metrics or MetricsConfig()

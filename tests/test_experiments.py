@@ -266,6 +266,25 @@ class TestVerifyIsodiametric:
                                 volume_samples=np.int64(500), complexity=np.int64(2))
         assert config.trials == 3 and config.complexity == 2
 
+    @pytest.mark.parametrize("field, value", [("curvature", 1.0), ("dim", 2.0),
+                                              ("seed", 9.5), ("seed", True), ("seed", -1)])
+    def test_config_rejects_bad_space_and_seed_by_name(self, field, value):
+        settings = {"curvature": 1, "dim": 2, "D": 1.2, "trials": 3, "seed": 9, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            CampaignConfig(**settings)
+
+    def test_numpy_integer_config_writes_the_plain_int_reports(self, tmp_path):
+        plain = {"curvature": -1, "dim": 3, "trials": 2, "seed": 9, "volume_samples": 500,
+                 "complexity": 2}
+        reports = []
+        for kind, cast in (("int", int), ("numpy", np.int64)):
+            config = CampaignConfig(D=1.1, **{k: cast(v) for k, v in plain.items()})
+            assert all(type(getattr(config, k)) is int for k in plain)
+            verify_isodiametric(config, out_csv=tmp_path / f"{kind}.csv",
+                                out_json=tmp_path / f"{kind}.json")
+            reports.append([(tmp_path / f"{kind}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert reports[0] == reports[1]
+
     def test_config_json_round_trip(self, tmp_path):
         config = CampaignConfig(curvature=-1, dim=3, D=1.1, trials=3, seed=9)
         path = tmp_path / "cfg.json"

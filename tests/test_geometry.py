@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from isodiam import geometry
 from isodiam.geometry import (
     UNIT_TOL,
     _SERIES_MAX,
@@ -50,6 +49,9 @@ E = np.array([0.0, 0.0, 1.0])
 FRAME_SPACES = {"S2": S2, "S3": Space.sphere(3), "H2": H2, "H3": Space.hyperbolic(3)}
 #: eight ulps; the worst frame error seen over 40,000 points per space was six
 FRAME_TOL = 8 * np.finfo(float).eps
+#: the spaces whose radii ``_radius_solve`` solves, S^n and H^n for n = 3..6
+SOLVE_SPACES = [Space(c, n) for c in (1, -1) for n in range(3, 7)]
+SOLVE_SPACE_IDS = [("S" if s.curvature == 1 else "H") + str(s.dim) for s in SOLVE_SPACES]
 
 
 def point_from_pole(space, t, w):
@@ -531,16 +533,21 @@ class TestBitExactRewrites:
             assert _radial_mass(space, h)[0][rows].tobytes() == ref.tobytes()
 
 
-    @pytest.mark.parametrize("space", [s for s in SPACES_TO_5 if s.curvature != 0],
-                             ids=[i for i in SPACES_TO_5_IDS if not i.startswith("E")])
-    def test_radius_solve_in_row_chunks_has_the_bits_of_one_batch(self, space, monkeypatch):
-        # every row steps until all rows have converged, whatever the chunk size
-        u = substream(66).random(5000)
-        for r in (0.3, 1.2, 3.0 if space.curvature == 1 else 8.0):
-            monkeypatch.setattr(geometry, "_SOLVE_ROWS", u.size)
-            whole = _radius_solve(space, r, u)
-            monkeypatch.setattr(geometry, "_SOLVE_ROWS", 7)
-            assert _radius_solve(space, r, u).tobytes() == whole.tobytes()
+    @pytest.mark.parametrize("space", SOLVE_SPACES, ids=SOLVE_SPACE_IDS)
+    @pytest.mark.parametrize("r", [0.3, 1.2, "far"])
+    def test_radius_solve_rows_have_the_bits_of_one_batch(self, space, r):
+        # each row stops at its own convergence, so any split of the rows
+        # gives the bits of one batch: past the pi/2 fold on S, far out on H
+        r = (3.0 if space.curvature == 1 else 8.0) if r == "far" else r
+        u = substream(66).random(4200)
+        u[:4] = 0.0, 1e-300, 0.5, np.nextafter(1.0, 0.0)
+        whole = _radius_solve(space, r, u)
+        for size, rows in ((4097, u.size), (7, 1400)):
+            parts = [_radius_solve(space, r, u[i:min(i + size, rows)])
+                     for i in range(0, rows, size)]
+            assert np.concatenate(parts).tobytes() == whole[:rows].tobytes()
+        for i in range(0, u.size, 42):
+            assert _radius_solve(space, r, u[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
 
 
 class TestTangentBasis:

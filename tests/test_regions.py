@@ -9,11 +9,13 @@ from isodiam.geometry import (
     Ball,
     Hyperplane,
     Space,
+    _radial_coeffs,
     ball_volume,
     bisector,
     distance,
     form,
     geodesic_point,
+    random_unit_tangent,
     reflect,
     side,
 )
@@ -30,9 +32,8 @@ from isodiam.regions import (
     VolumeEstimate,
     Union,
     _BLOCK,
-    _ball_draws,
+    _ball_blocks,
     _pairwise_extremes,
-    _place,
     bounding_ball,
     contains,
     diameter,
@@ -578,14 +579,18 @@ class TestVolumeEstimate:
     @pytest.mark.parametrize("size", [100, _BLOCK, 6 * _BLOCK + 1695])
     @pytest.mark.parametrize("space", SPACES_TO_4, ids=SPACES_TO_4_IDS)
     def test_blocks_match_one_whole_batch(self, space, size):
-        """The block loop has the bits of uniform_in_ball and one contains call."""
+        """The blocks have the bits of draws solved and formed in one batch, and
+        the volume estimate those of one contains call on them."""
         region = Symmetrized(random_plane(space, substream(73)), dented_ball_region(space))
         env = bounding_ball(space, region)
-        whole = uniform_in_ball(space, env, substream(74), size=size)
-        dirs, p = _ball_draws(space, env, substream(74), size)
-        blocks = [_place(space, env, dirs[i:i + _BLOCK], p[i:i + _BLOCK])
-                  for i in range(0, size, _BLOCK)]
+        blocks = list(_ball_blocks(space, env, substream(74), size))
+        assert [len(b) for b in blocks] == [min(_BLOCK, size - i) for i in range(0, size, _BLOCK)]
+        rng = substream(74)
+        dirs = random_unit_tangent(space, env.center, rng, size)
+        a, b = _radial_coeffs(space, env.radius, rng.random(size))
+        whole = np.asarray(a)[..., None] * env.center + np.asarray(b)[..., None] * dirs
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert uniform_in_ball(space, env, substream(74), size=size).tobytes() == whole.tobytes()
         inside = contains(space, region, whole)
         assert np.array_equal(np.concatenate([contains(space, region, b) for b in blocks]),
                               inside)

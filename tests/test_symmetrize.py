@@ -461,3 +461,15 @@ class TestCountsAndDensities:
         report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=np.int64(1),
                           stop_epsilon=0.0, seed=3, metrics=metrics)
         assert len(report.steps) == 2
+
+    def test_numpy_integer_counts_write_the_plain_int_reports(self, tmp_path):
+        reports = []
+        for kind, cast in (("int", int), ("numpy", np.int64)):
+            metrics = MetricsConfig(cloud_density=300.0, volume_samples=cast(1000),
+                                    rebase_depth=cast(2))
+            report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=cast(1),
+                              stop_epsilon=0.0, seed=3, metrics=metrics)
+            report.write_csv(tmp_path / f"{kind}.csv")
+            report.write_json(tmp_path / f"{kind}.json")
+            reports.append([(tmp_path / f"{kind}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert reports[0] == reports[1]
