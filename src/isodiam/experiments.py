@@ -36,7 +36,7 @@ from .regions import (
     uniform_in_ball,
     volume_estimate,
 )
-from .rng import substream
+from .rng import _whole, substream
 
 
 class RegionGenerationError(RuntimeError):
@@ -128,12 +128,15 @@ class CampaignConfig:
     sigma_threshold: float = 3.0
 
     def __post_init__(self):
-        # stored as ints, numpy's included, so the reports that echo them are JSON
-        for name, least in (("curvature", -1), ("dim", 2), ("trials", 1), ("seed", 0),
-                            ("volume_samples", 100), ("complexity", 1)):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         _check_diameter_bound(self.space, self.D)
+        # stored as ints, numpy's included, so the reports that echo them are
+        # JSON; Space and substream keep their own range checks
+        for name in ("curvature", "dim", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        for name, least in (("trials", 1), ("volume_samples", 100)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         _check_positive("region_density", self.region_density)
+        object.__setattr__(self, "complexity", _check_count("complexity", self.complexity, 1))
         if not (math.isfinite(self.sigma_threshold) and self.sigma_threshold >= 0.0):
             raise ValueError(f"sigma_threshold must be finite and non-negative, "
                              f"got {self.sigma_threshold}")

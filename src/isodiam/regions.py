@@ -529,7 +529,8 @@ def uniform_in_ball(space: Space, ball: Ball, rng: np.random.Generator, size: in
     by construction even far out on H^n, so the points are formed without
     geodesic_point's per-row unit check.
     """
-    pts = np.concatenate(list(_ball_blocks(space, ball, rng, 1 if size is None else int(size))))
+    blocks = list(_ball_blocks(space, ball, rng, 1 if size is None else int(size)))
+    pts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return pts[0] if size is None else pts
 
 

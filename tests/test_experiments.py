@@ -266,12 +266,28 @@ class TestVerifyIsodiametric:
                                 volume_samples=np.int64(500), complexity=np.int64(2))
         assert config.trials == 3 and config.complexity == 2
 
-    @pytest.mark.parametrize("field, value", [("curvature", 1.0), ("dim", 2.0),
-                                              ("seed", 9.5), ("seed", True), ("seed", -1)])
-    def test_config_rejects_bad_space_and_seed_by_name(self, field, value):
+    def test_config_stores_whole_space_and_seed_as_ints(self):
+        config = CampaignConfig(curvature=1.0, dim=np.int64(2), D=1.2, trials=3, seed=9.0)
+        assert [type(v) for v in (config.curvature, config.dim, config.seed)] == [int] * 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("curvature", True, "curvature must be an integer, got True"),
+        ("dim", 2.5, "dim must be an integer, got 2.5"),
+        ("seed", 9.5, "seed must be an integer, got 9.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        # the ranges stay with Space and substream, and so do their messages
+        ("curvature", 2, "curvature must be -1, 0 or \\+1, got 2"),
+        ("dim", 1, "dim must be >= 2, got 1"),
+    ])
+    def test_config_rejects_bad_space_and_seed_by_name(self, field, value, message):
         settings = {"curvature": 1, "dim": 2, "D": 1.2, "trials": 3, "seed": 9, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             CampaignConfig(**settings)
+
+    def test_negative_seed_is_refused_by_substream(self):
+        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=1, seed=-1)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            verify_isodiametric(config)
 
     def test_numpy_integer_config_writes_the_plain_int_reports(self, tmp_path):
         plain = {"curvature": -1, "dim": 3, "trials": 2, "seed": 9, "volume_samples": 500,

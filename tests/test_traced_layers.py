@@ -57,7 +57,9 @@ INFO_CALLS = {
     ],
     "regions.pairwise_extremes": [
         (lambda: regions._pairwise_extremes(S2, A), 30 * 29 // 2),
+        (lambda: regions._pairwise_extremes(S2, pts=B), 12 * 11 // 2),
     ],
+    # the tracer reads hausdorff's a and b by position only
     "regions.hausdorff": [
         (lambda: regions.hausdorff(S2, A, B), 30 * 12),
     ],
