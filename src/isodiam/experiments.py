@@ -32,7 +32,7 @@ from .regions import (
     _check_count,
     _check_positive,
     _farthest_pair,
-    _sample_points,
+    sample,
     uniform_in_ball,
     volume_estimate,
 )
@@ -99,7 +99,7 @@ def random_admissible_region(space: Space, D: float, complexity: int,
                 region = Difference(region, b)
         trimmed = region
         for _ in range(8):
-            cloud = _sample_points(space, trimmed, density, rng)
+            cloud = sample(space, trimmed, density, rng).points
             if len(cloud) < 8:
                 break
             diam, bi, bj = _farthest_pair(space, cloud)
@@ -300,8 +300,8 @@ def _run_trial(config: CampaignConfig, trial: int):
         region = random_admissible_region(space, config.D, config.complexity,
                                           substream(config.seed, trial, 0),
                                           density=config.region_density)
-    cloud = _sample_points(space, region, config.region_density,
-                           substream(config.seed, trial, 1))
+    cloud = sample(space, region, config.region_density,
+                   substream(config.seed, trial, 1)).points
     diam = _farthest_pair(space, cloud)[0] if len(cloud) else 0.0
     est = volume_estimate(space, region, config.volume_samples,
                           substream(config.seed, trial, 2))

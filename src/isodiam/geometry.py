@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _whole
+
 SPHERICAL = 1
 EUCLIDEAN = 0
 HYPERBOLIC = -1
@@ -41,6 +43,9 @@ class Space:
     dim: int
 
     def __post_init__(self):
+        # stored as ints, numpy's included; a bool, a fraction or a string is refused
+        for name in ("curvature", "dim"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.curvature not in (-1, 0, 1):
             raise ValueError(f"curvature must be -1, 0 or +1, got {self.curvature}")
         if self.dim < 2:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .geometry import SPHERICAL, Ball, Hyperplane, Space, validate_ball, validate_hyperplane
-from .regions import Certified, Difference, HalfSpace, Intersection, Symmetrized, Union
+from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union
 
 
 class RegionFormatError(ValueError):
@@ -50,8 +50,6 @@ def region_to_dict(region) -> dict:
     if isinstance(region, Symmetrized):
         return {"kind": "symmetrized", **_plane_fields(region.plane),
                 "inner": region_to_dict(region.inner)}
-    if isinstance(region, Certified):
-        return region_to_dict(region.region)
     raise RegionFormatError(f"unknown region node {type(region).__name__}")
 
 

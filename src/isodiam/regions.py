@@ -7,11 +7,10 @@ and cached; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
 errors.
 
-A Certified node is its region plus a few core balls certified to lie inside
-it, as a flow's rebase builds them.  Two-point symmetrization is monotone
-and maps a ball to itself or to its mirror image, so the evaluator carries
-the cores up every Symmetrized level above and decides the rows inside them
-there without the inner chain, with unchanged answers (``_compile``).
+A flow's rebase certifies a few core balls inside its region, and the flow
+(``symmetrize``) carries them up its chain as plain ball children of a
+Union over each new level.  The Union evaluator tests its ball children as
+one packed group, so the rows inside a core are decided without the chain.
 
 The metrics of a sample cloud are exact searches over ``geometry.pair_key``
 (-cos d, cosh d or d^2, increasing in d), the one kernel behind ``distance``
@@ -37,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,15 +64,6 @@ from .geometry import (
 
 #: each chained Symmetrized node at most doubles the membership queries; cap the chain
 DEFAULT_DEPTH_CAP = 24
-#: each core radius undercuts its certified slack by this, and a core centre
-#: nearer a symmetrization plane than this (in form value) is dropped.  The
-#: slack is decoded from pair_key distances, which arccos and arccosh leave
-#: off by up to sqrt(2 eps) ~ 1.5e-8 near 0; a core test of radius near 0
-#: passes rows up to sqrt(2 delta) ~ 8e-8 beyond it, for delta ~ 3e-15, the
-#: ball test's rounding on rows that drifted ~1e-16 per mirror over
-#: DEFAULT_DEPTH_CAP levels.  Those sum to under 1e-7; this leaves a factor
-#: of ten over them.
-CORE_MARGIN = 1e-6
 #: (space, node) entries kept by each of the evaluator, envelope and depth
 #: caches, which keep those nodes and the trees below them alive
 _NODE_CACHE = 256
@@ -82,6 +71,13 @@ _NODE_CACHE = 256
 _CHUNK = 256
 #: rows of ball draws solved and formed at once, and a volume estimate tests at once
 _BLOCK = 2 ** 14
+#: proposals ``sample`` draws at once, at most.  A proposal holds a few rows
+#: of n + 1 floats (its point, direction and normal draw: 144 B on H^5) and
+#: a float and a bool per ball of a packed membership group, up to 192 on a
+#: flow's rebase union (1.7 KB), so 2^18 proposals take about 0.5 GB at
+#: most.  No test, benchmark workload or README example asks for more than
+#: 18,403.
+_MAX_PROPOSALS = 2 ** 18
 #: rows farthest from the centre whose own farthest points seed the diameter bound
 _SEED_ROWS = 8
 #: relative widening of kd-tree radii, far above the few ulps of a tree distance
@@ -97,10 +93,6 @@ class UnboundedRegionError(ValueError):
 
 class RegionDepthError(RuntimeError):
     """Symmetrized nesting exceeds the evaluation depth cap."""
-
-
-class EmptyRegionWarning(UserWarning):
-    """Rejection sampling produced no points; the region may be empty."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,24 +134,8 @@ class Symmetrized:
     inner: object
 
 
-@dataclass(frozen=True, eq=False)
-class Certified:
-    """``region`` itself, with ``cores``: balls each certified to lie inside it.
-
-    Documents, digests, envelopes and depths see ``region`` alone; the
-    membership evaluator carries the cores up its Symmetrized chain (see
-    ``_compile``).  A flow's rebased region is built with them.
-    """
-
-    region: object
-    cores: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cores", tuple(self.cores))
-
-
 #: any node of the region tree (geometry.Ball doubles as the leaf node)
-Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized | Certified
+Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE)
@@ -171,8 +147,6 @@ def symmetrized_depth(region) -> int:
         return max(symmetrized_depth(c) for c in region.children)
     if isinstance(region, Difference):
         return max(symmetrized_depth(region.a), symmetrized_depth(region.b))
-    if isinstance(region, Certified):
-        return symmetrized_depth(region.region)
     return 0
 
 
@@ -187,6 +161,12 @@ def _ball_group(space: Space, centers: np.ndarray, radii: np.ndarray):
     matrix product of the (form-signed) centers with pts.T on S^n and H^n; on
     R^n, per ball, the key summed over contiguous coordinate rows, each
     differenced before it is squared, as in pair_key.
+
+    BLAS products are not batch-independent: against the same rows computed
+    in another batch, about 1 in 10^4 entries of a group's product differ in
+    the last bit (10,677 of 1.8e8 for 224 balls on S2, S3, H2 and H3), and
+    about 1 in 8e7 of a plane's matvec (``_plane_form``).  A mask can only
+    move for a row within that bit of a rim.
     """
     if space.curvature == SPHERICAL:
         cos_r = np.cos(radii)[:, None]
@@ -232,47 +212,24 @@ def _plane_form(space: Space, plane: Hyperplane):
     return lambda pts: pts @ q
 
 
-def _frozen(centers: np.ndarray, radii: np.ndarray):
-    """(centers, radii), made read-only: compiled nodes share them."""
+def _pack(balls):
+    """An (M, d) array of ball centers and an array of their M radii, made
+    read-only: compiled nodes share them."""
+    centers, radii = np.stack([b.center for b in balls]), np.array([b.radius for b in balls])
     centers.flags.writeable = radii.flags.writeable = False
     return centers, radii
 
 
-def _pack(balls):
-    """An (M, d) array of ball centers and an array of their M radii, read-only."""
-    return _frozen(np.stack([b.center for b in balls]), np.array([b.radius for b in balls]))
-
-
-def _map_cores(space: Space, plane: Hyperplane, values, cores):
-    """The images of packed core balls under one symmetrization, or None.
-
-    A core whose centre has signed plane value above CORE_MARGIN is kept, one
-    below -CORE_MARGIN moves to its mirror image, and one nearer the plane
-    than that is dropped, as its side is not decided exactly there.
-    """
-    centers, radii = cores
-    v = plane.orientation * values(centers)
-    keep = np.abs(v) > CORE_MARGIN
-    if not keep.any():
-        return None
-    centers, v = centers[keep], v[keep]
-    below = v < 0.0
-    if below.any():
-        centers[below] = reflect(space, plane, centers[below])
-    return _frozen(centers, radii[keep])
-
-
 @functools.lru_cache(maxsize=_NODE_CACHE)
 def _compile(space: Space, region):
-    """(evaluator, cores) of the tree: its exact membership evaluator, and the
-    core balls certified inside the region, packed as (centers, radii), or None.
+    """The tree's exact membership evaluator.
 
-    Both are built once per (space, node) and cached, as are ``bounding_ball``
-    and ``symmetrized_depth``: nodes are immutable and hash by identity, so
+    Built once per (space, node) and cached, as are ``bounding_ball`` and
+    ``symmetrized_depth``: nodes are immutable and hash by identity, so
     every later query of a region reuses its evaluator, and a flow's new
-    Symmetrized level reuses the evaluator and mapped cores of the chain
-    below it.  Evaluators hold no state and packed arrays are read-only, so
-    threads share them.
+    Symmetrized level reuses the evaluator of the chain below it.
+    Evaluators hold no state and packed arrays are read-only, so threads
+    share them.
 
     The evaluator maps an (N, d) batch to a fresh boolean mask of length N.
     Union and Intersection nodes test their ball children as one packed
@@ -281,42 +238,18 @@ def _compile(space: Space, region):
     takes row 0 of its one-ball group.
     A Symmetrized node calls its inner evaluator at most twice per batch, so
     a chain of depth d costs at most 2^d inner calls.
-
-    Core balls.  A Certified node's cores are carried up through every
-    Symmetrized level above it, each level mapping them by ``_map_cores``,
-    and a level marks the rows inside a core image as members without
-    querying its inner chain: one packed ball group, reduced by ``any`` over
-    axis 0.  A rebase carries at most 32 cores; a bare ball or a dented ball
-    carries none.  Any other node passes no cores up.
-
-    Why the masks do not change.  Let E be the evaluator of the level below,
-    with B(c, rho) inside the set it decides, and S the level's rule: x on
-    the closed H^+ (the SIDE_TOL tie band included) is in if x or its mirror
-    is in E, x on H^- if both are.  S is monotone in E, so S(E) contains S
-    applied to B(c, rho) alone.  With c strictly in H^+, that is B(c, rho)
-    again: a row of B on H^+ is in by itself, and the mirror of a row of B
-    on H^- is nearer c than the row.  With c strictly in H^-, it is the
-    mirror ball B(sigma c, rho): a row on H^+ has its mirror in B(c, rho),
-    and a row on H^- has both itself and its mirror there, as c and the row
-    share a side.  A centre within CORE_MARGIN of the plane is dropped,
-    so its side is never in doubt.  What is tested is a rounded ball test on
-    rounded mirrors, so each core radius undercuts its certified slack by
-    CORE_MARGIN, which covers those errors (see there).
     """
-    if isinstance(region, Certified):
-        evaluate, _ = _compile(space, region.region)
-        return evaluate, _pack(region.cores) if region.cores else None
     if isinstance(region, Ball):
         group = _ball_group(space, *_pack([region]))
-        return (lambda pts: group(pts)[0]), None
+        return lambda pts: group(pts)[0]
     if isinstance(region, HalfSpace):
         values = _plane_form(space, region.plane)
         orientation = region.plane.orientation
-        return (lambda pts: orientation * values(pts) >= -SIDE_TOL), None
+        return lambda pts: orientation * values(pts) >= -SIDE_TOL
     if isinstance(region, (Union, Intersection)):
         balls = [c for c in region.children if isinstance(c, Ball)]
         group = _ball_group(space, *_pack(balls)) if balls else None
-        rest = [_compile(space, c)[0] for c in region.children if not isinstance(c, Ball)]
+        rest = [_compile(space, c) for c in region.children if not isinstance(c, Ball)]
         is_union = isinstance(region, Union)
 
         def boolean(pts):
@@ -332,10 +265,10 @@ def _compile(space: Space, region):
                 res[idx] = child(pts[idx])
             return res
 
-        return boolean, None
+        return boolean
     if isinstance(region, Difference):
-        a, _ = _compile(space, region.a)
-        b, _ = _compile(space, region.b)
+        a = _compile(space, region.a)
+        b = _compile(space, region.b)
 
         def difference(pts):
             res = a(pts)
@@ -344,14 +277,11 @@ def _compile(space: Space, region):
                 res[idx] = ~b(pts[idx])
             return res
 
-        return difference, None
+        return difference
     if isinstance(region, Symmetrized):
-        inner, cores = _compile(space, region.inner)
+        inner = _compile(space, region.inner)
         plane = region.plane
         values = _plane_form(space, plane)
-        if cores is not None:
-            cores = _map_cores(space, plane, values, cores)
-        in_core = None if cores is None else _ball_group(space, *cores)
         p = plane.normal
         if space.curvature == HYPERBOLIC:
             qq = p[-1] * p[-1] - p[:-1] @ p[:-1]
@@ -362,28 +292,19 @@ def _compile(space: Space, region):
 
         def symmetrized(pts):
             # x is in the symmetrization iff (x in A or sigma x in A) on H^+ and
-            # (x in A and sigma x in A) on H^-; a row in a core image is in
-            # already, the first query settles every other row whose answer
-            # agrees with its side, and only the rest get mirrored.  Mirrors
-            # skip renormalization; the drift per reflection is ~1e-16
-            # against membership tolerances of 1e-10.
+            # (x in A and sigma x in A) on H^-; the first query settles every
+            # row whose answer agrees with its side, and only the rest get
+            # mirrored.  Mirrors skip renormalization; the drift per
+            # reflection is ~1e-16 against membership tolerances of 1e-10.
             v = values(pts)
-            on_plus = orientation * v >= -SIDE_TOL
-            if in_core is None:
-                res = inner(pts)
-                need = np.flatnonzero(res != on_plus)
-            else:
-                res = in_core(pts).any(axis=0)
-                rest = np.flatnonzero(~res)
-                here = inner(pts[rest])
-                res[rest] = here
-                need = rest[here != on_plus[rest]]
+            res = inner(pts)
+            need = np.flatnonzero(res != (orientation * v >= -SIDE_TOL))
             if need.size:
                 mirrors = pts[need] - (scale * v[need])[:, None] * p
                 res[need] = inner(mirrors)
             return res
 
-        return symmetrized, cores
+        return symmetrized
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 
@@ -393,12 +314,12 @@ def contains(space: Space, region, x):
     Points exactly on a symmetrization plane use the H^+ rule (closed half
     space).  Accepts a single point (returns bool) or an (N, d) batch.  The
     evaluator is ``_compile``'s, built on the first query of the region and
-    cached, core balls included; a Certified node answers as its region does.
+    cached.
     """
     depth = symmetrized_depth(region)
     if depth > DEFAULT_DEPTH_CAP:
         raise RegionDepthError(f"symmetrized nesting {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
-    evaluate, _ = _compile(space, region)
+    evaluate = _compile(space, region)
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return bool(evaluate(pts[None, :])[0])
@@ -466,8 +387,6 @@ def bounding_ball(space: Space, region) -> Ball:
         inner = bounding_ball(space, region.inner)
         mirrored = Ball(reflect(space, region.plane, inner.center), inner.radius)
         return _merge_two_balls(space, inner, mirrored)
-    if isinstance(region, Certified):
-        return bounding_ball(space, region.region)
     raise ValueError(f"unknown region node {type(region).__name__}")
 
 
@@ -556,24 +475,19 @@ def sample(space: Space, region, density: float, rng: np.random.Generator) -> Po
 
     Draws ``ceil(density * volume(envelope))`` uniform proposals in the
     bounding ball and keeps the members, so the expected count is density
-    times the region volume.  Warns with EmptyRegionWarning if it keeps none.
+    times the region volume; it may keep none.  A count above
+    _MAX_PROPOSALS raises ValueError before anything is drawn.
     """
-    pts = _sample_points(space, region, density, rng)
-    if pts.shape[0] == 0:
-        warnings.warn("rejection sampling accepted no points; region may be empty",
-                      EmptyRegionWarning, stacklevel=2)
-    return PointCloud(points=pts, weight=1.0 / density)
-
-
-def _sample_points(space: Space, region, density: float, rng: np.random.Generator) -> np.ndarray:
-    """The points ``sample`` keeps, without its warning: a caller that expects
-    empty draws need not filter warnings, which no thread but the main one may
-    do (``warnings.catch_warnings`` is not thread-safe)."""
     _check_positive("density", density)
     env = bounding_ball(space, region)
-    n_env = int(np.ceil(density * ball_volume(space, env.radius)))
-    props = uniform_in_ball(space, env, rng, size=n_env)
-    return props[contains(space, region, props)]
+    v_env = ball_volume(space, env.radius)
+    wanted = density * v_env
+    if not wanted <= _MAX_PROPOSALS:
+        raise ValueError(f"sampling at density {density!r} over an envelope of volume "
+                         f"{v_env:.6g} needs {wanted:.6g} proposals, more than "
+                         f"{_MAX_PROPOSALS} at once")
+    props = uniform_in_ball(space, env, rng, size=int(np.ceil(wanted)))
+    return PointCloud(points=props[contains(space, region, props)], weight=1.0 / density)
 
 
 def _as_points(cloud) -> np.ndarray:

@@ -29,15 +29,14 @@ from .geometry import (
     distance,
     equal_volume_radius,
     pair_key,
+    plane_eval,
     random_unit_tangent,
     reflect,
     side,
     validate_hyperplane,
 )
 from .regions import (
-    CORE_MARGIN,
     DEFAULT_DEPTH_CAP,
-    Certified,
     Difference,
     PointCloud,
     Symmetrized,
@@ -122,6 +121,15 @@ IDENTITY_CHECK_POINTS = 1000
 REBASE_CENTERS = 192
 #: core balls certified inside a rebased region, at most
 REBASE_CORES = 32
+#: each core radius undercuts its certified slack by this, and a core centre
+#: nearer a symmetrization plane than this (in form value) is dropped.  The
+#: slack is decoded from pair_key distances, which arccos and arccosh leave
+#: off by up to sqrt(2 eps) ~ 1.5e-8 near 0; a core test of radius near 0
+#: passes rows up to sqrt(2 delta) ~ 8e-8 beyond it, for delta ~ 3e-15, the
+#: ball test's rounding on rows that drifted ~1e-16 per mirror over
+#: DEFAULT_DEPTH_CAP levels.  Those sum to under 1e-7; this leaves a factor
+#: of ten over them.
+CORE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -148,8 +156,10 @@ class FlowStep:
     """Metrics of one step's sample cloud.
 
     ``pair`` is the cloud's diameter-attaining sample pair (None under two
-    points).  It feeds the next farthest-pair hyperplane and stays out of
-    equality and of both report formats.
+    points).  It feeds the next farthest-pair hyperplane.  ``cores`` are the
+    core balls certified inside the step's region, which the next step maps
+    through its plane (see ``flow_step``).  Both stay out of equality and of
+    both report formats.
     """
 
     step: int
@@ -160,6 +170,7 @@ class FlowStep:
     plane: Hyperplane | None
     rebased: bool
     pair: tuple | None = field(default=None, compare=False, repr=False)
+    cores: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -251,13 +262,13 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     the empirical quantile over the calibration proposals that reproduces the
     target volume.
 
-    The result is Certified with up to REBASE_CORES core balls, built from
-    the calibration proposals and their distances, with no further draw.  A
-    proposal p at distance dmin from the nearest centre, and d_env from the
-    envelope's, has certified radius rho = min(dmin - r, env.r - d_env) in
-    the dense case (clear of every hole, inside the envelope) and
-    rho = r - dmin in the sparse one (inside the nearest ball), less
-    CORE_MARGIN.  ``_core_cover`` picks the cores.
+    Returns (region, cores), with up to REBASE_CORES core balls certified
+    inside the region, built from the calibration proposals and their
+    distances, with no further draw.  A proposal p at distance dmin from the
+    nearest centre, and d_env from the envelope's, has certified radius
+    rho = min(dmin - r, env.r - d_env) in the dense case (clear of every
+    hole, inside the envelope) and rho = r - dmin in the sparse one (inside
+    the nearest ball), less CORE_MARGIN.  ``_core_cover`` picks the cores.
     """
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
@@ -266,7 +277,7 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     member = contains(space, region, props)
     outside_idx = np.flatnonzero(~member)
     if outside_idx.size < 8:
-        return env
+        return env, ()
     member_idx = np.flatnonzero(member)
     if member_idx.size < 8:
         raise ValueError("cannot rebase a region with no sampled volume")
@@ -285,8 +296,8 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     if dense:
         d_env = distance(space, props, env.center)
         slack = np.minimum(dmin - r, env.radius - d_env)
-        return Certified(Difference(env, balls), _core_cover(space, props, slack - CORE_MARGIN))
-    return Certified(balls, _core_cover(space, props, r - dmin - CORE_MARGIN))
+        return Difference(env, balls), _core_cover(space, props, slack - CORE_MARGIN)
+    return balls, _core_cover(space, props, r - dmin - CORE_MARGIN)
 
 
 def _nearest_distance(space: Space, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -315,9 +326,39 @@ def _core_cover(space: Space, props: np.ndarray, rho: np.ndarray) -> tuple:
     return tuple(cores)
 
 
+def _map_cores(space: Space, plane: Hyperplane, cores: tuple) -> tuple:
+    """The images of core balls under the symmetrization across the plane.
+
+    A core whose centre has signed plane value above CORE_MARGIN is kept, one
+    below -CORE_MARGIN moves to its mirror image, and one nearer the plane
+    than that is dropped, as its side is not decided exactly there.
+
+    Why an image lies inside the symmetrized region.  Let A hold B(c, rho),
+    and S be the rule: x on the closed H^+ (the SIDE_TOL tie band included)
+    is in S(A) if x or its mirror is in A, x on H^- if both are.  S is
+    monotone, so S(A) contains S(B(c, rho)).  With c strictly in H^+, that
+    is B(c, rho) again: a row of B on H^+ is in by itself, and the mirror of
+    a row of B on H^- is nearer c than the row.  With c strictly in H^-, it
+    is the mirror ball B(sigma c, rho): a row on H^+ has its mirror in
+    B(c, rho), and a row on H^- has both itself and its mirror there, as c
+    and the row share a side.  The evaluator tests a rounded ball on rounded
+    mirrors, so each core radius undercuts its certified slack by
+    CORE_MARGIN, which covers those errors (see there).
+    """
+    if not cores:
+        return ()
+    centers = np.stack([b.center for b in cores])
+    v = plane.orientation * plane_eval(space, plane, centers)
+    keep = np.flatnonzero(np.abs(v) > CORE_MARGIN)
+    below = keep[v[keep] < 0.0]
+    if below.size:
+        centers[below] = reflect(space, plane, centers[below])
+    return tuple(Ball(centers[i], cores[i].radius) for i in keep)
+
+
 def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.random.Generator,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
-             rebased: bool):
+             rebased: bool, cores: tuple = ()):
     """Sample the step's cloud, run each metric on it once, and build its record.
 
     The spacing and the Hausdorff distance share the cloud's kd-tree.  A
@@ -334,7 +375,7 @@ def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.ra
     # copies, so that the report's records do not keep every cloud alive
     pair = (cloud.points[bi].copy(), cloud.points[bj].copy())
     return FlowStep(step=step, volume=volume, diameter=diam, hausdorff_to_reference=h,
-                    spacing=spacing, plane=plane, rebased=rebased, pair=pair)
+                    spacing=spacing, plane=plane, rebased=rebased, pair=pair, cores=cores)
 
 
 def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, seed: int,
@@ -346,6 +387,13 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     twice the spacing of at least pi warns with SphericalDiameterWarning.
     Re-bases the region to a calibrated ball union when the symmetrized chain
     would exceed the configured depth.
+
+    The core balls certified inside the region, ``prev.cores`` or a rebase's
+    own, are mapped through the plane (``_map_cores``), and the new region is
+    the union of the symmetrized candidate and their images, candidate
+    first, so that its envelope is the candidate's.  The union tests the
+    cores as one packed ball group, and queries the chain only on the rows
+    outside them; the set, and every mask, is the candidate's.
     """
     if space.curvature == SPHERICAL and prev.diameter + 2.0 * prev.spacing >= math.pi:
         warnings.warn("sampled diameter is not below pi; symmetrization properties "
@@ -354,15 +402,18 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     # the candidate is one level deeper, or is the unchanged ball, which a
     # rebase_depth of at least 1 never rebases
     rebased = symmetrized_depth(region) + 1 > metrics.rebase_depth
-    base = region
+    base, cores = region, prev.cores
     if rebased:
-        base = _rebase_approximation(space, region, prev.volume.value, metrics,
-                                     substream(seed, step, 7))
+        base, cores = _rebase_approximation(space, region, prev.volume.value, metrics,
+                                            substream(seed, step, 7))
     candidate = two_point_symmetrize(space, plane, base)
+    cores = _map_cores(space, plane, cores)
+    if cores:
+        candidate = Union((candidate,) + cores)
     _check_counting_identity(space, plane, base, candidate, substream(seed, step, 4))
     vol = volume_estimate(space, candidate, metrics.volume_samples, substream(seed, step, 1))
     return candidate, _measure(space, candidate, metrics, step, substream(seed, step, 0),
-                               reference_cloud, vol, plane, rebased)
+                               reference_cloud, vol, plane, rebased, cores)
 
 
 def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_epsilon: float,

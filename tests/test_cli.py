@@ -14,7 +14,7 @@ from isodiam import experiments
 from isodiam.cli import main
 from isodiam.geometry import Ball, Space, ball_volume
 from isodiam.regionio import save_region
-from isodiam.regions import Difference, Union
+from isodiam.regions import Difference, Intersection, Union
 
 from conftest import dented_ball_region
 
@@ -246,9 +246,48 @@ class TestBallProbe:
         assert "witness" in out
 
 
+def _run_isodiam(argv, timeout, **kwargs):
+    """``python -m isodiam.cli argv`` in a fresh interpreter, which shows its
+    warnings on stderr as a user sees them (pytest records them in-process)."""
+    src = str(Path(isodiam.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "isodiam.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
+def _one_core():
+    """Pin the calling process to one core, where the platform allows it."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command, extra", [
+        ("diameter", []), ("hemisphere", []), ("hull-check", ["--hull-samples", "10"]),
+    ])
+    def test_empty_region_says_so_once(self, tmp_path, command, extra):
+        far = [Ball(np.array([s * math.sin(1.2), 0.0, math.cos(1.2)]), 0.2) for s in (1, -1)]
+        path = tmp_path / "empty.json"
+        save_region(path, S2, Intersection(tuple(far)))
+        proc = _run_isodiam([command, "--region", str(path), "--seed", "3", *extra], 120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "region produced" in proc.stderr
+
+    def test_oversized_sample_refused_before_drawing(self):
+        # trial 0, the ball of radius 2 in H^5, asks for 319,815 proposals;
+        # on one core no other trial starts before its refusal stops the
+        # campaign (more cores would run trial 3, a slow O(n^2) farthest pair)
+        proc = _run_isodiam(["verify", "--space", "hyperbolic", "--dim", "5", "--D", "4.0",
+                             "--trials", "6", "--seed", "2", "--samples", "30000",
+                             "--density", "300"], 30, preexec_fn=_one_core)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: sampling at density 300.0 over an envelope of volume "
+                               "1066.05 needs 319815 proposals, more than 262144 at once\n")
 
     def test_malformed_region_document(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -76,6 +76,18 @@ class TestSpace:
         with pytest.raises(ValueError):
             Space(1, 1)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("field", ["curvature", "dim"])
+    def test_fields_must_be_integers(self, field, value):
+        args = {"curvature": 1, "dim": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            Space(**args)
+
+    def test_numpy_integers_stored_as_ints(self):
+        space = Space(np.int64(-1), np.int64(3))
+        assert type(space.curvature) is int and type(space.dim) is int
+        assert space == Space.hyperbolic(3) and space.ambient_dim == 4
+
     def test_base_point_is_valid(self, space):
         check_point(space, space.base_point)
 

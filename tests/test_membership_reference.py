@@ -3,8 +3,10 @@
 The reference below follows the definitions one point at a time: geodesic
 distance for balls (one vector distance to the ball children of a union),
 ``side`` for half spaces and the H^+ tie rule, and ``reflect`` for the
-mirror image under a symmetrization plane.  It reads a Certified node as its
-region and never looks at the cores.
+mirror image under a symmetrization plane.  A flow carries its rebase's core
+balls up the chain as plain ball children of a union over each level; those
+wrapped chains are checked against the reference over the plain chain,
+which never sees the cores.
 """
 
 import functools
@@ -33,8 +35,6 @@ from isodiam.geometry import (
     tangent_toward,
 )
 from isodiam.regions import (
-    CORE_MARGIN,
-    Certified,
     Difference,
     HalfSpace,
     Intersection,
@@ -47,7 +47,13 @@ from isodiam.regions import (
     volume_estimate,
 )
 from isodiam.rng import substream
-from isodiam.symmetrize import REBASE_CORES, MetricsConfig, _rebase_approximation
+from isodiam.symmetrize import (
+    CORE_MARGIN,
+    REBASE_CORES,
+    MetricsConfig,
+    _map_cores,
+    _rebase_approximation,
+)
 
 from conftest import dented_ball_region, dumbbell_region, random_plane
 
@@ -70,8 +76,6 @@ def reference(space, region, x) -> bool:
         return all(reference(space, c, x) for c in region.children)
     if isinstance(region, Difference):
         return reference(space, region.a, x) and not reference(space, region.b, x)
-    if isinstance(region, Certified):
-        return reference(space, region.region, x)
     if isinstance(region, Symmetrized):
         here = reference(space, region.inner, x)
 
@@ -199,36 +203,50 @@ def test_each_symmetrized_level_at_most_doubles_the_queries(space_name, monkeypa
     assert 0 < len(batches) <= 2**depth
 
 
+
+
+def _wrap(space, plane, region, cores):
+    """One level as ``flow_step`` builds it: the symmetrized region, in a
+    union with the images of its cores when any remain; and those images."""
+    cores = _map_cores(space, plane, cores)
+    level = Symmetrized(plane, region)
+    return (Union((level,) + cores) if cores else level), cores
+
+
+def _levels(space, base, cores, planes):
+    """(plain, wrapped, cores) of each level of the chain over ``base``."""
+    plain = wrapped = base
+    out = []
+    for plane in planes:
+        plain = Symmetrized(plane, plain)
+        wrapped, cores = _wrap(space, plane, wrapped, cores)
+        out.append((plain, wrapped, cores))
+    return out
+
+
 REBASE_SPACES = ["H2", "H3", "R2", "S2", "S3"]
 
 
 @functools.lru_cache(maxsize=None)
 def _rebased(space_name, dense):
     """A flow's rebase of the dented ball (dense: the envelope less a union of
-    holes) or of the dumbbell (sparse: a union of member balls)."""
+    holes) or of the dumbbell (sparse: a union of member balls), with its cores."""
     space = SPACES[space_name]
     region = dented_ball_region(space) if dense else dumbbell_region(space)
     target = volume_estimate(space, region, 4000, substream(91)).value
-    base = _rebase_approximation(space, region, target, MetricsConfig(volume_samples=2000),
-                                 substream(92))
-    assert isinstance(base, Certified)
-    assert isinstance(base.region, Difference if dense else Union)
-    assert 0 < len(base.cores) <= REBASE_CORES
-    return base
+    base, cores = _rebase_approximation(space, region, target,
+                                        MetricsConfig(volume_samples=2000), substream(92))
+    assert isinstance(base, Difference if dense else Union)
+    assert 0 < len(cores) <= REBASE_CORES
+    return base, cores
 
 
-def _beside_cores(space, base, planes, rng):
-    """Rows 5e-4 beyond the rim of each core's image at the top of the chain
-    that lie outside the region: the rows a core grown by 1e-3 would claim.
-
-    The test carries each core through the planes (innermost first) itself,
-    and keeps up to two of 32 rim points per image that the evaluator of
-    the chain without cores rejects."""
-    plain = base.region
-    for plane in planes:
-        plain = Symmetrized(plane, plain)
+def _carried(space, cores, planes):
+    """The cores' images at the top of the chain, carried through the planes
+    (innermost first) by the test itself: a core centred within CORE_MARGIN
+    of a plane is dropped, one on its negative side is mirrored."""
     out = []
-    for core in base.cores:
+    for core in cores:
         c = core.center
         for plane in planes:
             v = plane.orientation * plane_eval(space, plane, c)
@@ -237,34 +255,68 @@ def _beside_cores(space, base, planes, rng):
             if v < 0:
                 c = reflect(space, plane, c)
         else:
-            rim = geodesic_point(space, c, random_unit_tangent(space, c, rng, 32),
-                                 core.radius + 5e-4)
-            out.append(rim[~contains(space, plain, rim)][:2])
-    return np.concatenate(out) if out else np.empty((0, space.ambient_dim))
+            out.append(Ball(c, core.radius))
+    return out
+
+
+def _beside_cores(space, plain, images, rng):
+    """Rows 5e-4 beyond the rim of each core image that lie outside the
+    region: the rows a core grown by 1e-3 would claim.  Up to two of 32 rim
+    points per image that the evaluator of the plain chain rejects."""
+    out = [np.empty((0, space.ambient_dim))]
+    for core in images:
+        rim = geodesic_point(space, core.center,
+                             random_unit_tangent(space, core.center, rng, 32), core.radius + 5e-4)
+        out.append(rim[~contains(space, plain, rim)][:2])
+    return np.concatenate(out)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(space_name=st.sampled_from(REBASE_SPACES), dense=st.booleans(), depth=st.integers(1, 9),
        seed=st.integers(0, 2**32 - 1))
-def test_certified_rebase_chains_match_the_reference(space_name, dense, depth, seed):
-    """Rebased regions with their cores, under 1-9 random planes: every row,
-    uniform in the envelope, just beyond a core image's rim, or on a plane,
-    is decided as the reference decides it without the cores."""
+def test_wrapped_rebase_chains_match_the_reference(space_name, dense, depth, seed):
+    """Rebased regions under 1-9 random planes, each level wrapped with its
+    core images as the flow wraps it: every row, uniform in the envelope,
+    inside a core image, just beyond its rim, or on a plane, is decided as
+    the reference decides it over the plain chain."""
     space = SPACES[space_name]
-    base = _rebased(space_name, dense)
+    base, cores = _rebased(space_name, dense)
     rng = substream(seed)
     planes = [random_plane(space, rng) for _ in range(depth)]
-    region = base
-    for plane in planes:
-        region = Symmetrized(plane, region)
+    plain, region, images = _levels(space, base, cores, planes)[-1]
+    carried = _carried(space, cores, planes)
+    assert len(images) == len(carried)
+    for got, want in zip(images, carried):
+        assert np.array_equal(got.center, want.center) and got.radius == want.radius
+    assert isinstance(region, Union) == bool(images)
     pts = [uniform_in_ball(space, bounding_ball(space, region), rng, size=40),
-           _beside_cores(space, base, planes, rng)]
+           _beside_cores(space, plain, images, rng)]
+    pts += [uniform_in_ball(space, core, rng, size=2) for core in images[:4]]
     for plane in planes:
         on = _on_plane(space, plane, uniform_in_ball(space, Ball(space.base_point, 0.8), rng, 8))
         pts.append(on)
     pts = np.concatenate(pts)
-    expected = np.array([reference(space, region, x) for x in pts])
+    expected = np.array([reference(space, plain, x) for x in pts])
     assert np.array_equal(contains(space, region, pts), expected)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("space_name", REBASE_SPACES)
+def test_wrapped_levels_keep_the_plain_envelope(space_name, dense):
+    """Each wrapped level's bounding ball is the plain level's, bit for bit,
+    and so is its symmetrized depth: the candidate comes first in the union,
+    and its envelope holds every core image."""
+    space = SPACES[space_name]
+    base, cores = _rebased(space_name, dense)
+    rng = substream(79)
+    wrapped_levels = 0
+    for plain, wrapped, images in _levels(space, base, cores,
+                                          [random_plane(space, rng) for _ in range(9)]):
+        want, got = bounding_ball(space, plain), bounding_ball(space, wrapped)
+        assert np.array_equal(got.center, want.center) and got.radius == want.radius
+        assert regions.symmetrized_depth(wrapped) == regions.symmetrized_depth(plain)
+        wrapped_levels += bool(images)
+    assert wrapped_levels > 0
 
 
 @pytest.mark.parametrize("v, kept", [(0.5 * CORE_MARGIN, None), (-0.5 * CORE_MARGIN, None),
@@ -280,17 +332,16 @@ def test_a_core_centred_within_the_margin_of_a_plane_is_dropped(v, kept):
     far = [geodesic_point(space, pole, np.array([0.0, s, 0.0]), 1.2) for s in (1.0, -1.0)]
     bogus = Ball(pole, 0.2)
     plane = Hyperplane(np.array([np.sqrt(1.0 - v * v), 0.0, v]))
-    region = Symmetrized(plane, Certified(Union(tuple(Ball(c, 0.3) for c in far)), (bogus,)))
-    _, cores = regions._compile(space, region)
+    region, cores = _wrap(space, plane, Union(tuple(Ball(c, 0.3) for c in far)), (bogus,))
     if kept is None:
-        assert cores is None
+        assert cores == () and isinstance(region, Symmetrized)
         pts = uniform_in_ball(space, bogus, substream(93), size=50)
         _assert_matches_reference_all_out(space, region, pts)
     else:
-        centers, radii = cores
-        assert radii.tolist() == [0.2]
+        (core,) = cores
+        assert core.radius == 0.2
         want = pole if kept == "same" else reflect(space, plane, pole)
-        assert np.array_equal(centers[0], want)
+        assert np.array_equal(core.center, want)
 
 
 def _assert_matches_reference_all_out(space, region, pts):
@@ -298,85 +349,85 @@ def _assert_matches_reference_all_out(space, region, pts):
     assert not contains(space, region, pts).any()
 
 
-def _certified_chain(space, rng, depth, cores):
-    """A union of three random balls with the first ``cores`` of their
-    concentric half balls as cores, under ``depth`` random planes."""
+def _cored_base(space, rng, cores):
+    """A union of three random balls, and the first ``cores`` of their
+    concentric half balls as its cores."""
     balls = [_random_ball(space, rng) for _ in range(3)]
-    region = Certified(Union(tuple(balls)),
-                       tuple(Ball(b.center, b.radius / 2.0) for b in balls[:cores]))
-    planes = [random_plane(space, rng) for _ in range(depth)]
-    for plane in planes:
-        region = Symmetrized(plane, region)
-    return region, planes
+    return Union(tuple(balls)), tuple(Ball(b.center, b.radius / 2.0) for b in balls[:cores])
 
 
-def _count_builds(monkeypatch):
-    """The planes ``_map_cores`` maps cores through, and the ball groups
-    ``_ball_group`` packs, from here on."""
-    mapped, groups = [], []
-    map_cores, ball_group = regions._map_cores, regions._ball_group
+def _wrapped_chain(space, rng, depth, cores):
+    """A cored base under ``depth`` (at least 1) random planes, each level
+    wrapped as the flow wraps it; and the plain chain."""
+    base, images = _cored_base(space, rng, cores)
+    plain, wrapped, _ = _levels(space, base, images,
+                                [random_plane(space, rng) for _ in range(depth)])[-1]
+    return wrapped, plain
 
-    def counting_map(space, plane, values, cores):
-        mapped.append(plane)
-        return map_cores(space, plane, values, cores)
+
+def _count_groups(monkeypatch):
+    """The (centers, radii) of each ball group ``_ball_group`` packs, from here on."""
+    groups = []
+    ball_group = regions._ball_group
 
     def counting_group(space, centers, radii):
-        groups.append(len(radii))
+        groups.append((centers, radii))
         return ball_group(space, centers, radii)
 
-    monkeypatch.setattr(regions, "_map_cores", counting_map)
     monkeypatch.setattr(regions, "_ball_group", counting_group)
-    return mapped, groups
+    return groups
 
 
 @pytest.mark.parametrize("space_name", sorted(SPACES))
 def test_repeated_queries_compile_a_chain_once(space_name, monkeypatch):
-    """Every query after the first reuses the chain's evaluator: no core is
-    mapped and no ball group packed again, and the shared cores are read-only."""
+    """Every query after the first reuses the wrapped chain's evaluator: no
+    ball group is packed again, and the packed arrays it shares are read-only."""
     space = SPACES[space_name]
-    mapped, groups = _count_builds(monkeypatch)
+    groups = _count_groups(monkeypatch)
     rng = substream(75)
-    region, planes = _certified_chain(space, rng, 6, cores=2)
+    region, _ = _wrapped_chain(space, rng, 6, cores=2)
     pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=200)
     first = contains(space, region, pts)
-    assert mapped == planes
     built = len(groups)
+    assert built > 0
     for _ in range(3):
         assert np.array_equal(contains(space, region, pts), first)
         assert contains(space, region, pts[0]) == first[0]
-    assert mapped == planes and len(groups) == built
-    centers, radii = regions._compile(space, region)[1]
-    assert not centers.flags.writeable and not radii.flags.writeable
+    assert len(groups) == built
+    for centers, radii in groups:
+        assert not centers.flags.writeable and not radii.flags.writeable
 
 
 @pytest.mark.parametrize("space_name", sorted(SPACES))
-def test_a_growing_chain_maps_its_cores_once_per_level(space_name, monkeypatch):
-    """As a flow grows its chain, one Symmetrized level per step, queried
-    several times a step, each level maps the cores once, on its first query."""
+def test_a_growing_chain_compiles_each_level_once(space_name, monkeypatch):
+    """As a flow grows its wrapped chain, one level per step, queried several
+    times a step, each level packs its core images once, on its first query,
+    and reuses the chain below."""
     space = SPACES[space_name]
-    mapped, _ = _count_builds(monkeypatch)
+    groups = _count_groups(monkeypatch)
     rng = substream(76)
-    region, _ = _certified_chain(space, rng, 0, cores=2)
-    planes = []
+    region, cores = _cored_base(space, rng, 2)
+    # compile the base first, so each step below counts its own level alone
+    contains(space, region, region.children[0].center)
     for _ in range(8):
-        planes.append(random_plane(space, rng))
-        region = Symmetrized(planes[-1], region)
+        built = len(groups)
+        region, cores = _wrap(space, random_plane(space, rng), region, cores)
         pts = uniform_in_ball(space, bounding_ball(space, region), rng, size=100)
         for _ in range(4):
             contains(space, region, pts)
-        assert mapped == planes
+        assert [len(radii) for _, radii in groups[built:]] == ([len(cores)] if cores else [])
 
 
 @pytest.mark.parametrize("space_name", sorted(SPACES))
 def test_cold_warm_and_threaded_masks_agree(space_name):
-    """A chain whose base has as many cores as leaves answers as the
-    reference does with a cold cache, with a warm one, and from two threads
-    querying one fresh copy of it at once."""
+    """A wrapped chain whose base has as many cores as leaves answers as the
+    reference does over the plain chain with a cold cache, with a warm one,
+    and from two threads querying one fresh copy of it at once."""
     space = SPACES[space_name]
-    region, _ = _certified_chain(space, substream(77), 5, cores=3)
-    fresh, _ = _certified_chain(space, substream(77), 5, cores=3)
+    region, plain = _wrapped_chain(space, substream(77), 5, cores=3)
+    fresh, _ = _wrapped_chain(space, substream(77), 5, cores=3)
     pts = uniform_in_ball(space, bounding_ball(space, region), substream(78), size=120)
-    expected = np.array([reference(space, region, x) for x in pts])
+    expected = np.array([reference(space, plain, x) for x in pts])
     for cached in (regions._compile, regions.bounding_ball, regions.symmetrized_depth):
         cached.cache_clear()
     assert np.array_equal(contains(space, region, pts), expected)

@@ -17,7 +17,6 @@ from isodiam.regionio import (
     save_region,
 )
 from isodiam.regions import (
-    Certified,
     Difference,
     HalfSpace,
     Intersection,
@@ -173,36 +172,30 @@ class TestDigest:
         assert region_digest(Ball(E, 0.5)) != region_digest(Ball(E, 0.5000001))
 
 
-class TestCertified:
-    """Core balls ride along with a region and change nothing a document,
-    a digest, an envelope or a depth sees."""
+class TestCoreUnion:
+    """A flow carries core balls as plain ball children of a union over its
+    symmetrized region, candidate first: the union keeps the candidate's
+    envelope and depth, and its document round-trips like any union's."""
 
     def _pair(self):
         plain = nested_region()
         cores = (Ball(E, 0.1), Ball(np.array([0.0, math.sin(0.2), math.cos(0.2)]), 0.05))
-        certified = Symmetrized(plain.plane, Certified(plain.inner, cores))
-        return plain, certified
-
-    def test_document_and_digest(self):
-        plain, certified = self._pair()
-        assert region_to_dict(certified) == region_to_dict(plain)
-        assert region_to_dict(certified.inner) == region_to_dict(plain.inner)
-        assert region_digest(certified) == region_digest(plain)
+        return plain, Union((plain,) + cores)
 
     def test_envelope_and_depth(self):
-        plain, certified = self._pair()
-        for a, b in ((plain, certified), (plain.inner, certified.inner)):
-            want, got = bounding_ball(S2, a), bounding_ball(S2, b)
-            assert np.array_equal(got.center, want.center) and got.radius == want.radius
-            assert symmetrized_depth(b) == symmetrized_depth(a)
+        plain, wrapped = self._pair()
+        want, got = bounding_ball(S2, plain), bounding_ball(S2, wrapped)
+        assert np.array_equal(got.center, want.center) and got.radius == want.radius
+        assert symmetrized_depth(wrapped) == symmetrized_depth(plain)
 
-    def test_documents_never_build_it(self, tmp_path):
-        _, certified = self._pair()
-        path = tmp_path / "certified.json"
-        save_region(path, S2, certified)
+    def test_document_round_trip(self, tmp_path):
+        plain, wrapped = self._pair()
+        path = tmp_path / "wrapped.json"
+        save_region(path, S2, wrapped)
         _, back = load_region(path)
-        assert not isinstance(back.inner, Certified)
-        assert region_to_dict(back) == region_to_dict(certified)
+        assert region_to_dict(back) == region_to_dict(wrapped)
+        assert region_digest(back) == region_digest(wrapped) != region_digest(plain)
+        assert region_to_dict(back.children[0]) == region_to_dict(plain)
 
 
 def _random_tree(space, rng, depth):

@@ -22,7 +22,6 @@ from isodiam.geometry import (
 from isodiam.regions import (
     DEFAULT_DEPTH_CAP,
     Difference,
-    EmptyRegionWarning,
     HalfSpace,
     Intersection,
     PointCloud,
@@ -211,10 +210,12 @@ class TestSample:
         assert len(cloud) == int(np.ceil(expected))
         assert cloud.weight == pytest.approx(1 / 2000.0)
 
-    def test_empty_intersection_warns(self):
+    def test_empty_intersection_keeps_no_points_silently(self):
+        # every caller checks the count and says so once, in its own words
         a = Ball(geodesic_point(S2, E, EX, 1.2), 0.2)
         b = Ball(geodesic_point(S2, E, -EX, 1.2), 0.2)
-        with pytest.warns(EmptyRegionWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cloud = sample(S2, Intersection((a, b)), 500.0, substream(49))
         assert len(cloud) == 0
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from isodiam import symmetrize
 from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import (
     Ball,
@@ -38,6 +39,7 @@ from isodiam.symmetrize import (
     RandomThroughPole,
     FlowStep,
     SphericalDiameterWarning,
+    _map_cores,
     _nearest_distance,
     choose_hyperplane,
     equal_volume_radius,
@@ -350,6 +352,49 @@ class TestFlow:
         # volume calibration keeps the rebased region near the target
         for r in report.steps:
             assert abs(r.volume.value - report.steps[0].volume.value) <= 0.15
+
+    def test_flow_step_wraps_its_candidate_with_the_mapped_cores(self):
+        region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.4), 0.2))
+        core = Ball(geodesic_point(S2, E, -EX, 0.3), 0.2)
+        ref_cloud = sample(S2, Ball(E, 0.65), 400.0, substream(121))
+        vol = volume_estimate(S2, region, 2000, substream(123))
+        prev = FlowStep(step=0, volume=vol, diameter=1.4, hausdorff_to_reference=0.3,
+                        spacing=0.05, plane=None, rebased=False, cores=(core,))
+        new_region, rec = flow_step(S2, region, RandomThroughPole(), FAST, seed=124, step=1,
+                                    reference_cloud=ref_cloud, prev=prev)
+        # the candidate first, then the image of the core
+        assert isinstance(new_region, Union)
+        candidate, image = new_region.children
+        assert isinstance(candidate, Symmetrized)
+        assert candidate.inner is region and candidate.plane is rec.plane
+        (want,) = _map_cores(S2, rec.plane, (core,))
+        assert rec.cores == (image,)
+        assert np.array_equal(image.center, want.center) and image.radius == core.radius
+
+    def test_cores_stay_out_of_equality_and_reports(self, tmp_path, monkeypatch):
+        # each step maps the cores it carries once, through its own plane
+        planes = []
+        map_cores = symmetrize._map_cores
+
+        def counting(space, plane, cores):
+            planes.append(plane)
+            return map_cores(space, plane, cores)
+
+        monkeypatch.setattr(symmetrize, "_map_cores", counting)
+        region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.35), 0.25))
+        metrics = MetricsConfig(cloud_density=500.0, volume_samples=3000, rebase_depth=2)
+        report = run_flow(S2, region, RandomThroughPole(), max_steps=5,
+                          stop_epsilon=0.0, seed=127, metrics=metrics)
+        assert planes == [r.plane for r in report.steps[1:]]
+        assert any(r.cores for r in report.steps)
+        bare = dataclasses.replace(report, steps=[dataclasses.replace(r, cores=())
+                                                  for r in report.steps])
+        assert bare.steps == report.steps
+        for rep, name in ((report, "cored"), (bare, "bare")):
+            rep.write_csv(tmp_path / f"{name}.csv")
+            rep.write_json(tmp_path / f"{name}.json")
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"cored.{ext}").read_bytes() == (tmp_path / f"bare.{ext}").read_bytes()
 
     def test_flow_determinism_byte_identical(self, tmp_path):
         region = Difference(Ball(E, 0.7), Ball(geodesic_point(S2, E, EX, 0.4), 0.2))
