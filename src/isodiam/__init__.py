@@ -44,6 +44,7 @@ from .regions import (
     bounding_ball,
     contains,
     diameter,
+    exact_area,
     hausdorff,
     sample,
     uniform_in_ball,

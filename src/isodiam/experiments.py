@@ -1,23 +1,18 @@
 """Campaign drivers: desk-scale numerical checks of the isodiametric inequality.
 
 A verification campaign generates random sampled-admissible regions of
-diameter at most D, estimates their volumes, and compares against the ball of
-radius D/2; any excess beyond the sigma threshold is a finding.  The greedy
+diameter at most D, takes their volumes (exact from boundary arcs for n = 2,
+Monte Carlo for n >= 3), and compares against the ball of radius D/2; any
+excess beyond the sigma threshold is a finding.  The greedy
 probe grows a diameter-bounded point set and accounts its volume by candidate
 fraction.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -32,6 +27,7 @@ from .regions import (
     _check_count,
     _check_positive,
     _farthest_pair,
+    exact_area,
     sample,
     uniform_in_ball,
     volume_estimate,
@@ -114,7 +110,12 @@ def random_admissible_region(space: Space, D: float, complexity: int,
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Settings for one isodiametric verification campaign."""
+    """Settings for one isodiametric verification campaign.
+
+    ``volume_samples`` is the Monte Carlo draw count of each trial volume for
+    n >= 3.  At n = 2 it is unused: each volume is exact, from the region's
+    boundary arcs, and its std_error is a rounding bound.
+    """
 
     curvature: int
     dim: int
@@ -220,79 +221,12 @@ class CampaignReport:
             fh.write("\n")
 
 
-def _worker_count(trials: int) -> int:
-    """Threads for a campaign: one per core the process may use, never more
-    than the trials."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows have no affinity call
-        cores = os.cpu_count() or 1
-    return min(cores, trials)
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """(set, get) of the thread count of an OpenBLAS mapped into this process,
-    or None: there is no /proc/self/maps (it is Linux's), or numpy runs on
-    another BLAS."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
-                     if len(parts) == 6}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path).lower():
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # numpy's own wheels prefix and suffix the symbols; a system OpenBLAS does not
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
-                               ("openblas_", "64_"), ("openblas_", "")):
-            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            if set_threads is not None and get_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return None
-
-
-#: campaigns holding OpenBLAS at one thread, and its count before the first of them
-_blas_hold = {"campaigns": 0, "threads": 0}
-_blas_hold_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread, then restore its count once no campaign
-    holds it.  Trial threads on every core leave its threads no core: on 2
-    cores with OpenBLAS at its default 2, two trial threads ran a campaign no
-    faster than one."""
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    set_threads, get_threads = calls
-    with _blas_hold_lock:
-        if _blas_hold["campaigns"] == 0:
-            _blas_hold["threads"] = get_threads()
-            set_threads(1)
-        _blas_hold["campaigns"] += 1
-    try:
-        yield
-    finally:
-        with _blas_hold_lock:
-            _blas_hold["campaigns"] -= 1
-            if _blas_hold["campaigns"] == 0:
-                set_threads(_blas_hold["threads"])
-
-
 def _run_trial(config: CampaignConfig, trial: int):
-    """(region, volume estimate, sampled diameter) of one trial, from its own
-    substreams alone, so trials may run in any order and on any thread."""
+    """(region, volume, sampled diameter) of one trial, from its own
+    substreams alone.
+
+    The volume is ``exact_area`` at n = 2 and ``volume_estimate`` from
+    stream (trial, 2) for n >= 3."""
     space = config.space
     if trial == 0 and config.include_exact_ball:
         region = Ball(space.base_point, config.D / 2.0)
@@ -303,6 +237,8 @@ def _run_trial(config: CampaignConfig, trial: int):
     cloud = sample(space, region, config.region_density,
                    substream(config.seed, trial, 1)).points
     diam = _farthest_pair(space, cloud)[0] if len(cloud) else 0.0
+    if space.dim == 2:
+        return region, exact_area(space, region), diam
     est = volume_estimate(space, region, config.volume_samples,
                           substream(config.seed, trial, 2))
     return region, est, diam
@@ -316,27 +252,25 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> 
     by more than sigma_threshold standard errors.  Violations are findings
     recorded in the report, not errors.
 
-    The trials run on a thread pool, one thread per available core, with
-    OpenBLAS held at one thread while more than one runs.  Each trial draws
-    from its own substreams only, and its record is made in this thread, in
-    trial order, as its result comes back, so the report has the same bytes
-    at any worker count.  The first trial, in trial order, that raises stops
-    the campaign with its error.
+    At n = 2 each volume is exact (``regions.exact_area``): a plain ball's is
+    ``ball_volume`` with a std_error of 0, and any other region's std_error
+    is a bound on the rounding of its arc integrals, so ``volume_samples`` is
+    unused.  For n >= 3 the volume is a Monte Carlo estimate of
+    ``volume_samples`` draws, with its binomial standard error.
+
+    The trials run one after another, each from its own substreams only;
+    the first trial that raises stops the campaign with its error.
     """
-    threads = _worker_count(config.trials)
     v_ball = ball_volume(config.space, config.D / 2.0)
     records = []
-    with _one_blas_thread() if threads > 1 else contextlib.nullcontext(), \
-            ThreadPoolExecutor(max_workers=threads) as pool:
-        # map yields in trial order and cancels the pending trials on the first error
-        results = pool.map(functools.partial(_run_trial, config), range(config.trials))
-        for trial, (region, est, diam) in enumerate(results):
-            margin = est.value - v_ball
-            records.append(TrialRecord(
-                trial=trial, digest=region_digest(region), volume=est.value,
-                std_error=est.std_error, sampled_diameter=diam, margin=margin,
-                violation=margin > config.sigma_threshold * est.std_error,
-            ))
+    for trial in range(config.trials):
+        region, est, diam = _run_trial(config, trial)
+        margin = est.value - v_ball
+        records.append(TrialRecord(
+            trial=trial, digest=region_digest(region), volume=est.value,
+            std_error=est.std_error, sampled_diameter=diam, margin=margin,
+            violation=margin > config.sigma_threshold * est.std_error,
+        ))
     report = CampaignReport(config=config, ball_reference_volume=v_ball, records=records)
     if out_csv:
         report.write_csv(out_csv)

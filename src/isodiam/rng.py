@@ -9,8 +9,9 @@ independent of any worker count or evaluation order.  The streams in use:
   (0, 0) the initial cloud.  Each ``flow_step`` k: (k, 3) the plane, (k, 7)
   the rebase, (k, 4) the counting-identity check, (k, 1) the volume and
   (k, 0) the cloud.
-- ``verify_isodiametric`` trial k: (k, 0) the region, (k, 1) its cloud and
-  (k, 2) its volume.
+- ``verify_isodiametric`` trial k: (k, 0) the region, (k, 1) its cloud and,
+  for n >= 3 only, (k, 2) its volume; an n = 2 volume is exact and draws
+  nothing.
 - the CLI and the probes (``greedy_maximal``, ``hull_diameter_check``,
   ``ball_convexity_probe``): the root stream ``substream(seed)``; only
   ``hull-check`` needs two, and samples its cloud from (0,).

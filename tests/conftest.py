@@ -1,12 +1,9 @@
-import contextlib
 import sys
-import threading
 
 import numpy as np
 import pytest
 
 import isodiam.cli  # noqa: F401  (loaded up front, so stream_keys patches every namespace)
-from isodiam import experiments
 from isodiam import rng as isodiam_rng
 from isodiam.geometry import Ball, Space, bisector, geodesic_point
 from isodiam.regions import Difference, Union, uniform_in_ball
@@ -22,27 +19,6 @@ SPACES_TO_5_IDS = [{1: "S", -1: "H", 0: "E"}[s.curvature] + str(s.dim) for s in 
 @pytest.fixture(params=SPACES, ids=SPACE_IDS)
 def space(request):
     return request.param
-
-
-@contextlib.contextmanager
-def trial_threads(k):
-    """Run ``verify_isodiametric``'s trials on a pool of exactly k threads,
-    whatever the host's core count, and prove that k ran at once: trials 0
-    to k - 1 each wait at a k-party barrier before they start, which breaks
-    (failing the campaign) if the pool runs fewer than k threads.  Needs at
-    least k trials."""
-    barrier = threading.Barrier(k, timeout=60.0)
-    run_trial = experiments._run_trial
-
-    def gated(config, trial):
-        if trial < k:
-            barrier.wait()
-        return run_trial(config, trial)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_worker_count", lambda trials: k)
-        mp.setattr(experiments, "_run_trial", gated)
-        yield
 
 
 @pytest.fixture

@@ -1,9 +1,6 @@
 import json
 import math
-import os
-import sys
-import threading
-import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,18 +8,23 @@ import pytest
 from isodiam import experiments
 from isodiam.experiments import (
     CampaignConfig,
-    _openblas_threads,
-    _worker_count,
     greedy_maximal,
     random_admissible_region,
     verify_isodiametric,
 )
 from isodiam.geometry import Ball, Space, ball_volume, distance
 from isodiam.regionio import region_digest
-from isodiam.regions import PointCloud, _pairwise_extremes, contains, sample, uniform_in_ball
+from isodiam.regions import (
+    PointCloud,
+    _pairwise_extremes,
+    contains,
+    exact_area,
+    sample,
+    uniform_in_ball,
+)
 from isodiam.rng import substream
 
-from conftest import dented_ball_region, trial_threads, two_caps_region
+from conftest import dented_ball_region, two_caps_region
 
 S2 = Space.sphere(2)
 E2 = Space.euclidean(2)
@@ -115,101 +117,19 @@ class TestVerifyIsodiametric:
             blobs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_records_do_not_depend_on_the_worker_count(self):
-        # 20000 volume samples: each estimate spans two blocks
-        config = CampaignConfig(curvature=1, dim=2, D=1.5, trials=7, seed=154,
-                                volume_samples=20000, region_density=300.0)
-        runs = []
-        for k in (1, 2, 3):
-            with trial_threads(k):
-                runs.append(verify_isodiametric(config).records)
-        assert runs[0] == runs[1] == runs[2]
-
-    def test_worker_count_is_capped_by_cores_and_trials(self, monkeypatch):
-        # a pure function: no thread is started for any count asked for
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
-        assert _worker_count(10 ** 6) == 5
-        assert _worker_count(3) == 3
-        assert _worker_count(1) == 1
-
-    def test_worker_count_without_an_affinity_call(self, monkeypatch):
-        # macOS and Windows have no os.sched_getaffinity
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _worker_count(10 ** 6) == 3
-        assert _worker_count(2) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(10 ** 6) == 1
-
-    def test_openblas_holds_one_thread_while_trials_share_the_cores(self, monkeypatch):
-        counts, seen = [3], []
-        monkeypatch.setattr(experiments, "_openblas_threads",
-                            lambda: (counts.append, lambda: counts[-1]))
-        run_trial = experiments._run_trial
-
-        def recording(config, trial):
-            seen.append(counts[-1])
-            if trial == 3:
-                raise RuntimeError("trial 3 failed")
-            return run_trial(config, trial)
-
-        monkeypatch.setattr(experiments, "_run_trial", recording)
-        config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=3, seed=158,
-                                volume_samples=1000, region_density=200.0)
-        with trial_threads(2):
-            verify_isodiametric(config)
-        assert seen == [1, 1, 1] and counts == [3, 1, 3]
-        # one trial thread leaves the BLAS threads alone
-        seen.clear()
-        with trial_threads(1):
-            verify_isodiametric(config)
-        assert seen == [3, 3, 3] and counts == [3, 1, 3]
-        # a failing trial still restores the count
-        failing = CampaignConfig(curvature=1, dim=2, D=1.2, trials=5, seed=158,
-                                 volume_samples=1000, region_density=200.0)
-        with trial_threads(2), pytest.raises(RuntimeError, match="trial 3 failed"):
-            verify_isodiametric(failing)
-        assert counts == [3, 1, 3, 1, 3]
-
-    def test_overlapping_campaigns_restore_the_blas_count_after_the_last(self, monkeypatch):
-        counts = [3]
-        monkeypatch.setattr(experiments, "_openblas_threads",
-                            lambda: (counts.append, lambda: counts[-1]))
-        held = threading.Barrier(4, timeout=30.0)
-        during = []
-
-        def campaign():
-            with experiments._one_blas_thread():
-                held.wait()
-                during.append(counts[-1])
-                held.wait()
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=campaign) for _ in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in callers)
-        assert during == [1, 1, 1, 1] and counts == [3, 1, 3]
-
-    def test_finds_the_openblas_numpy_runs_on(self):
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        if "openblas" not in blas or not os.path.exists("/proc/self/maps"):
-            pytest.skip(f"numpy runs on {blas}, or the process has no memory map to search")
-        set_threads, get_threads = _openblas_threads()
-        before = get_threads()
-        assert before >= 1
-        try:
-            set_threads(1)
-            assert get_threads() == 1
-        finally:
-            set_threads(before)
-        assert get_threads() == before
+    @pytest.mark.parametrize("curvature, D", [(1, 1.6), (0, 1.0), (-1, 1.5)])
+    def test_n2_volumes_are_exact_areas(self, curvature, D):
+        config = CampaignConfig(curvature=curvature, dim=2, D=D, trials=6, seed=158,
+                                region_density=300.0)
+        report = verify_isodiametric(config)
+        first = report.records[0]
+        assert (first.volume, first.std_error, first.margin) == (
+            ball_volume(config.space, D / 2.0), 0.0, 0.0)
+        for rec in report.records[1:]:
+            region = random_admissible_region(config.space, D, config.complexity,
+                                              substream(158, rec.trial, 0), density=300.0)
+            assert (rec.volume, rec.std_error) == astuple(exact_area(config.space, region))[:2]
+        assert report.violation_count == 0
 
     def test_first_failing_trial_in_order_raises(self, monkeypatch):
         run_trial = experiments._run_trial
@@ -222,24 +142,8 @@ class TestVerifyIsodiametric:
         monkeypatch.setattr(experiments, "_run_trial", failing)
         config = CampaignConfig(curvature=1, dim=2, D=1.2, trials=6, seed=156,
                                 volume_samples=1000, region_density=200.0)
-        with trial_threads(2), pytest.raises(RuntimeError, match="trial 2 failed"):
+        with pytest.raises(RuntimeError, match="trial 2 failed"):
             verify_isodiametric(config)
-
-    def test_worker_threads_filter_no_warnings(self, monkeypatch):
-        # warnings.catch_warnings is not thread-safe: only the main thread may enter it
-        entered = []
-        original = warnings.catch_warnings
-
-        def recording(*args, **kwargs):
-            entered.append(threading.current_thread() is threading.main_thread())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(warnings, "catch_warnings", recording)
-        config = CampaignConfig(curvature=-1, dim=2, D=1.5, trials=4, seed=157,
-                                volume_samples=1000, region_density=200.0)
-        with trial_threads(2):
-            verify_isodiametric(config)
-        assert all(entered)
 
     @pytest.mark.parametrize("field, value, message", [
         ("trials", 1.5, "trials must be an integer, got 1.5"),

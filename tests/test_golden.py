@@ -21,7 +21,21 @@ in place of two einsum calls, and column-by-column keys on R^n in place of
 an einsum.  Keys moved by an ulp on some entries (H^n, and R^n for n >= 3),
 no membership decision moved, and none of the six digests changed.
 
-They were last re-recorded when ball_volume moved from adaptive quadrature
+The S2, H2 and R2 campaign digests were last re-recorded when n = 2 trial
+volumes became exact areas from boundary arcs (``regions.exact_area``) in
+place of 4000-draw Monte Carlo estimates.  Regions, clouds, sampled diameters
+and trial 0, the exact ball, are unchanged; in trials 1-4 the volume moved by
+at most 2.4% relative (within 2.4 of the old standard errors), the margin
+with it, and the std_error became a rounding bound of order 1e-14.  The H3
+digest and the flow digests did not change.  The digests went
+S2 campaign 3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56 ->
+            8fd0c0bde2dcc77c7f5e6d63fe8b3849bf2fed65876ab20b7f6ff910ef91454d,
+H2 campaign 2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3 ->
+            8a3eb1daf129e2e12efd2a13439351968c162a9e806e03b57830580b2e7b0bf7,
+R2 campaign 8d2af212fa9afa29615f1fb77858ebeae582573a4bbf522454a5352efeaab692 ->
+            45df9e52548c883c4312aac4d2ec915f48b0efe574c6718c7a3bce9482ef679e.
+
+Before that, the digests were re-recorded when ball_volume moved from adaptive quadrature
 to the closed-form radial mass, and equal_volume_radius from bisection to
 1e-10 to the inverse of that mass.  Clouds, planes and rebase steps are
 unchanged; volume, its standard error and the campaign margin moved by at
@@ -85,8 +99,9 @@ and hold with them: a core marks a row only where the whole chain accepts
 it.  With the S2 dented-ball flow they cover both rebase branches and both
 curved spaces.
 
-Each campaign digest is checked at one worker thread and at two.  All were
-recorded when the trials ran one after another, and hold on a thread pool.
+All campaign digests were recorded with the trials run one after another.
+They held, unchanged, while the trials ran on a thread pool, and the pool is
+gone again.
 """
 
 import hashlib
@@ -98,7 +113,7 @@ from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Space
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
 
-from conftest import dented_ball_region, dumbbell_region, trial_threads, two_caps_region
+from conftest import dented_ball_region, dumbbell_region, two_caps_region
 
 S2 = Space.sphere(2)
 H2 = Space.hyperbolic(2)
@@ -146,17 +161,15 @@ def test_h2_two_caps_flow(tmp_path):
 
 
 @pytest.mark.parametrize("curvature, dim, D, seed, digest", [
-    (1, 2, 1.0, 71, "3fcee60634fde98dcac153f6c589f2e5a32379a97b208273085b26c99624fb56"),
-    (-1, 2, 1.5, 72, "2a7b21571c379abbe55ed75597b1f25dd79515800d80383f74f7e7f6ae62acc3"),
-    (0, 2, 1.0, 75, "8d2af212fa9afa29615f1fb77858ebeae582573a4bbf522454a5352efeaab692"),
+    (1, 2, 1.0, 71, "8fd0c0bde2dcc77c7f5e6d63fe8b3849bf2fed65876ab20b7f6ff910ef91454d"),
+    (-1, 2, 1.5, 72, "8a3eb1daf129e2e12efd2a13439351968c162a9e806e03b57830580b2e7b0bf7"),
+    (0, 2, 1.0, 75, "45df9e52548c883c4312aac4d2ec915f48b0efe574c6718c7a3bce9482ef679e"),
     (-1, 3, 1.2, 80, "b054fdf5a6f23d84e081f21a91e70cd2fc15a0000e63e5ab60d83dde81192820"),
 ], ids=["S2", "H2", "R2", "H3"])
 def test_short_campaign(tmp_path, curvature, dim, D, seed, digest):
     config = CampaignConfig(curvature=curvature, dim=dim, D=D, trials=5, seed=seed,
                             volume_samples=4000, region_density=300.0)
-    for k in (1, 2):
-        with trial_threads(k):
-            assert _csv_digest(verify_isodiametric(config), tmp_path) == digest
+    assert _csv_digest(verify_isodiametric(config), tmp_path) == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

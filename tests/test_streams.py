@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isodiam.cli import main
+from isodiam.experiments import CampaignConfig, verify_isodiametric
 from isodiam.geometry import Ball, Space
 from isodiam.regionio import save_region
 from isodiam.rng import substream
@@ -48,6 +49,16 @@ def test_flow_step_reads_documented_keys(stream_keys):
                            (seed, 1, 3), (seed, 1, 4), (seed, 1, 1), (seed, 1, 0),
                            (seed, 2, 3), (seed, 2, 7), (seed, 2, 4), (seed, 2, 1), (seed, 2, 0)]
 
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_draws_volumes_only_for_n_at_least_3(stream_keys, dim):
+    # an n = 2 trial volume is exact, so its stream (k, 2) is never opened
+    config = CampaignConfig(curvature=1, dim=dim, D=1.2, trials=3, seed=13,
+                            volume_samples=2000, region_density=300.0)
+    verify_isodiametric(config)
+    volume_keys = sorted(key for key in stream_keys if key[2:] == (2,))
+    assert volume_keys == ([] if dim == 2 else [(13, k, 2) for k in range(3)])
 
 
 @pytest.mark.parametrize("seed, path, bad", [
