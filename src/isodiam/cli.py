@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed")
     # CampaignConfig owns these defaults; None marks a flag as not given
     p.add_argument("--samples", type=int, help="Monte Carlo volume samples per trial for "
-                   f"n >= 3 (default {CampaignConfig.volume_samples}); unused at n = 2, "
-                   "where each volume is exact and its std_error a rounding bound")
+                   f"n >= 3, at least 100 (default {CampaignConfig.volume_samples}); unused "
+                   "at n = 2, where each volume is exact and its std_error a rounding bound")
     p.add_argument("--density", type=float, help="region sampling density "
                    f"(default {CampaignConfig.region_density})")
     p.add_argument("--complexity", type=int, help="max primitive balls per region "

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import (
     SPHERICAL,
@@ -60,6 +59,9 @@ def min_norm_point(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) array of points")
+    # imported on first use, so that processes that solve no NNLS load no scipy.optimize
+    from scipy.optimize import nnls
+
     target = np.zeros(P.shape[1] + 1)
     target[-1] = 1.0
     u, _ = nnls(np.vstack([P.T, np.ones(P.shape[0])]), target)

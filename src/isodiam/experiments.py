@@ -113,8 +113,9 @@ class CampaignConfig:
     """Settings for one isodiametric verification campaign.
 
     ``volume_samples`` is the Monte Carlo draw count of each trial volume for
-    n >= 3.  At n = 2 it is unused: each volume is exact, from the region's
-    boundary arcs, and its std_error is a rounding bound.
+    n >= 3, at least 100.  At n = 2 it is unused, and any positive count is
+    taken: each volume is exact, from the region's boundary arcs, and its
+    std_error is a rounding bound.
     """
 
     curvature: int
@@ -134,7 +135,8 @@ class CampaignConfig:
         # JSON; Space and substream keep their own range checks
         for name in ("curvature", "dim", "seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        for name, least in (("trials", 1), ("volume_samples", 100)):
+        # the floor of 100 draws binds only where volumes are sampled, n >= 3
+        for name, least in (("trials", 1), ("volume_samples", 100 if self.dim >= 3 else 1)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         _check_positive("region_density", self.region_density)
         object.__setattr__(self, "complexity", _check_count("complexity", self.complexity, 1))

@@ -687,23 +687,38 @@ def frame(space: Space, z) -> np.ndarray:
       z_e > 0, where the difference would cancel;
     - R^n, and z equal to e: the identity, which is also returned when |zb|^2
       underflows, where the reflection's v v^T / |v|^2 would divide 0 by 0.
+
+    z is one point, shape (d,), for F of shape (d, d), or a batch, shape
+    (..., d), for one F per point, shape (..., d, d), each with the bits of
+    that point's own F.
     """
     d = space.ambient_dim
     z = np.asarray(z, dtype=float)
     check_point(space, z)
-    zb, ze = z[:-1], float(z[-1])
-    q = float(zb @ zb)
-    if space.curvature == EUCLIDEAN or (ze > 0.0 and q < np.finfo(float).tiny):
-        return np.eye(d)
+    zs = z.reshape(-1, d)
+    f = np.eye(d)[None].repeat(zs.shape[0], axis=0)
+    if space.curvature == EUCLIDEAN:
+        return f.reshape(z.shape + (d,))
+    zb, ze = zs[:, :-1], zs[:, -1]
+    q = _dot_rows(zb, zb)
     if space.curvature == HYPERBOLIC:
-        f = np.empty((d, d))
-        f[:-1, :-1] = np.eye(d - 1) + np.outer(zb, zb) / (1.0 + ze)
-        f[:-1, -1] = f[-1, :-1] = zb
-        f[-1, -1] = ze
-        return f
-    v = z.copy()
-    v[-1] = -q / (1.0 + ze) if ze > 0.0 else ze - 1.0
-    return np.eye(d) - np.outer(v, v) * (2.0 / float(v @ v))
+        f[:, :-1, :-1] += zb[:, :, None] * zb[:, None, :] / (1.0 + ze)[:, None, None]
+        f[:, :-1, -1] = f[:, -1, :-1] = zb
+        f[:, -1, -1] = ze
+    else:
+        v = zs.copy()
+        v[:, -1] = np.divide(-q, 1.0 + ze, out=ze - 1.0, where=ze > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows reset below
+            f -= v[:, :, None] * v[:, None, :] * (2.0 / _dot_rows(v, v))[:, None, None]
+    f[(ze > 0.0) & (q < np.finfo(float).tiny)] = np.eye(d)
+    return f.reshape(z.shape + (d,))
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i . b_i, each through numpy's kernel for the 1-D product
+    a_i @ b_i (BLAS ddot, which may fuse multiply and add), so a row has the
+    same bits in a batch as alone."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def random_unit_tangent(space: Space, z, rng: np.random.Generator, size: int | None = None):

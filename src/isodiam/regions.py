@@ -40,7 +40,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     EUCLIDEAN,
@@ -598,6 +597,9 @@ class NeighborIndex:
     """A kd-tree over a cloud in tree coordinates, for exact nearest neighbors."""
 
     def __init__(self, space: Space, pts: np.ndarray):
+        # imported on first use, so that processes without a kd-tree load no scipy
+        from scipy.spatial import cKDTree
+
         self.space = space
         self.points = pts
         self.tree = cKDTree(_tree_coords(space, pts))
@@ -889,7 +891,7 @@ def _arcs(space: Space, region, centers, radii):
     keep = ~np.triu(same, 1).any(axis=0)
     centers, radii = centers[keep], radii[keep]
     n = radii.size
-    frames = np.stack([frame(space, c)[:2] for c in centers])
+    frames = frame(space, centers)[:, :2]
     a, b = _circle_coeffs(space, radii)
     e1, e2 = frames[:, 0], frames[:, 1]
     if space.curvature == EUCLIDEAN:

@@ -269,6 +269,9 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     rho = min(dmin - r, env.r - d_env) in the dense case (clear of every
     hole, inside the envelope) and rho = r - dmin in the sparse one (inside
     the nearest ball), less CORE_MARGIN.  ``_core_cover`` picks the cores.
+
+    A sparse rebase whose quantile index is at most its centre count would
+    calibrate to the centres' own zero distances, so it raises ValueError.
     """
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
@@ -291,6 +294,12 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     else:
         k = int(round(target_volume / v_env * n_cal))
     k = min(max(k, 1), n_cal - 1)
+    if not dense and k <= m:
+        # each centre is a proposal at distance 0 from itself
+        raise ValueError(f"cannot calibrate a sparse rebase: its quantile index k = {k} "
+                         f"falls on the zero distances of its {m} centres, drawn from "
+                         f"{member_idx.size} member proposals of {n_cal} "
+                         f"(raise --volume-samples)")
     r = float(np.partition(dmin, k - 1)[k - 1]) + 1e-12
     balls = Union(tuple(Ball(c, r) for c in centers))
     if dense:

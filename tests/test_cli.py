@@ -164,6 +164,15 @@ class TestVerify:
         assert (tmp_path / "v.csv").exists()
         assert json.loads((tmp_path / "v.json").read_text())["violation_count"] == 0
 
+    def test_samples_floor_binds_only_for_n_at_least_3(self, capsys):
+        # n = 2 volumes are exact, so --samples goes unused there
+        argv = ["verify", "--space", "sphere", "--D", "1.0", "--trials", "2", "--seed", "1",
+                "--samples", "50"]
+        assert main(argv + ["--dim", "2"]) == 0
+        assert capsys.readouterr().out == "trials=2 violations=0 max_margin=0.0\n"
+        assert main(argv + ["--dim", "3"]) == 2
+        assert capsys.readouterr().err == "error: volume_samples must be at least 100, got 50\n"
+
     def test_usage_error_without_partial_output(self, tmp_path):
         out = tmp_path / "v.csv"
         rc = main(["verify", "--space", "sphere", "--dim", "2", "--trials", "4",
@@ -406,7 +415,7 @@ class TestUsageErrors:
         ({"sigma_threshold": math.nan}, "sigma_threshold must be finite and non-negative"),
         ({"sigma_threshold": math.inf}, "sigma_threshold must be finite and non-negative"),
         ({"sigma_threshold": -1.0}, "sigma_threshold must be finite and non-negative"),
-        ({"volume_samples": 50}, "volume_samples must be at least 100, got 50"),
+        ({"dim": 3, "volume_samples": 50}, "volume_samples must be at least 100, got 50"),
         ({"region_density": 0.0}, "region_density must be finite and positive, got 0.0"),
     ], ids=["unknown-key", "string-trials", "int-flag", "sigma-nan", "sigma-inf",
             "sigma-negative", "volume-samples", "region-density"])
@@ -427,7 +436,7 @@ class TestUsageErrors:
 
         monkeypatch.setattr(experiments, "_run_trial", no_trial)
         cfg = tmp_path / "campaign.json"
-        cfg.write_text(json.dumps({"curvature": 1, "dim": 2, "D": 1.2, "trials": 3,
+        cfg.write_text(json.dumps({"curvature": 1, "dim": 3, "D": 1.2, "trials": 3,
                                    "seed": 11, "volume_samples": 50}))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "volume_samples must be at least 100, got 50" in capsys.readouterr().err

@@ -161,7 +161,8 @@ class TestVerifyIsodiametric:
         ("complexity", 0, "complexity must be at least 1, got 0"),
     ])
     def test_config_rejects_bad_counts_by_name(self, field, value, message):
-        settings = {"curvature": 1, "dim": 2, "D": 1.2, "trials": 3, "seed": 9, field: value}
+        # n = 3, where the floor of 100 volume samples binds
+        settings = {"curvature": 1, "dim": 3, "D": 1.2, "trials": 3, "seed": 9, field: value}
         with pytest.raises(ValueError, match=message):
             CampaignConfig(**settings)
 

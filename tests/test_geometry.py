@@ -626,6 +626,24 @@ class TestTangentBasis:
         assert np.max(np.abs(form(space, pts, pts) - 1.0)) <= 1e-10
 
 
+def _frame_of_one_point(space, z):
+    """``frame`` as it was for one point at a time, the reference for a batch."""
+    d = space.ambient_dim
+    zb, ze = z[:-1], float(z[-1])
+    q = float(zb @ zb)
+    if space.curvature == 0 or (ze > 0.0 and q < np.finfo(float).tiny):
+        return np.eye(d)
+    if space.curvature == -1:
+        f = np.empty((d, d))
+        f[:-1, :-1] = np.eye(d - 1) + np.outer(zb, zb) / (1.0 + ze)
+        f[:-1, -1] = f[-1, :-1] = zb
+        f[-1, -1] = ze
+        return f
+    v = z.copy()
+    v[-1] = -q / (1.0 + ze) if ze > 0.0 else ze - 1.0
+    return np.eye(d) - np.outer(v, v) * (2.0 / float(v @ v))
+
+
 class TestFrame:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(space_name=st.sampled_from(sorted(FRAME_SPACES)), data=st.data(),
@@ -666,6 +684,27 @@ class TestFrame:
 
     def test_antipode_flips_the_last_axis(self):
         assert np.array_equal(frame(S2, -E), np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("space", [S2, H2, E2], ids=["S2", "H2", "R2"])
+    def test_a_batch_has_the_bits_of_each_point(self, space):
+        e = space.base_point
+        underflow = e.copy()
+        underflow[0] = 1e-170
+        edge = [e, np.where(e == 0.0, -0.0, e), underflow] + ([-e] if space.curvature == 1 else [])
+        rng = substream(64)
+        top = math.pi - 1e-9 if space.curvature == 1 else 20.0
+        t = np.concatenate([[1e-12, 1e-6, 0.5, 3.0], rng.uniform(0.0, top, 60)])
+        if space.curvature == 0:
+            far = 10.0 ** rng.uniform(-12, 3, (t.size, 1)) * rng.standard_normal((t.size, 2))
+        else:
+            far = point_from_pole(space, t, rng.standard_normal((t.size, 2)))
+        z = np.vstack([edge, far])
+        got = frame(space, z)
+        assert got.shape == (len(z), space.ambient_dim, space.ambient_dim)
+        for row, f in zip(z, got):
+            want = _frame_of_one_point(space, row)
+            assert f.tobytes() == want.tobytes()
+            assert frame(space, row).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(FRAME_SPACES))
     def test_random_tangents_pass_the_unit_check(self, name):

@@ -25,6 +25,7 @@ from isodiam.regions import (
     Difference,
     Symmetrized,
     Union,
+    bounding_ball,
     contains,
     diameter,
     sample,
@@ -458,6 +459,29 @@ def test_nearest_distance_has_the_bits_of_the_per_centre_distances(space):
     for c in centers:
         dmin = np.minimum(dmin, distance(space, points, c))
     assert _nearest_distance(space, points, centers).tobytes() == dmin.tobytes()
+
+
+def test_sparse_rebase_refuses_a_quantile_on_its_centres():
+    # two caps 2.0 apart fill about 6% of their envelope, so the rebase is
+    # sparse; a target just under the member fraction puts k below the
+    # member count, which is the centre count while it is at most 192
+    region = Union((Ball(geodesic_point(S2, E, EX, 1.0), 0.2),
+                    Ball(geodesic_point(S2, E, -EX, 1.0), 0.2)))
+    env = bounding_ball(S2, region)
+    members = int(contains(S2, region, uniform_in_ball(S2, env, substream(3), size=1000)).sum())
+    assert 8 <= members <= 192
+    target = (members - 1) / 1000 * ball_volume(S2, env.radius)
+    with pytest.raises(ValueError, match=rf"quantile index k = {members - 1} falls on the zero "
+                                         rf"distances of its {members} centres, drawn from "
+                                         rf"{members} member proposals of 1000 "
+                                         r"\(raise --volume-samples\)"):
+        symmetrize._rebase_approximation(S2, region, target,
+                                         MetricsConfig(volume_samples=1000), substream(3))
+    # with 20 times the proposals, the members outnumber the 192 centres
+    base, _ = symmetrize._rebase_approximation(S2, region, target,
+                                               MetricsConfig(volume_samples=20000), substream(3))
+    assert isinstance(base, Union) and len(base.children) == 192
+    assert base.children[0].radius > 0.01
 
 
 def test_campaign_computes_no_spacing(monkeypatch):
