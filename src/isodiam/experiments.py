@@ -17,7 +17,16 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import SPHERICAL, Ball, Space, ball_volume, distance, key_threshold, pair_key
+from .geometry import (
+    SPHERICAL,
+    Ball,
+    Space,
+    ball_volume,
+    distance,
+    key_threshold,
+    pair_key,
+    screen_keys,
+)
 from .regionio import region_digest
 from .regions import (
     Difference,
@@ -295,14 +304,18 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
     largest float that the ``decode_key`` in force maps to at most D.  The
     first ``_HEAD_BLOCK`` live candidates are decided among themselves from
     their own key matrix, in order: a head is accepted exactly when no head
-    accepted before it has a key to it above g*.  One vector ``pair_key``
-    from the accepted heads to the rest of the live set, ``_FILTER_COLUMNS``
-    columns at a time, then drops every candidate with a key above g* to any
-    of them.  Heads precede every other live candidate, a pair's key has the
-    same bits in any batch shape and either argument order, and
-    ``decode_key`` is non-decreasing, so this accepts exactly the candidates
-    whose every ``distance`` to an earlier accepted one is at most D.  The
-    cost is O(accepted x live) key columns, in one Python pass per block.
+    accepted before it has a key to it above g*.  The keys from the accepted
+    heads to the rest of the live set, ``_FILTER_COLUMNS`` columns at a time,
+    then drop every candidate with a key above g* to any of them.  Those keys
+    are screened by one matrix product, ``screen_keys``, each within its
+    bound delta of the ``pair_key``: a column whose largest screened key is
+    at most g* - delta is kept and one whose largest is above g* + delta is
+    dropped, and ``pair_key`` decides the columns in between (and any NaN).
+    Heads precede every other live candidate, a pair's key has the same bits
+    in any batch shape and either argument order, and ``decode_key`` is
+    non-decreasing, so this accepts exactly the candidates whose every
+    ``distance`` to an earlier accepted one is at most D.  The cost is
+    O(accepted x live) screened keys, in one Python pass per block.
 
     sigma is the binomial error of independent draws.  Acceptance depends on
     the path taken, so sigma is only a lower bound on the seed-to-seed spread
@@ -339,9 +352,16 @@ def greedy_maximal(space: Space, D: float, candidate_count: int, seed: int,
         keep = np.empty(rest.shape[1], dtype=bool)
         for start in range(0, rest.shape[1], _FILTER_COLUMNS):
             cols = rest[:, start:start + _FILTER_COLUMNS].T
-            # the maximum of keys holding a NaN is NaN, which is dropped
-            keep[start:start + len(cols)] = (
-                pair_key(space, heads[:, None, :], cols).max(axis=0) <= g_max)
+            screened, delta = screen_keys(space, heads, cols)
+            top = screened.max(axis=0)
+            near = top <= g_max - delta
+            # pair_key decides the columns the screen cannot, a NaN among
+            # them; the maximum of keys holding a NaN is NaN, which is dropped
+            unsure = np.flatnonzero(~(near | (top > g_max + delta)))
+            if unsure.size:
+                near[unsure] = (
+                    pair_key(space, heads[:, None, :], cols[unsure]).max(axis=0) <= g_max)
+            keep[start:start + len(cols)] = near
         live = rest.take(np.flatnonzero(keep), axis=1)
     points = np.concatenate(accepted)
     frac = len(points) / candidate_count

@@ -31,6 +31,8 @@ POINT_TOL = 1e-10
 UNIT_TOL = 1e-8
 #: |form value| at or below this counts as lying on a hyperplane
 SIDE_TOL = 1e-12
+#: unit of the rounding bounds: the gap between 1 and the next float
+_EPS = float(np.finfo(float).eps)
 
 _CURVATURE_NAMES = {SPHERICAL: "sphere", EUCLIDEAN: "euclidean", HYPERBOLIC: "hyperbolic"}
 
@@ -167,6 +169,43 @@ def pair_key(space: Space, x, y):
         # (-a) + (-b) has the bits of -(a + b)
         return _add_up(-x[..., j] * y[..., j] for j in range(space.ambient_dim))
     return _add_up((x[..., j] - y[..., j]) ** 2 for j in range(space.dim))
+
+
+def screen_keys(space: Space, a, b):
+    """Every row-of-a x row-of-b key by one matrix product, and a bound delta
+    on how far each can be from its ``pair_key``.
+
+    On S^n and H^n the rows of a are signed as ``regions._ball_group`` signs
+    its centres (all of them negated on S^n, the spatial part on H^n); on R^n
+    the product is of rows extended by their squared norms, so it sums
+    |x|^2 + |y|^2 - 2 x.y.  A sum of k rounded products, in any order, errs
+    by at most gamma_k ~ k eps / 2 times the sum of their sizes.  With
+    d = ambient_dim, on S^n and H^n both keys are such d-term sums, of sizes
+    at most |x| |y|, so they differ by at most d eps |x| |y|; on R^n
+    ``pair_key`` errs by at most gamma_(d+2) |x - y|^2 and the screened key,
+    whose squared norms carry gamma_d each, by (gamma_(d+2) + gamma_d)
+    (|x| + |y|)^2.  delta = 4 (d + 2) eps max|x| max|y|, with
+    (max|x| + max|y|)^2 on R^n, exceeds either bound at least 2.6 times,
+    which absorbs the rounding of delta and of the comparisons made with it.
+    The bits of a screened key depend on the shape of the product; only
+    ``pair_key``'s may decide a search.
+    """
+    x, y = _columns(space, a, b)
+    sq_x = np.einsum("nd,nd->n", x, x)
+    sq_y = np.einsum("nd,nd->n", y, y)
+    size_x = math.sqrt(float(sq_x.max(initial=0.0)))
+    size_y = math.sqrt(float(sq_y.max(initial=0.0)))
+    d = space.ambient_dim
+    if space.curvature == EUCLIDEAN:
+        xe = np.column_stack([-2.0 * x, sq_x, np.ones_like(sq_x)])
+        ye = np.column_stack([y, np.ones_like(sq_y), sq_y])
+        return xe @ ye.T, 4.0 * (d + 2) * _EPS * (size_x + size_y) ** 2
+    if space.curvature == SPHERICAL:
+        signed = -x
+    else:
+        signed = x.copy()
+        signed[:, :-1] *= -1.0
+    return signed @ y.T, 4.0 * (d + 2) * _EPS * size_x * size_y
 
 
 def decode_key(space: Space, g):

@@ -18,9 +18,15 @@ The metrics of a sample cloud are exact searches over ``geometry.pair_key``
 too.  It sums column by column, so a pair's key has the same bits in a scan
 block as alone, and each reported distance, decoded from the key that won
 its search, is ``distance`` of the pair to the bit.  A scan holds one
-(chunk, n) block of keys at a time.  Nearest neighbors, for the spacing and
-both Hausdorff directions, come from a kd-tree that each PointCloud builds
-once and keeps: O(n log n) per cloud, where a scan of all pairs was O(n^2).
+(chunk, n) block of keys at a time, screened by ``geometry.screen_keys``: one
+matrix product, whose every key is within a bound delta of its pair_key
+(4 (d + 2) eps times the product of the largest row norms, d = ambient_dim).
+Only the entries the screen cannot rank, those within 2 delta of the block's
+screened extreme, get their pair_key, and those keys pick the winner, so a
+search finds the pair an all-pairs pair_key scan finds.  Nearest
+neighbors, for the spacing and both Hausdorff directions, come from a
+kd-tree that each PointCloud builds once and keeps: O(n log n) per cloud,
+where a scan of all pairs was O(n^2).
 The tree is on ambient coordinates on S^n and R^n, where the Euclidean
 distance is the chord, and on the spatial part on H^n, where it overstates
 the chord by at most cosh(rho) within rho of the base point, so a ball that
@@ -46,6 +52,7 @@ from .geometry import (
     HYPERBOLIC,
     SIDE_TOL,
     SPHERICAL,
+    _EPS,
     Ball,
     Hyperplane,
     Space,
@@ -60,6 +67,7 @@ from .geometry import (
     pair_key,
     random_unit_tangent,
     reflect,
+    screen_keys,
     tangent_toward,
 )
 
@@ -85,7 +93,6 @@ _SEED_ROWS = 8
 _TREE_SLACK = 1e-12
 #: tree neighbors fetched per row beyond the first it may take
 _SPARE_NEIGHBORS = 1
-_EPS = float(np.finfo(float).eps)
 #: longest arc piece one rule integrates.  On S2 discs of radius 0.1 to 1.3
 #: centred up to 2.0 from the pole (and reaching at most 2.9 from it), pieces
 #: of pi/4 erred at most 3.1e-15 relative; one piece per circle erred 8.6e-7
@@ -535,16 +542,21 @@ def _key_slack(space: Space, pts: np.ndarray, from_c: np.ndarray) -> float:
 
 
 def _farthest_pair(space: Space, pts: np.ndarray):
-    """Max pairwise distance over the rows, with the first attaining pair (i, j).
+    """Max pairwise distance over the finite rows, with the first attaining pair (i, j).
 
     Exact against the all-pairs scan: the pair is the first maximum of the
     pair_keys in row-major order, and the distance is decoded from that key,
     like every other reported distance.
     With r_i the distance of row i from a centre c, a pair can reach the
     bound ``best`` only if both rows have r_i >= best - max r (triangle
-    inequality).  ``best`` starts from the farthest points of the few rows
-    farthest from c, and the keys are only scanned among the rows that pass,
-    each bound widened by _key_slack.  An annulus around c keeps every row.
+    inequality).  ``best`` starts from the screened keys of the few rows
+    farthest from c, less the screen's delta, and the keys are only scanned
+    among the rows that pass, each bound widened by _key_slack.  An annulus
+    around c keeps every row.  The scan screens a chunk of rows at a time:
+    a chunk whose screened maximum plus delta is not above the best key so
+    far is skipped, and otherwise only its entries within 2 delta of that
+    maximum, which hold every entry whose pair_key may be the chunk's
+    maximum, get their pair_key.
     """
     n = pts.shape[0]
     if n == 1:
@@ -555,26 +567,33 @@ def _farthest_pair(space: Space, pts: np.ndarray):
     from_c = pair_key(space, pts[c], pts)
     m = min(_SEED_ROWS, n)
     seeds = np.argpartition(from_c, n - m)[n - m:]
-    g = pair_key(space, pts[seeds, None], pts)
+    g, delta = screen_keys(space, pts[seeds], pts)
     g[np.arange(m), seeds] = -np.inf
     slack = _key_slack(space, pts, from_c)
     # the scan's pair has a computed key >= the scan's key of the best seed
-    # pair, so its exact key is at least max(g) less three roundings, and no
-    # row is farther from c than max(radius)
-    best = decode_key(space, g.max() - 3.0 * slack)
+    # pair, at least max(g) - delta, so its exact key is at least that less
+    # three roundings, and no row is farther from c than max(radius)
+    best = decode_key(space, g.max() - delta - 3.0 * slack)
     radius = decode_key(space, from_c + slack)
     keep = np.flatnonzero(radius >= best - radius.max())
     block = pts[keep]
     top = -np.inf
     bi = bj = 0
     for i0 in range(0, keep.size, _CHUNK):
-        g = pair_key(space, block[i0:i0 + _CHUNK, None], block)
+        g, delta = screen_keys(space, block[i0:i0 + _CHUNK], block)
         rows = np.arange(g.shape[0])
         g[rows, i0 + rows] = -np.inf
-        r, col = divmod(int(np.argmax(g)), keep.size)
-        if g[r, col] > top:
-            top = float(g[r, col])
-            bi, bj = int(keep[i0 + r]), int(keep[col])
+        peak = g.max()
+        if peak + delta <= top:
+            continue
+        # an entry whose pair_key may be the chunk's maximum is screened
+        # within 2 delta of the screened maximum; pair_key decides among them
+        r, col = divmod(np.flatnonzero(g >= peak - 2.0 * delta), keep.size)
+        exact = pair_key(space, block[i0 + r], block[col])
+        k = int(np.argmax(exact))
+        if exact[k] > top:
+            top = float(exact[k])
+            bi, bj = int(keep[i0 + r[k]]), int(keep[col[k]])
     return float(decode_key(space, top)), bi, bj
 
 
@@ -616,7 +635,9 @@ class NeighborIndex:
         beyond that ball (widened by _TREE_SLACK), they hold the ball and the
         keys rank them.  A row whose ball may hold more, which on S^n and R^n
         takes a tie and far out on H^n can be every row, is ranked against
-        the whole cloud, as in an all-pairs scan.  Ties go to the lower index.
+        the whole cloud, as in an all-pairs scan, screened by ``screen_keys``
+        so that pair_key ranks only the keys within 2 delta of each row's
+        least screened key.  Ties go to the lower index.
         """
         n = self.points.shape[0]
         m = min(n, (1 if own is None else 2) + _SPARE_NEIGHBORS)
@@ -631,11 +652,18 @@ class NeighborIndex:
         cols = np.where(keys == best[:, None], near, n).min(axis=1)
         for i0 in range(0, wide.size, _CHUNK):
             rows = wide[i0:i0 + _CHUNK]
-            g = pair_key(self.space, q[rows, None], self.points)
+            g, delta = screen_keys(self.space, q[rows], self.points)
             if own is not None:
                 g[np.arange(rows.size), own[rows]] = np.inf
+            # an entry whose pair_key may be its row's least is screened within
+            # 2 delta of the row's least screened key, and every screened key
+            # beyond that exceeds the least pair_key; so with the pair_keys of
+            # those entries in place, argmin takes the scan's column
+            r, c = divmod(np.flatnonzero(g <= g.min(axis=1, keepdims=True) + 2.0 * delta),
+                          g.shape[1])
+            g[r, c] = pair_key(self.space, q[rows[r]], self.points[c])
             cols[rows] = np.argmin(g, axis=1)
-            best[rows] = g.min(axis=1)
+            best[rows] = g[np.arange(rows.size), cols[rows]]
         return best, cols
 
 
@@ -667,6 +695,10 @@ def diameter(space: Space, cloud):
     pts = _as_points(cloud)
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty cloud")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"diameter of a cloud with non-finite coordinates: "
+                         f"row {bad[0]} is {pts[bad[0]].tolist()}")
     best, bi, bj = _farthest_pair(space, pts)
     return best, pts[bi].copy(), pts[bj].copy()
 

@@ -181,6 +181,12 @@ class TestHullDiameterCheck:
         with pytest.raises(ValueError, match=message):
             hull_diameter_check(E2, pts, hull_samples, seed=200)
 
+    def test_non_finite_rows_are_refused_by_name(self):
+        pts = random_points(E2, 30, seed=99, spread=0.6)
+        pts[4, 1] = math.nan
+        with pytest.raises(ValueError, match="row 4 is"):
+            hull_diameter_check(E2, pts, 100, seed=200)
+
     def test_hull_samples_take_numpy_integers(self):
         pts = random_points(E2, 30, seed=99, spread=0.6)
         assert hull_diameter_check(E2, pts, np.int64(500), seed=200) == \

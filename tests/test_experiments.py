@@ -12,7 +12,7 @@ from isodiam.experiments import (
     random_admissible_region,
     verify_isodiametric,
 )
-from isodiam.geometry import Ball, Space, ball_volume, distance
+from isodiam.geometry import Ball, Space, ball_volume, distance, geodesic_point
 from isodiam.regionio import region_digest
 from isodiam.regions import (
     PointCloud,
@@ -221,16 +221,33 @@ def _reference_greedy(space, D, candidate_count, seed, seed_with_ball=False):
     if seed_with_ball:
         inner = distance(space, cand, pole) <= D / 2.0
         cand = np.concatenate([cand[inner], cand[~inner]])
+    accepted = _reference_accept(space, D, cand)
+    frac = len(accepted) / candidate_count
+    sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
+    deficit = ball_volume(space, D / 2.0) - v_env * frac
+    return PointCloud(points=accepted, weight=v_env / candidate_count), deficit, sigma
+
+
+def _reference_accept(space, D, cand):
+    """The candidates, in order, that are within D of every one accepted before."""
     accepted = np.empty_like(cand)
     count = 0
     for x in cand:
         if count == 0 or bool(np.all(distance(space, accepted[:count], x) <= D)):
             accepted[count] = x
             count += 1
-    frac = count / candidate_count
-    sigma = v_env * math.sqrt(frac * (1.0 - frac) / candidate_count)
-    deficit = ball_volume(space, D / 2.0) - v_env * frac
-    return PointCloud(points=accepted[:count], weight=v_env / candidate_count), deficit, sigma
+    return accepted[:count]
+
+
+def _circle(space, D, count, seed):
+    """count points spaced evenly on the circle of radius D / 2 about the pole,
+    in random order: a point and its opposite are D apart to within rounding."""
+    rng = substream(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi) + rng.permutation(count) * (2.0 * math.pi / count)
+    u = np.zeros((count, space.ambient_dim))
+    u[:, 0] = np.cos(theta)
+    u[:, 1] = np.sin(theta)
+    return geodesic_point(space, space.base_point, u, D / 2.0)
 
 
 def _assert_matches_reference(space, D, count, seed, seed_with_ball=False):
@@ -273,6 +290,27 @@ class TestGreedyMaximal:
         monkeypatch.setattr(experiments, "_HEAD_BLOCK", block)
         _assert_matches_reference(S2, 1.2, 600, 5)
         _assert_matches_reference(Space.hyperbolic(3), 0.5, 600, 6)
+
+    @pytest.mark.parametrize("D", [0.5, 1.2, 2.0])
+    @pytest.mark.parametrize("space", [S2, H2, E2], ids=["S2", "H2", "R2"])
+    def test_keys_at_the_threshold_match_the_reference(self, monkeypatch, space, D):
+        # opposite points of a circle of diameter D have keys within the
+        # screen's bound of g*, so pair_key must decide their columns
+        cand = _circle(space, D, 400, seed=17)
+        monkeypatch.setattr(experiments, "uniform_in_ball", lambda *args, size: cand[:size])
+        confirmed = []
+        real = experiments.pair_key
+
+        def spy(sp, x, y):
+            # the head block's keys are of one block against itself
+            if not np.shares_memory(x, y):
+                confirmed.append(len(y))
+            return real(sp, x, y)
+
+        monkeypatch.setattr(experiments, "pair_key", spy)
+        cloud, _, _ = greedy_maximal(space, D, len(cand), 1)
+        assert cloud.points.tobytes() == _reference_accept(space, D, cand).tobytes()
+        assert sum(confirmed) > 0
 
     @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, 2.0])
     def test_rejects_non_integer_candidate_count(self, count):

@@ -31,6 +31,7 @@ from isodiam.geometry import (
     project_gnomonic,
     random_unit_tangent,
     reflect,
+    screen_keys,
     side,
     sphere_area,
     tangent_norm,
@@ -195,6 +196,54 @@ class TestPairKey:
         assert decode_key(S2, -1.0 - 1e-15) == 0.0
         assert decode_key(H2, 1.0 - 1e-15) == 0.0
         assert decode_key(E2, 0.0) == 0.0
+
+
+def _screen_rows(space, rng, rows, reach, zeros):
+    """Rows on S^n, on H^n out to ``reach`` from the pole, or in R^n of norm up
+    to ``reach``, with a share ``zeros`` of coordinates -0.0 or 0.0."""
+    n = space.dim
+    w = rng.standard_normal((rows, n))
+    w[rng.random(w.shape) < zeros] = -0.0
+    w[rng.random(w.shape) < zeros] = 0.0
+    # the first row reaches the limit
+    t = reach * rng.random((rows, 1))
+    t[0] = reach
+    if space.curvature == 0:
+        return w * (t / np.maximum(np.linalg.norm(w, axis=1), 1e-300)[:, None])
+    norm = np.linalg.norm(w, axis=1)[:, None]
+    w = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), np.eye(n)[0])
+    if space.curvature == 1:
+        t = rng.uniform(0.0, math.pi, (rows, 1))
+        return np.hstack([np.sin(t) * w, np.cos(t)])
+    return np.hstack([np.sinh(t) * w, np.cosh(t)])
+
+
+#: S2-S5, H2-H5 and R2-R5
+SCREEN_SPACES = [Space(c, n) for c in (1, -1, 0) for n in range(2, 6)]
+
+
+class TestScreenKeys:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(space=st.sampled_from(SCREEN_SPACES), m=st.integers(1, 30), n=st.integers(1, 30),
+           reach=st.floats(0.0, 1.0), zeros=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_within_delta_of_pair_key(self, space, m, n, reach, zeros, seed):
+        # reach runs to R = 20 on H^n and to |x| = 1e3 on R^n; some rows of b
+        # repeat rows of a, and some rows of a repeat each other
+        rng = substream(seed)
+        reach *= 20.0 if space.curvature == -1 else 1e3
+        a = _screen_rows(space, rng, m, reach, zeros)
+        repeated = rng.random(m) < 0.3
+        repeated[0] = False
+        a[repeated] = a[rng.integers(0, m, int(repeated.sum()))]
+        b = _screen_rows(space, rng, n, reach, zeros)
+        shared = rng.random(n) < 0.3
+        b[shared] = a[rng.integers(0, m, int(shared.sum()))]
+        screened, delta = screen_keys(space, a, b)
+        exact = pair_key(space, a[:, None], b)
+        assert screened.shape == exact.shape == (m, n)
+        assert math.isfinite(delta) and delta >= 0.0
+        assert np.all(np.abs(screened - exact) <= delta)
 
 
 def _consecutive_floats(g, n):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isodiam import regions
 from isodiam.geometry import (
     Ball,
     Space,
@@ -51,7 +52,7 @@ H2 = SPACES["H2"]
 #: rows of the key matrix the reference scan holds at once
 CHUNK = 512
 #: cloud shapes; "far" is an H2 cloud 10 to 15 from the pole, drawn on H2 only
-KINDS = ("ball", "duplicates", "pair", "close", "annulus", "far")
+KINDS = ("ball", "duplicates", "pair", "close", "annulus", "polygon", "far")
 EPS = np.finfo(float).eps
 
 
@@ -104,6 +105,16 @@ def make_cloud(space, kind, n, seed):
         e = space.base_point
         ring = geodesic_point(space, e, random_unit_tangent(space, e, rng, n), 0.7)
         return np.vstack([ring, e])
+    if kind == "polygon":
+        # the vertices of a regular polygon about the pole, each repeated: many
+        # pairs are farthest or nearest to within rounding, and repeats tie
+        sides = max(n // 3, 2)
+        theta = rng.uniform(0.0, 2.0 * np.pi) + np.arange(sides) * (2.0 * np.pi / sides)
+        u = np.zeros((sides, space.ambient_dim))
+        u[:, 0] = np.cos(theta)
+        u[:, 1] = np.sin(theta)
+        ring = geodesic_point(space, space.base_point, u, float(rng.uniform(0.3, 1.2)))
+        return ring[rng.integers(0, sides, size=n)]
     # far out on H2, where the tree's stretch cosh(rho) is 1e4 to 2e6
     e = H2.base_point
     center = geodesic_point(H2, e, random_unit_tangent(H2, e, rng), float(rng.uniform(10, 15)))
@@ -161,6 +172,40 @@ def test_hausdorff_is_the_scans(space_name, kind, n, seed, other, m):
     h = hausdorff(space, a, b)
     assert h == hausdorff(space, PointCloud(a, 1.0), PointCloud(b, 1.0))
     assert h == float(decode_key(space, ref_key))
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+@pytest.mark.parametrize("n", [12, 61, 700])
+def test_pair_key_decides_the_screened_ties(monkeypatch, space_name, n):
+    # in a polygon with repeated vertices the screen leaves many candidates
+    # for the farthest pair and each row's nearest point, and pair_key picks
+    # the scan's first one among them
+    space = SPACES[space_name]
+    pts = make_cloud(space, "polygon", n, seed=n)
+    decided = []
+    real = regions.pair_key
+
+    def spy(sp, x, y):
+        # the confirmations take pairs of rows; the other calls a block
+        if np.ndim(x) == 2 and np.ndim(y) == 2:
+            decided.append(len(x))
+        return real(sp, x, y)
+
+    monkeypatch.setattr(regions, "pair_key", spy)
+    d, i, j = _farthest_pair(space, pts)
+    farthest = list(decided)
+    index = NeighborIndex(space, pts)
+    keys, cols = index.nearest(pts, index.stretch, own=np.arange(n))
+    nearest_rows = decided[len(farthest):]
+    monkeypatch.undo()
+    top, bi, bj, nn, nearest = scan_extremes(space, pts)
+    assert (i, j) == (bi, bj)
+    assert d == float(decode_key(space, top))
+    assert max(farthest) > 1
+    # rows with three or more copies hold a tie, so they are ranked in full
+    assert sum(nearest_rows) > 0
+    assert np.array_equal(cols, nearest)
+    assert np.array_equal(keys, nn)
 
 
 def test_h2_stretch_is_needed_far_out():

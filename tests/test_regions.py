@@ -480,6 +480,13 @@ class TestDiameter:
         with pytest.raises(ValueError):
             diameter(S2, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_are_refused_by_name(self, bad):
+        # a NaN row used to drop out of the scan and leave a diameter of 0.0
+        pts = [[0.0, 0.0, 1.0], [bad, 0.0, 1.0], [0.1, 0.0, 0.995], [0.0, bad, 1.0]]
+        with pytest.raises(ValueError, match=rf"row 1 is \[{bad}, 0.0, 1.0\]"):
+            diameter(S2, pts)
+
 
 class TestHausdorff:
     def test_identical_clouds(self, space):
