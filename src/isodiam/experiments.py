@@ -122,8 +122,10 @@ class CampaignConfig:
     """Settings for one isodiametric verification campaign.
 
     ``volume_samples`` is the Monte Carlo draw count of each trial volume for
-    n >= 3, at least 100.  At n = 2 it is unused, and any positive count is
-    taken: each volume is exact, from the region's boundary arcs, and its
+    n >= 3, at least 100, except a lone ball's (trial 0, and every
+    complexity-1 draw), which is ``ball_volume``, draws nothing and leaves
+    stream (k, 2) unopened.  At n = 2 it is unused, and any positive count
+    is taken: each volume is exact, from the region's boundary arcs, and its
     std_error is a rounding bound.
     """
 
@@ -236,8 +238,9 @@ def _run_trial(config: CampaignConfig, trial: int):
     """(region, volume, sampled diameter) of one trial, from its own
     substreams alone.
 
-    The volume is ``exact_area`` at n = 2 and ``volume_estimate`` from
-    stream (trial, 2) for n >= 3."""
+    The volume is ``exact_area`` at n = 2 and ``volume_estimate`` for
+    n >= 3, from stream (trial, 2) unless the region is a lone ball, whose
+    volume is exact and draws nothing."""
     space = config.space
     if trial == 0 and config.include_exact_ball:
         region = Ball(space.base_point, config.D / 2.0)
@@ -250,9 +253,8 @@ def _run_trial(config: CampaignConfig, trial: int):
     diam = _farthest_pair(space, cloud)[0] if len(cloud) else 0.0
     if space.dim == 2:
         return region, exact_area(space, region), diam
-    est = volume_estimate(space, region, config.volume_samples,
-                          substream(config.seed, trial, 2))
-    return region, est, diam
+    rng = None if isinstance(region, Ball) else substream(config.seed, trial, 2)
+    return region, volume_estimate(space, region, config.volume_samples, rng), diam
 
 
 def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> CampaignReport:
@@ -267,7 +269,9 @@ def verify_isodiametric(config: CampaignConfig, out_csv=None, out_json=None) -> 
     ``ball_volume`` with a std_error of 0, and any other region's std_error
     is a bound on the rounding of its arc integrals, so ``volume_samples`` is
     unused.  For n >= 3 the volume is a Monte Carlo estimate of
-    ``volume_samples`` draws, with its binomial standard error.
+    ``volume_samples`` draws from stream (k, 2), with its binomial standard
+    error, except a lone ball's: that is ``ball_volume`` with a std_error
+    of 0, as at n = 2, and (k, 2) is not opened.
 
     The trials run one after another, each from its own substreams only;
     the first trial that raises stops the campaign with its error.

@@ -747,15 +747,23 @@ def _check_positive(name: str, value) -> None:
 
 
 def volume_estimate(space: Space, region, samples: int,
-                    rng: np.random.Generator) -> VolumeEstimate:
+                    rng: np.random.Generator | None) -> VolumeEstimate:
     """Hit-or-miss Monte Carlo volume over the bounding ball.
 
     value = V(envelope) * hits / samples, with the exact binomial standard
     error of the estimator.  The points are ``uniform_in_ball``'s, tested
     in its blocks (``_ball_blocks``), so a call holds one block's membership
     temporaries at a time.
+
+    A lone Ball, at any n, is its own envelope, and its volume is the closed
+    form: ``ball_volume`` with a std_error of 0.0 and samples_used 0, as in
+    ``exact_area``.  It draws nothing, so its rng may be None and its
+    caller need not open a stream.  ``samples`` is checked either way.
     """
     samples = _check_count("samples", samples, 100)
+    if isinstance(region, Ball):
+        return VolumeEstimate(value=ball_volume(space, region.radius), std_error=0.0,
+                              samples_used=0)
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
     hits = sum(int(np.count_nonzero(contains(space, region, pts)))

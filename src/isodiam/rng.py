@@ -8,10 +8,13 @@ independent of any worker count or evaluation order.  The streams in use:
 - ``run_flow``: (0, 1) the initial volume, (0, 2) the reference cloud and
   (0, 0) the initial cloud.  Each ``flow_step`` k: (k, 3) the plane, (k, 7)
   the rebase, (k, 4) the counting-identity check, (k, 1) the volume and
-  (k, 0) the cloud.
+  (k, 0) the cloud.  A lone ball's volume is exact and draws nothing, so
+  (k, 1), (0, 1) included, is not opened for one; a step that leaves its
+  region unchanged (a ball whose centre is on the plane) opens neither
+  (k, 4) nor (k, 1).
 - ``verify_isodiametric`` trial k: (k, 0) the region, (k, 1) its cloud and,
   for n >= 3 only, (k, 2) its volume; an n = 2 volume is exact and draws
-  nothing.
+  nothing, and so is a lone ball's at any n, which leaves (k, 2) unopened.
 - the CLI and the probes (``greedy_maximal``, ``hull_diameter_check``,
   ``ball_convexity_probe``): the root stream ``substream(seed)``; only
   ``hull-check`` needs two, and samples its cloud from (0,).

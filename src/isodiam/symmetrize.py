@@ -365,6 +365,14 @@ def _map_cores(space: Space, plane: Hyperplane, cores: tuple) -> tuple:
     return tuple(Ball(centers[i], cores[i].radius) for i in keep)
 
 
+def _volume(space: Space, region, metrics: MetricsConfig, seed: int,
+            step: int) -> VolumeEstimate:
+    """The step's volume estimate from stream (step, 1), which a lone ball,
+    whose volume is exact, does not open."""
+    rng = None if isinstance(region, Ball) else substream(seed, step, 1)
+    return volume_estimate(space, region, metrics.volume_samples, rng)
+
+
 def _measure(space: Space, region, metrics: MetricsConfig, step: int, rng: np.random.Generator,
              reference_cloud: PointCloud, volume: VolumeEstimate, plane: Hyperplane | None,
              rebased: bool, cores: tuple = ()):
@@ -403,6 +411,11 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     first, so that its envelope is the candidate's.  The union tests the
     cores as one packed ball group, and queries the chain only on the rows
     outside them; the set, and every mask, is the candidate's.
+
+    A ball whose centre lies on the plane is returned unchanged, so the
+    counting identity would compare it with itself: that step opens neither
+    its check stream (k, 4) nor, as a lone ball's volume is exact, its
+    volume stream (k, 1).
     """
     if space.curvature == SPHERICAL and prev.diameter + 2.0 * prev.spacing >= math.pi:
         warnings.warn("sampled diameter is not below pi; symmetrization properties "
@@ -419,8 +432,9 @@ def flow_step(space: Space, region, strategy: Strategy, metrics: MetricsConfig, 
     cores = _map_cores(space, plane, cores)
     if cores:
         candidate = Union((candidate,) + cores)
-    _check_counting_identity(space, plane, base, candidate, substream(seed, step, 4))
-    vol = volume_estimate(space, candidate, metrics.volume_samples, substream(seed, step, 1))
+    if candidate is not base:
+        _check_counting_identity(space, plane, base, candidate, substream(seed, step, 4))
+    vol = _volume(space, candidate, metrics, seed, step)
     return candidate, _measure(space, candidate, metrics, step, substream(seed, step, 0),
                                reference_cloud, vol, plane, rebased, cores)
 
@@ -439,7 +453,7 @@ def run_flow(space: Space, initial, strategy: Strategy, max_steps: int, stop_eps
     if not math.isfinite(stop_epsilon):
         raise ValueError(f"stop_epsilon must be finite, got {stop_epsilon}")
     metrics = metrics or MetricsConfig()
-    vol0 = volume_estimate(space, initial, metrics.volume_samples, substream(seed, 0, 1))
+    vol0 = _volume(space, initial, metrics, seed, 0)
     if vol0.value <= 0.0:
         raise ValueError("initial region has zero estimated volume")
     ref_ball = Ball(space.base_point, equal_volume_radius(space, vol0.value))

@@ -53,6 +53,21 @@ class TestVolume:
         assert rc == 0
         assert "+-" in capsys.readouterr().out
 
+    def test_ball_region_volume_is_exact(self, cap_file, capsys):
+        # a lone ball's volume is its closed form, with no draw
+        rc = main(["volume", "--space", "sphere", "--dim", "2", "--region", cap_file,
+                   "--samples", "5000", "--seed", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out == f"{ball_volume(S2, 0.6)!r} +- 0.0 (0 samples)\n"
+
+    def test_non_ball_region_volume_draws_its_samples(self, tmp_path, capsys):
+        path = tmp_path / "dented.json"
+        save_region(path, S2, dented_ball_region(S2))
+        rc = main(["volume", "--space", "sphere", "--dim", "2", "--region", str(path),
+                   "--samples", "5000", "--seed", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith(" (5000 samples)\n")
+
     def test_region_requires_seed(self, cap_file, capsys):
         rc = main(["volume", "--space", "sphere", "--dim", "2", "--region", cap_file])
         assert rc == 2

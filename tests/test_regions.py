@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -619,6 +620,56 @@ class TestVolumeEstimate:
             if abs(est.value - truth) <= 3 * est.std_error:
                 hits += 1
         assert hits >= 96
+
+    #: 40-digit closed forms of the ball volume on S^n, H^n and R^n, n = 2, 3
+    CLOSED_FORMS = {
+        (1, 2): lambda r: 2 * mpmath.pi * (1 - mpmath.cos(r)),
+        (-1, 2): lambda r: 2 * mpmath.pi * (mpmath.cosh(r) - 1),
+        (0, 2): lambda r: mpmath.pi * r ** 2,
+        (1, 3): lambda r: mpmath.pi * (2 * r - mpmath.sin(2 * r)),
+        (-1, 3): lambda r: mpmath.pi * (mpmath.sinh(2 * r) - 2 * r),
+        (0, 3): lambda r: 4 * mpmath.pi * r ** 3 / 3,
+    }
+
+    @pytest.mark.parametrize("curvature, dim, offset, radius", [
+        (1, 2, 0.0, 0.8), (1, 2, 1.1, 0.3), (1, 2, 0.0, math.pi),
+        (1, 3, 0.4, 1.7), (1, 3, 0.0, 3.0),
+        (-1, 2, 0.0, 0.8), (-1, 2, 2.5, 3.0), (-1, 3, 1.0, 1.7), (-1, 3, 0.0, 6.0),
+        (0, 2, 0.0, 0.8), (0, 2, 4.0, 2.0), (0, 3, 1.5, 1.7), (0, 3, 0.0, 20.0),
+    ])
+    def test_lone_ball_is_its_closed_form(self, curvature, dim, offset, radius):
+        """A lone ball's volume is exact at any n: the closed form within
+        ball_volume's stated 5.9e-16, with no sampling error and no draw."""
+        space = Space(curvature, dim)
+        axis = np.zeros(space.ambient_dim)
+        axis[0] = 1.0
+        center = geodesic_point(space, space.base_point, axis, offset)
+        rng = substream(75)
+        est = volume_estimate(space, Ball(center, radius), 20000, rng)
+        with mpmath.workdps(40):
+            truth = self.CLOSED_FORMS[curvature, dim](mpmath.mpf(radius))
+            assert float(abs(est.value - truth) / truth) <= 5.9e-16
+        assert est.value == ball_volume(space, radius)
+        assert est.std_error == 0.0
+        assert est.samples_used == 0
+        # the rng is untouched: its next draw is a fresh generator's
+        assert np.array_equal(rng.random(4), substream(75).random(4))
+
+    def test_lone_ball_far_out_on_h2_is_one_value(self):
+        """An H2 ball centred 12 from the pole has one volume at every azimuth."""
+        values = set()
+        for a in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False):
+            center = geodesic_point(H2, H2.base_point, np.array([math.cos(a), math.sin(a), 0.0]),
+                                    12.0)
+            est = volume_estimate(H2, Ball(center, 0.7), 20000, substream(76))
+            values.add((est.value, est.std_error, est.samples_used))
+        assert values == {(ball_volume(H2, 0.7), 0.0, 0)}
+
+    def test_lone_ball_needs_no_rng_but_checks_samples(self):
+        assert volume_estimate(S2, Ball(E, 0.5), 100, None) == VolumeEstimate(
+            value=ball_volume(S2, 0.5), std_error=0.0, samples_used=0)
+        with pytest.raises(ValueError, match="samples must be at least 100"):
+            volume_estimate(S2, Ball(E, 0.5), 50, None)
 
     def test_determinism(self, space):
         b = Ball(space.base_point, 0.7)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from isodiam.cli import main
-from isodiam.experiments import CampaignConfig, verify_isodiametric
-from isodiam.geometry import Ball, Space
+from isodiam.experiments import CampaignConfig, random_admissible_region, verify_isodiametric
+from isodiam.geometry import Ball, Space, geodesic_point
 from isodiam.regionio import save_region
 from isodiam.rng import substream
 from isodiam.symmetrize import MetricsConfig, RandomThroughPole, run_flow
@@ -38,27 +38,51 @@ def test_no_stream_key_read_twice(tmp_path, stream_keys, argv):
     assert repeated == []
 
 
-def test_flow_step_reads_documented_keys(stream_keys):
+def _off_pole_cap(space):
+    axis = np.zeros(space.ambient_dim)
+    axis[0] = 1.0
+    return Ball(geodesic_point(space, space.base_point, axis, 0.3), 0.6)
+
+
+@pytest.mark.parametrize("region, keys", [
     # step 0: volume, reference cloud, cloud; each step: plane, identity
     # check, volume, cloud, and the rebase when the chain would pass depth 1
+    (dented_ball_region, [(0, 1), (0, 2), (0, 0),
+                          (1, 3), (1, 4), (1, 1), (1, 0),
+                          (2, 3), (2, 7), (2, 4), (2, 1), (2, 0)]),
+    # every plane passes through the pole cap's centre, so each step leaves
+    # the ball unchanged: no identity check, and no volume draw at any step
+    (lambda space: Ball(space.base_point, 0.8), [(0, 2), (0, 0), (1, 3), (1, 0), (2, 3), (2, 0)]),
+    # an off-pole ball has an exact volume at step 0 only; its steps are
+    # symmetrized, so they check the identity and draw their volumes
+    (_off_pole_cap, [(0, 2), (0, 0),
+                     (1, 3), (1, 4), (1, 1), (1, 0),
+                     (2, 3), (2, 7), (2, 4), (2, 1), (2, 0)]),
+], ids=["dented-ball", "pole-cap", "off-pole-cap"])
+def test_flow_step_reads_documented_keys(stream_keys, region, keys):
     seed = 5
-    run_flow(S2, dented_ball_region(S2), RandomThroughPole(), max_steps=2, stop_epsilon=0.0,
+    run_flow(S2, region(S2), RandomThroughPole(), max_steps=2, stop_epsilon=0.0,
              seed=seed, metrics=MetricsConfig(cloud_density=300.0, volume_samples=2000,
                                               rebase_depth=1))
-    assert stream_keys == [(seed, 0, 1), (seed, 0, 2), (seed, 0, 0),
-                           (seed, 1, 3), (seed, 1, 4), (seed, 1, 1), (seed, 1, 0),
-                           (seed, 2, 3), (seed, 2, 7), (seed, 2, 4), (seed, 2, 1), (seed, 2, 0)]
+    assert stream_keys == [(seed,) + key for key in keys]
 
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_verify_draws_volumes_only_for_n_at_least_3(stream_keys, dim):
-    # an n = 2 trial volume is exact, so its stream (k, 2) is never opened
-    config = CampaignConfig(curvature=1, dim=dim, D=1.2, trials=3, seed=13,
+    # an n = 2 trial volume is exact, and so is a lone ball's at any n, so
+    # neither opens its stream (k, 2): trial 0 is the exact ball, and trials
+    # 4 and 5 draw a complexity-1 ball
+    config = CampaignConfig(curvature=1, dim=dim, D=1.2, trials=6, seed=13,
                             volume_samples=2000, region_density=300.0)
-    verify_isodiametric(config)
+    report = verify_isodiametric(config)
+    balls = [k for k in range(6) if k == 0 or isinstance(random_admissible_region(
+        config.space, config.D, config.complexity, substream(13, k, 0),
+        density=config.region_density), Ball)]
+    assert balls == [0, 4, 5]
+    assert all(report.records[k].std_error == 0.0 for k in balls)
     volume_keys = sorted(key for key in stream_keys if key[2:] == (2,))
-    assert volume_keys == ([] if dim == 2 else [(13, k, 2) for k in range(3)])
+    assert volume_keys == ([] if dim == 2 else [(13, k, 2) for k in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("seed, path, bad", [

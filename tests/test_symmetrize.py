@@ -63,6 +63,15 @@ def plane_through_pole(space):
     return Hyperplane(n, 1)
 
 
+def _count_identity_checks(monkeypatch):
+    """Record every counting-identity check a flow step runs."""
+    checks = []
+    real = symmetrize._check_counting_identity
+    monkeypatch.setattr(symmetrize, "_check_counting_identity",
+                        lambda *a: checks.append(a) or real(*a))
+    return checks
+
+
 def _count_pairwise_passes(monkeypatch):
     """Record every _pairwise_extremes call made from regions or symmetrize."""
     import isodiam.regions as reg
@@ -241,6 +250,29 @@ class TestFlow:
                 3 * math.hypot(rec.volume.std_error, base.volume.std_error) + 1e-12
             assert abs(rec.diameter - base.diameter) <= 2 * (rec.spacing + base.spacing)
             assert not rec.rebased
+
+    def test_cap_at_pole_volume_is_exact_and_unchecked(self, monkeypatch):
+        # every step leaves the cap unchanged: its volume is the closed form
+        # with no draw, and the counting identity, which would compare the
+        # cap with itself, is not checked
+        checks = _count_identity_checks(monkeypatch)
+        report = run_flow(S2, Ball(E, 0.8), RandomThroughPole(), max_steps=4,
+                          stop_epsilon=0.0, seed=119, metrics=FAST)
+        assert len(report.steps) == 5
+        assert checks == []
+        exact = ball_volume(S2, 0.8)
+        assert [(s.volume.value, s.volume.std_error, s.volume.samples_used)
+                for s in report.steps] == [(exact, 0.0, 0)] * 5
+        assert [s["samples"] for s in report.to_dict()["steps"]] == [0] * 5
+
+    def test_off_pole_cap_steps_check_and_draw(self, monkeypatch):
+        # step 0 is the exact ball; each symmetrized step checks its counting
+        # identity and draws its volume
+        checks = _count_identity_checks(monkeypatch)
+        report = run_flow(S2, Ball(geodesic_point(S2, E, EX, 0.3), 0.6), RandomThroughPole(),
+                          max_steps=3, stop_epsilon=0.0, seed=119, metrics=FAST)
+        assert len(checks) == 3
+        assert [s["samples"] for s in report.to_dict()["steps"]] == [0, 2000, 2000, 2000]
 
     def test_reference_ball_initial_stops_immediately(self):
         report = run_flow(S2, Ball(E, 0.6), RandomThroughPole(), max_steps=50,
