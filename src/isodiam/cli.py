@@ -15,7 +15,7 @@ import numpy as np
 
 from .convexity import ball_convexity_probe, hemisphere_center, hull_diameter_check
 from .experiments import CampaignConfig, greedy_maximal, verify_isodiametric
-from .geometry import SPHERICAL, Ball, Space, ball_volume
+from .geometry import SPHERICAL, _CURVATURE_NAMES, Ball, Space, ball_volume
 from .regionio import RegionFormatError, load_region
 from .regions import diameter, sample, volume_estimate
 from .rng import substream
@@ -26,7 +26,7 @@ from .symmetrize import (
     run_flow,
 )
 
-_SPACES = {"euclidean": 0, "sphere": 1, "hyperbolic": -1}
+_SPACES = {name: curvature for curvature, name in _CURVATURE_NAMES.items()}
 
 
 def _space_args(p: argparse.ArgumentParser) -> None:

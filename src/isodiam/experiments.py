@@ -27,7 +27,7 @@ from .geometry import (
     pair_key,
     screen_keys,
 )
-from .regionio import region_digest
+from .regionio import region_digest, write_json
 from .regions import (
     Difference,
     Intersection,
@@ -85,11 +85,10 @@ def random_admissible_region(space: Space, D: float, complexity: int,
         if k == 1:
             radius = half * float(rng.uniform(0.3, 1.0))
             center = uniform_in_ball(space, Ball(pole, half * 0.5), rng)
-            region = Ball(center, min(radius, half))
-            pad = float(distance(space, pole, center)) + region.radius
-            if pad > half:
-                region = Ball(center, max(half - float(distance(space, pole, center)), 0.1 * half))
-            return region
+            from_pole = float(distance(space, pole, center))
+            if from_pole + radius > half:
+                radius = max(half - from_pole, 0.1 * half)
+            return Ball(center, radius)
         centers = uniform_in_ball(space, Ball(pole, half * 0.9), rng, size=k)
         radii = half * rng.uniform(0.25, 0.85, size=k)
         region = Ball(centers[0], float(radii[0]))
@@ -229,9 +228,7 @@ class CampaignReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict())
 
 
 def _run_trial(config: CampaignConfig, trial: int):

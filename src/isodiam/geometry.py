@@ -164,20 +164,35 @@ def pair_key(space: Space, x, y):
     """
     if space.curvature == HYPERBOLIC:
         return form(space, x, y)
-    x, y = _columns(space, x, y)
     if space.curvature == SPHERICAL:
         # (-a) + (-b) has the bits of -(a + b)
-        return _add_up(-x[..., j] * y[..., j] for j in range(space.ambient_dim))
+        return -form(space, x, y)
+    x, y = _columns(space, x, y)
     return _add_up((x[..., j] - y[..., j]) ** 2 for j in range(space.dim))
+
+
+def form_rows(space: Space, x) -> np.ndarray:
+    """A fresh copy of the rows x, with the spatial part negated on H^n, so
+    that one matrix product ``form_rows(space, a) @ b.T`` holds the ambient
+    form of every row of a with every row of b.
+
+    It copies on every space: numpy sends ``a @ a.T`` on one buffer to BLAS
+    syrk, which rounds differently from the gemm of two buffers, so a product
+    of rows with their own form rows must not share the buffer.
+    """
+    out = np.array(x, dtype=float)
+    if space.curvature == HYPERBOLIC:
+        out[..., :-1] *= -1.0
+    return out
 
 
 def screen_keys(space: Space, a, b):
     """Every row-of-a x row-of-b key by one matrix product, and a bound delta
     on how far each can be from its ``pair_key``.
 
-    On S^n and H^n the rows of a are signed as ``regions._ball_group`` signs
-    its centres (all of them negated on S^n, the spatial part on H^n); on R^n
-    the product is of rows extended by their squared norms, so it sums
+    On S^n the product is of the negated rows of a with the rows of b, and
+    on H^n of ``form_rows`` of a with them; on R^n it is of rows extended by
+    their squared norms, so it sums
     |x|^2 + |y|^2 - 2 x.y.  A sum of k rounded products, in any order, errs
     by at most gamma_k ~ k eps / 2 times the sum of their sizes.  With
     d = ambient_dim, on S^n and H^n both keys are such d-term sums, of sizes
@@ -200,11 +215,7 @@ def screen_keys(space: Space, a, b):
         xe = np.column_stack([-2.0 * x, sq_x, np.ones_like(sq_x)])
         ye = np.column_stack([y, np.ones_like(sq_y), sq_y])
         return xe @ ye.T, 4.0 * (d + 2) * _EPS * (size_x + size_y) ** 2
-    if space.curvature == SPHERICAL:
-        signed = -x
-    else:
-        signed = x.copy()
-        signed[:, :-1] *= -1.0
+    signed = -x if space.curvature == SPHERICAL else form_rows(space, x)
     return signed @ y.T, 4.0 * (d + 2) * _EPS * size_x * size_y
 
 
@@ -281,11 +292,19 @@ def geodesic_point(space: Space, z, u, t):
     tn = tangent_norm(space, u)
     if np.any(np.abs(tn - 1.0) > UNIT_TOL):
         raise ValueError("direction is not a unit tangent vector")
+    a, b = geodesic_coeffs(space, t)
+    return _radial(a) * z + _radial(b) * u
+
+
+def geodesic_coeffs(space: Space, t):
+    """(a, b) with a z + b u at arc length t from z along the unit tangent u:
+    (cos t, sin t) on the sphere, (cosh t, sinh t) on the hyperboloid and
+    (1, t) in Euclidean space; broadcasts over t."""
     if space.curvature == SPHERICAL:
-        return _radial(np.cos(t)) * z + _radial(np.sin(t)) * u
+        return np.cos(t), np.sin(t)
     if space.curvature == HYPERBOLIC:
-        return _radial(np.cosh(t)) * z + _radial(np.sinh(t)) * u
-    return z + _radial(t) * u
+        return np.cosh(t), np.sinh(t)
+    return np.ones_like(t), t
 
 
 def tangent_toward(space: Space, z, x):
@@ -299,14 +318,9 @@ def tangent_toward(space: Space, z, x):
     t = distance(space, z, x)
     if np.any(t < 1e-12):
         raise ValueError("coincident points have no direction")
-    if space.curvature == SPHERICAL:
-        if np.any(t > math.pi - 1e-9):
-            raise ValueError("antipodal points: geodesic direction is not unique")
-        v = x - _radial(np.cos(t)) * z
-    elif space.curvature == HYPERBOLIC:
-        v = x - _radial(np.cosh(t)) * z
-    else:
-        v = x - z
+    if space.curvature == SPHERICAL and np.any(t > math.pi - 1e-9):
+        raise ValueError("antipodal points: geodesic direction is not unique")
+    v = x - _radial(geodesic_coeffs(space, t)[0]) * z
     u = v / _radial(tangent_norm(space, v))
     return u, t
 
@@ -644,10 +658,8 @@ def _radial_coeffs(space: Space, r: float, u: np.ndarray):
     """Coefficients (a, b) of the draws a * center + b * direction in a ball
     of radius r, at radius quantiles u, row by row.
 
-    (cos t, sin t) on the sphere, (cosh t, sinh t) on the hyperboloid and
-    (1, t) in Euclidean space, where t is the draw's radius: the exact inverse
-    CDF of the radial density at u, which on S^n and H^n, n >= 3, is
-    ``_radius_solve``'s.
+    ``geodesic_coeffs`` of the draw's radius t: the exact inverse CDF of the
+    radial density at u, which on S^n and H^n, n >= 3, is ``_radius_solve``'s.
     """
     n = space.dim
     if space.curvature == EUCLIDEAN:
@@ -660,10 +672,7 @@ def _radial_coeffs(space: Space, r: float, u: np.ndarray):
             return 1.0 - 2.0 * v, 2.0 * np.sqrt(v * (1.0 - v))
         v = u * math.sinh(r / 2.0) ** 2
         return 1.0 + 2.0 * v, 2.0 * np.sqrt(v * (1.0 + v))
-    t = _radius_solve(space, r, u)
-    if space.curvature == SPHERICAL:
-        return np.cos(t), np.sin(t)
-    return np.cosh(t), np.sinh(t)
+    return geodesic_coeffs(space, _radius_solve(space, r, u))
 
 
 def ball_volume(space: Space, r: float) -> float:

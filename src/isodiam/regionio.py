@@ -145,12 +145,17 @@ def document_to_space_region(doc: dict) -> tuple[Space, object]:
     return space, region_from_dict(space, doc["region"])
 
 
-def save_region(path, space: Space, region) -> None:
-    doc = {"space": {"curvature": space.curvature, "dim": space.dim},
-           "region": region_to_dict(region)}
+def write_json(path, doc) -> None:
+    """Write doc as JSON with sorted keys, indented by 2, and a closing
+    newline: the layout of every JSON file the package writes."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_region(path, space: Space, region) -> None:
+    write_json(path, {"space": {"curvature": space.curvature, "dim": space.dim},
+                      "region": region_to_dict(region)})
 
 
 def load_region(path) -> tuple[Space, object]:

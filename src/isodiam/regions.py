@@ -61,7 +61,9 @@ from .geometry import (
     decode_key,
     distance,
     form,
+    form_rows,
     frame,
+    geodesic_coeffs,
     geodesic_point,
     normalize_to_space,
     pair_key,
@@ -185,9 +187,10 @@ def _ball_group(space: Space, centers: np.ndarray, radii: np.ndarray):
     reduces over axis 0, row by row.  Thresholds are packed once, at compile
     time.  Comparisons are in form space (cos r on S, cosh r on H, r^2 on R),
     so every ball leaf in a tree goes through the identical arithmetic: one
-    matrix product of the (form-signed) centers with pts.T on S^n and H^n; on
-    R^n, per ball, the key summed over contiguous coordinate rows, each
-    differenced before it is squared, as in pair_key.
+    matrix product of the centers' ``form_rows`` with pts.T on S^n and H^n,
+    at least cos r on S^n and at most cosh r on H^n; on R^n, per ball, the
+    key summed over contiguous coordinate rows, each differenced before it
+    is squared, as in pair_key.
 
     BLAS products are not batch-independent: against the same rows computed
     in another batch, about 1 in 10^4 entries of a group's product differ in
@@ -195,15 +198,11 @@ def _ball_group(space: Space, centers: np.ndarray, radii: np.ndarray):
     about 1 in 8e7 of a plane's matvec (``_plane_form``).  A mask can only
     move for a row within that bit of a rim.
     """
-    if space.curvature == SPHERICAL:
-        cos_r = np.cos(radii)[:, None]
-        return lambda pts: centers @ pts.T >= cos_r
-    if space.curvature == HYPERBOLIC:
-        # B(c, x) = c_e x_e - <c_0, x_0>: negate the spatial part once
-        signed = centers.copy()
-        signed[:, :-1] *= -1.0
-        cosh_r = np.cosh(radii)[:, None]
-        return lambda pts: signed @ pts.T <= cosh_r
+    if space.curvature != EUCLIDEAN:
+        signed = form_rows(space, centers)
+        threshold = geodesic_coeffs(space, radii)[0][:, None]
+        inside = np.greater_equal if space.curvature == SPHERICAL else np.less_equal
+        return lambda pts: inside(signed @ pts.T, threshold)
     leaves = list(zip(centers, radii * radii))
 
     def euclidean(pts):
@@ -225,14 +224,8 @@ def _ball_group(space: Space, centers: np.ndarray, radii: np.ndarray):
 
 
 def _plane_form(space: Space, plane: Hyperplane):
-    """pts -> form values against the plane as one matvec (sign-adjusted for B)."""
-    p = plane.normal
-    if space.curvature == HYPERBOLIC:
-        q = np.empty_like(p)
-        q[:-1] = -p[:-1]
-        q[-1] = p[-1]
-    else:
-        q = p
+    """pts -> form values against the plane as one matvec with its ``form_rows``."""
+    q = form_rows(space, plane.normal)
     if space.curvature == EUCLIDEAN:
         offset = plane.offset
         return lambda pts: pts @ q - offset
@@ -367,9 +360,7 @@ def _merge_two_balls(space: Space, a: Ball, b: Ball) -> Ball:
     if space.curvature == SPHERICAL and r >= math.pi:
         return Ball(a.center, math.pi)
     u, _ = tangent_toward(space, a.center, b.center)
-    c = geodesic_point(space, a.center, u, r - a.radius)
-    c = normalize_to_space(space, c) if space.curvature != EUCLIDEAN else c
-    return Ball(c, r)
+    return Ball(normalize_to_space(space, geodesic_point(space, a.center, u, r - a.radius)), r)
 
 
 def _enclose_balls(space: Space, balls) -> Ball:
@@ -624,13 +615,14 @@ class NeighborIndex:
         self.tree = cKDTree(_tree_coords(space, pts))
         self.stretch = _stretch(space, pts)
 
-    def nearest(self, q: np.ndarray, stretch: float, own=None):
+    def nearest(self, q: np.ndarray, own=None):
         """(key, index) of the indexed point with the smallest pair_key to each row of q.
 
         ``own`` gives each row's own index in this cloud, which it may not
         take.  With t the tree distance to the first neighbor a row may take,
         its nearest point lies within stretch * t in tree coordinates, where
-        ``stretch`` bounds the tree distance over the chord for both clouds.
+        the stretch, the larger ``_stretch`` of the cloud and of q, bounds
+        the tree distance over the chord for both.
         The tree returns _SPARE_NEIGHBORS more neighbors; if the last lies
         beyond that ball (widened by _TREE_SLACK), they hold the ball and the
         keys rank them.  A row whose ball may hold more, which on S^n and R^n
@@ -643,6 +635,7 @@ class NeighborIndex:
         m = min(n, (1 if own is None else 2) + _SPARE_NEIGHBORS)
         dist, near = self.tree.query(_tree_coords(self.space, q), k=np.arange(1, m + 1))
         usable = dist if own is None else np.where(near == own[:, None], np.inf, dist)
+        stretch = max(self.stretch, _stretch(self.space, q))
         radius = stretch * usable.min(axis=1) * (1.0 + _TREE_SLACK)
         wide = np.flatnonzero(dist[:, -1] <= radius) if m < n else np.arange(0)
         keys = pair_key(self.space, q[:, None], self.points[near])
@@ -683,7 +676,7 @@ def _pairwise_extremes(space: Space, pts):
         raise ValueError(f"nearest-neighbor spacing needs at least two points, got {arr.shape[0]}")
     diam, bi, bj = _farthest_pair(space, arr)
     index = _index(space, pts)
-    keys, _ = index.nearest(arr, index.stretch, own=np.arange(arr.shape[0]))
+    keys, _ = index.nearest(arr, own=np.arange(arr.shape[0]))
     return diam, bi, bj, float(np.mean(decode_key(space, keys)))
 
 
@@ -713,7 +706,7 @@ def _directed(space: Space, x: np.ndarray, index: NeighborIndex) -> float:
     stretch = max(index.stretch, _stretch(space, x))
     reach = index.tree.query(_tree_coords(space, x), k=1)[0]
     rows = np.flatnonzero(reach >= reach.max() / stretch * (1.0 - _TREE_SLACK))
-    keys, _ = index.nearest(x[rows], stretch)
+    keys, _ = index.nearest(x[rows])
     return float(decode_key(space, keys.max()))
 
 
@@ -805,20 +798,10 @@ def _leaf_balls(region) -> list:
                      f"not {type(region).__name__}")
 
 
-def _circle_coeffs(space: Space, t):
-    """(a, b) with a * c + b * u at distance t from c along the unit tangent u:
-    (cos t, sin t), (cosh t, sinh t) or (1, t)."""
-    if space.curvature == SPHERICAL:
-        return np.cos(t), np.sin(t)
-    if space.curvature == HYPERBOLIC:
-        return np.cosh(t), np.sinh(t)
-    return np.ones_like(t), t
-
-
 def _on_circles(space: Space, centers, frames, t, phi):
     """The points at angle phi on the circles of radius t about the centres,
     phi measured from row 0 of each frame toward row 1; broadcasts."""
-    a, b = _circle_coeffs(space, t)
+    a, b = geodesic_coeffs(space, t)
     u = np.cos(phi)[..., None] * frames[..., 0, :] + np.sin(phi)[..., None] * frames[..., 1, :]
     return a[..., None] * centers + b[..., None] * u
 
@@ -847,7 +830,7 @@ def _omega_integrals(space: Space, centers, frames, t, lo, hi, piece=_PIECE):
     half = ((hi - lo) / (2.0 * pieces))[arc]
     nodes, weights = _gauss_legendre()
     phi = (lo[arc] + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
-    a, b = _circle_coeffs(space, t[arc])
+    a, b = geodesic_coeffs(space, t[arc])
     c, e = centers[arc], frames[arc]
     x = _on_circles(space, c[:, None], e[:, None], t[arc][:, None], phi)
     dx = b[:, None, None] * (np.cos(phi)[..., None] * e[:, None, 1]
@@ -863,7 +846,7 @@ def _omega_integrals(space: Space, centers, frames, t, lo, hi, piece=_PIECE):
 
 def _angles_on(space: Space, centers, frames, radii, x):
     """The angle of each point x on its circle, in that circle's frame."""
-    a, _ = _circle_coeffs(space, radii)
+    a, _ = geodesic_coeffs(space, radii)
     u = x - a[..., None] * centers
     sign = -1.0 if space.curvature == HYPERBOLIC else 1.0
     return np.arctan2(sign * form(space, u, frames[..., 1, :]),
@@ -932,7 +915,7 @@ def _arcs(space: Space, region, centers, radii):
     centers, radii = centers[keep], radii[keep]
     n = radii.size
     frames = frame(space, centers)[:, :2]
-    a, b = _circle_coeffs(space, radii)
+    a, b = geodesic_coeffs(space, radii)
     e1, e2 = frames[:, 0], frames[:, 1]
     if space.curvature == EUCLIDEAN:
         diff = centers[:, None] - centers[None]
@@ -941,9 +924,7 @@ def _arcs(space: Space, region, centers, radii):
         C = np.einsum("ijd,ijd->ij", diff, diff) + (b * b)[:, None]
         threshold = radii * radii
     else:
-        signed = centers.copy()
-        if space.curvature == HYPERBOLIC:
-            signed[:, :-1] *= -1.0
+        signed = form_rows(space, centers)
         A = b[:, None] * (e1 @ signed.T)
         B = b[:, None] * (e2 @ signed.T)
         C = a[:, None] * (centers @ signed.T)

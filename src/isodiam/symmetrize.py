@@ -10,7 +10,6 @@ observation, never asserted as a guarantee.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -28,16 +27,17 @@ from .geometry import (
     decode_key,
     distance,
     equal_volume_radius,
-    pair_key,
     plane_eval,
     random_unit_tangent,
     reflect,
     side,
     validate_hyperplane,
 )
+from .regionio import write_json
 from .regions import (
     DEFAULT_DEPTH_CAP,
     Difference,
+    NeighborIndex,
     PointCloud,
     Symmetrized,
     Union,
@@ -232,9 +232,7 @@ class FlowReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _check_counting_identity(space: Space, plane: Hyperplane, inner, wrapped,
@@ -270,8 +268,10 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     hole, inside the envelope) and rho = r - dmin in the sparse one (inside
     the nearest ball), less CORE_MARGIN.  ``_core_cover`` picks the cores.
 
-    A sparse rebase whose quantile index is at most its centre count would
-    calibrate to the centres' own zero distances, so it raises ValueError.
+    A rebase, dense or sparse, whose quantile index is at most its centre
+    count would calibrate to the centres' own zero distances, so it raises
+    ValueError.  Each proposal's distance to the nearest centre comes from
+    a ``NeighborIndex`` over the centres.
     """
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
@@ -288,17 +288,18 @@ def _rebase_approximation(space: Space, region, target_volume: float,
     pool = outside_idx if dense else member_idx
     m = min(REBASE_CENTERS, pool.size)
     centers = props[rng.choice(pool, size=m, replace=False)]
-    dmin = _nearest_distance(space, props, centers)
+    dmin = decode_key(space, NeighborIndex(space, centers).nearest(props)[0])
     if dense:
         k = int(round((1.0 - target_volume / v_env) * n_cal))
     else:
         k = int(round(target_volume / v_env * n_cal))
     k = min(max(k, 1), n_cal - 1)
-    if not dense and k <= m:
+    if k <= m:
         # each centre is a proposal at distance 0 from itself
-        raise ValueError(f"cannot calibrate a sparse rebase: its quantile index k = {k} "
+        kind, drawn = ("dense", "outside") if dense else ("sparse", "member")
+        raise ValueError(f"cannot calibrate a {kind} rebase: its quantile index k = {k} "
                          f"falls on the zero distances of its {m} centres, drawn from "
-                         f"{member_idx.size} member proposals of {n_cal} "
+                         f"{pool.size} {drawn} proposals of {n_cal} "
                          f"(raise --volume-samples)")
     r = float(np.partition(dmin, k - 1)[k - 1]) + 1e-12
     balls = Union(tuple(Ball(c, r) for c in centers))
@@ -307,16 +308,6 @@ def _rebase_approximation(space: Space, region, target_volume: float,
         slack = np.minimum(dmin - r, env.radius - d_env)
         return Difference(env, balls), _core_cover(space, props, slack - CORE_MARGIN)
     return balls, _core_cover(space, props, r - dmin - CORE_MARGIN)
-
-
-def _nearest_distance(space: Space, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest centre, decoded once from the
-    running minimum of ``pair_key``.  As ``decode_key`` is non-decreasing, it
-    has the bits of the minimum of the per-centre ``distance``."""
-    keys = pair_key(space, points, centers[0])
-    for c in centers[1:]:
-        np.minimum(keys, pair_key(space, points, c), out=keys)
-    return decode_key(space, keys)
 
 
 def _core_cover(space: Space, props: np.ndarray, rho: np.ndarray) -> tuple:

@@ -156,6 +156,23 @@ class TestFlow:
         assert "flow step 0:" in err and "--density" in err
         assert not out.exists()
 
+    def test_dense_rebase_on_its_centres_refused(self, tmp_path, capsys):
+        # step 3 rebases the dented ball from 2000 proposals, 174 of them
+        # outside it; a hole quantile k = 162 would fall on the zero distances
+        # of the 174 hole centres, and holes of radius 0 leave the envelope
+        dented = tmp_path / "dented.json"
+        save_region(dented, S2, dented_ball_region(S2))
+        out = tmp_path / "flow.csv"
+        rc = main(["flow", "--region", str(dented), "--steps", "3", "--seed", "12",
+                   "--out", str(out), "--density", "300", "--volume-samples", "2000",
+                   "--rebase-depth", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot calibrate a dense rebase: its quantile index k = 162 falls on the "
+            "zero distances of its 174 centres, drawn from 174 outside proposals of 2000 "
+            "(raise --volume-samples)\n")
+        assert not out.exists()
+
     def test_epsilon_stops_early(self, cap_file, tmp_path, capsys):
         out = tmp_path / "flow.csv"
         rc = main(["flow", "--region", cap_file, "--steps", "50", "--seed", "2",

@@ -22,6 +22,7 @@ from isodiam.geometry import (
     decode_key,
     distance,
     form,
+    form_rows,
     frame,
     geodesic_point,
     key_threshold,
@@ -187,6 +188,21 @@ class TestPairKey:
             assert np.array_equal(pair_key(space, x, y), np.sum((x - y) ** 2, axis=-1))
             assert np.array_equal(distance(space, x, y), np.linalg.norm(x - y, axis=-1))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), m=st.integers(1, 40), data=st.data())
+    def test_sphere_key_is_the_negated_term_sum(self, n, m, data):
+        # -form(x, y) has the bits of the sum of the negated terms,
+        # (-x_0 y_0) + (-x_1 y_1) + ..., as rounding is symmetric in sign;
+        # only an exact 0 could differ, in its sign, and decode the same
+        space = Space.sphere(n)
+        x = _vectors(data, space, m)
+        y = _vectors(data, space, m)
+        for a, b in ((x, y), (x[:, None], y)):
+            total = -a[..., 0] * b[..., 0]
+            for j in range(1, space.ambient_dim):
+                total = total + -a[..., j] * b[..., j]
+            assert pair_key(space, a, b).tobytes() == total.tobytes()
+
     def test_keys_increase_with_distance(self, space):
         xs, ys = random_pairs(space, 200, seed=12)
         order = np.argsort(distance(space, xs, ys), kind="stable")
@@ -196,6 +212,22 @@ class TestPairKey:
         assert decode_key(S2, -1.0 - 1e-15) == 0.0
         assert decode_key(H2, 1.0 - 1e-15) == 0.0
         assert decode_key(E2, 0.0) == 0.0
+
+
+class TestFormRows:
+    def test_a_fresh_array_of_the_forms_rows(self, space):
+        # a copy on every space, not x itself on S^n and R^n: numpy sends
+        # a @ a.T on one buffer to BLAS syrk, which rounds differently from
+        # gemm, so a product such as centers @ form_rows(centers).T would
+        # move by an ulp
+        x = random_points(space, 20, seed=14)
+        y = random_points(space, 30, seed=15)
+        out = form_rows(space, x)
+        assert not np.shares_memory(out, x)
+        spatial = space.dim if space.curvature == -1 else 0
+        assert np.array_equal(out[:, :spatial], -x[:, :spatial])
+        assert np.array_equal(out[:, spatial:], x[:, spatial:])
+        assert np.allclose(out @ y.T, form(space, x[:, None], y), rtol=1e-13, atol=1e-13)
 
 
 def _screen_rows(space, rng, rows, reach, zeros):

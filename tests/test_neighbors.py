@@ -39,7 +39,6 @@ from isodiam.regions import (
     PointCloud,
     _farthest_pair,
     _pairwise_extremes,
-    _stretch,
     diameter,
     hausdorff,
     uniform_in_ball,
@@ -148,7 +147,7 @@ def test_spacing_neighbors_are_the_scans(space_name, kind, n, seed):
     _, _, _, nn, nearest = scan_extremes(space, pts)
     index = NeighborIndex(space, pts)
     own = np.arange(pts.shape[0])
-    keys, cols = index.nearest(pts, index.stretch, own=own)
+    keys, cols = index.nearest(pts, own=own)
     assert np.all(cols != own)
     # of equal points, the one with the lowest index, as the scan's argmin
     same = (pts[cols][:, None, :] == pts[None, :, :]).all(axis=2)
@@ -195,7 +194,7 @@ def test_pair_key_decides_the_screened_ties(monkeypatch, space_name, n):
     d, i, j = _farthest_pair(space, pts)
     farthest = list(decided)
     index = NeighborIndex(space, pts)
-    keys, cols = index.nearest(pts, index.stretch, own=np.arange(n))
+    keys, cols = index.nearest(pts, own=np.arange(n))
     nearest_rows = decided[len(farthest):]
     monkeypatch.undo()
     top, bi, bj, nn, nearest = scan_extremes(space, pts)
@@ -215,7 +214,7 @@ def test_h2_stretch_is_needed_far_out():
     index = NeighborIndex(H2, pts)
     own = np.arange(pts.shape[0])
     _, first = index.tree.query(pts[:, :-1], k=2)
-    _, cols = index.nearest(pts, index.stretch, own=own)
+    _, cols = index.nearest(pts, own=own)
     assert index.stretch > 1e4
     assert np.count_nonzero(first[:, 1] != cols) > 0
     _, _, _, _, nearest = scan_extremes(H2, pts)
@@ -241,7 +240,7 @@ def _attained(space, x, other):
     the search, and that point's index."""
     index = NeighborIndex(space, other)
     own = np.arange(x.shape[0]) if x is other else None
-    keys, cols = index.nearest(x, max(index.stretch, _stretch(space, x)), own=own)
+    keys, cols = index.nearest(x, own=own)
     return decode_key(space, keys), cols
 
 
@@ -373,7 +372,7 @@ def test_as_exact_as_the_scan(case):
     a, b = exactness_clouds(case)
     index = NeighborIndex(space, a)
     own = np.arange(a.shape[0])
-    keys, cols = index.nearest(a, index.stretch, own=own)
+    keys, cols = index.nearest(a, own=own)
     old_keys = gram_keys(space, a, a)
     old_keys[own, own] = np.inf
     exact_keys = [exact_key(space, a[i], a[j]) for i, j in zip(own, cols)]

@@ -20,7 +20,7 @@ S2 = Space.sphere(2)
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--region", "DENTED", "--steps", "3", "--seed", "12", "--out", "OUT",
-     "--density", "300", "--volume-samples", "2000", "--rebase-depth", "1"],
+     "--density", "300", "--volume-samples", "4000", "--rebase-depth", "1"],
     ["verify", "--space", "sphere", "--dim", "2", "--D", "1.2", "--trials", "3",
      "--seed", "11", "--samples", "2000", "--density", "300"],
     ["hull-check", "--region", "CAP", "--density", "300", "--hull-samples", "200",
@@ -34,6 +34,9 @@ def test_no_stream_key_read_twice(tmp_path, stream_keys, argv):
     save_region(files["CAP"], S2, Ball(S2.base_point, 0.6))
     assert main([files.get(a, a) for a in argv]) == 0
     assert stream_keys
+    if argv[0] == "flow":
+        # steps 2 and 3 rebase, each from its stream (k, 7)
+        assert [key for key in stream_keys if key[-1] == 7] == [(12, 2, 7), (12, 3, 7)]
     repeated = [key for key, n in collections.Counter(stream_keys).items() if n > 1]
     assert repeated == []
 

@@ -15,6 +15,7 @@ from isodiam.geometry import (
     Space,
     ball_volume,
     bisector,
+    decode_key,
     distance,
     geodesic_point,
     reflect,
@@ -23,6 +24,7 @@ from isodiam.geometry import (
 )
 from isodiam.regions import (
     Difference,
+    NeighborIndex,
     Symmetrized,
     Union,
     bounding_ball,
@@ -41,7 +43,6 @@ from isodiam.symmetrize import (
     FlowStep,
     SphericalDiameterWarning,
     _map_cores,
-    _nearest_distance,
     choose_hyperplane,
     equal_volume_radius,
     flow_step,
@@ -484,13 +485,16 @@ class TestFlow:
                                    Space.sphere(3), Space.hyperbolic(3)],
                          ids=["S2", "H2", "R2", "S3", "H3"])
 def test_nearest_distance_has_the_bits_of_the_per_centre_distances(space):
-    # centres drawn from the points, as a rebase draws them, so some distances are 0
+    # the rebase's distance to the nearest centre, from a NeighborIndex over
+    # the centres; they are drawn from the points, as a rebase draws them,
+    # so some distances are 0
     points = random_points(space, 3000, 133, spread=1.5)
     centers = points[substream(134).choice(len(points), size=192, replace=False)]
     dmin = np.full(len(points), np.inf)
     for c in centers:
         dmin = np.minimum(dmin, distance(space, points, c))
-    assert _nearest_distance(space, points, centers).tobytes() == dmin.tobytes()
+    keys, _ = NeighborIndex(space, centers).nearest(points)
+    assert decode_key(space, keys).tobytes() == dmin.tobytes()
 
 
 def test_sparse_rebase_refuses_a_quantile_on_its_centres():
