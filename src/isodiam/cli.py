@@ -2,8 +2,8 @@
 
 One binary with subcommands; every stochastic subcommand requires --seed, and
 identical invocations produce byte-identical output files.  Lengths and radii
-on the curved spaces are in radians of arc.  Exit status: 0 on success, 1 on
-assertion-level findings (a verify campaign violation), 2 on usage errors.
+on the curved spaces are in radians of arc.  Exit status: 0 on success, 1 only
+for a verify campaign violation, 2 on usage errors and refused input.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .regions import (
     _check_count,
     _check_positive,
     _farthest_pair,
+    _real,
     exact_area,
     sample,
     uniform_in_ball,
@@ -44,7 +45,7 @@ from .regions import (
 from .rng import _whole, substream
 
 
-class RegionGenerationError(RuntimeError):
+class RegionGenerationError(ValueError):
     """Random admissible-region generation failed after bounded retries."""
 
 
@@ -74,7 +75,8 @@ def random_admissible_region(space: Space, D: float, complexity: int,
     intersecting with balls of radius D around witness sample points until the
     sampled diameter check passes.  Complexity 1 yields a plain ball of radius
     at most D/2.  Every attempt, trim cloud and witness choice is drawn from
-    ``rng`` in turn.
+    ``rng`` in turn.  A trim cloud under 8 points raises ValueError if the
+    density expects under 8 in the ball of radius D/2, and so in any region.
     """
     _check_diameter_bound(space, D)
     _check_count("complexity", complexity, 1)
@@ -86,8 +88,8 @@ def random_admissible_region(space: Space, D: float, complexity: int,
             radius = half * float(rng.uniform(0.3, 1.0))
             center = uniform_in_ball(space, Ball(pole, half * 0.5), rng)
             from_pole = float(distance(space, pole, center))
-            if from_pole + radius > half:
-                radius = max(half - from_pole, 0.1 * half)
+            if from_pole + radius > half:  # from_pole <= half / 2
+                radius = half - from_pole
             return Ball(center, radius)
         centers = uniform_in_ball(space, Ball(pole, half * 0.9), rng, size=k)
         radii = half * rng.uniform(0.25, 0.85, size=k)
@@ -105,6 +107,10 @@ def random_admissible_region(space: Space, D: float, complexity: int,
         for _ in range(8):
             cloud = sample(space, trimmed, density, rng).points
             if len(cloud) < 8:
+                if density * ball_volume(space, half) < 8.0:
+                    raise ValueError(f"region density {density!r} expects fewer than 8 samples "
+                                     f"in any region of diameter at most D = {D!r}, too few "
+                                     f"to check one")
                 break
             diam, bi, bj = _farthest_pair(space, cloud)
             if diam <= D:
@@ -150,9 +156,11 @@ class CampaignConfig:
             object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         _check_positive("region_density", self.region_density)
         object.__setattr__(self, "complexity", _check_count("complexity", self.complexity, 1))
-        if not (math.isfinite(self.sigma_threshold) and self.sigma_threshold >= 0.0):
-            raise ValueError(f"sigma_threshold must be finite and non-negative, "
-                             f"got {self.sigma_threshold}")
+        sigma = self.sigma_threshold
+        if not (_real(sigma) and math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"sigma_threshold must be finite and non-negative, got {sigma!r}")
+        if not isinstance(self.include_exact_ball, bool):
+            raise ValueError(f"include_exact_ball must be a bool, got {self.include_exact_ball!r}")
 
     @property
     def space(self) -> Space:

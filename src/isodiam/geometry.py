@@ -680,10 +680,8 @@ def ball_volume(space: Space, r: float) -> float:
     (n-1)-sphere times ``_radial_mass`` at r.  Raises ValueError on overflow.
 
     Against a 40-digit reference the relative error is at most 5.9e-16 for
-    n = 2..5 (r from 1e-6 to 3.1, to 20 on H^n), no worse than the quadrature
-    it replaced (1.4e-15, H3 at 20), and on S^n for n = 6..16 at most 1.8e-15
-    (S16; the quadrature's was 1.2e-15).  About 30 us a call, 2-3 times the
-    quadrature's.
+    n = 2..5 (r from 1e-6 to 3.1, to 20 on H^n), and on S^n for n = 6..16 at
+    most 1.8e-15 (S16).  About 30 us a call.
     """
     r = float(r)
     if not math.isfinite(r):

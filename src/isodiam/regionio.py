@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .geometry import SPHERICAL, Ball, Hyperplane, Space, validate_ball, validate_hyperplane
-from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union
+from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union, _real
 
 
 class RegionFormatError(ValueError):
@@ -63,21 +63,16 @@ _KIND_NAMES = {float: "a number", int: "an integer", np.ndarray: "a list of numb
 
 
 def _field(node: dict, key: str, kind, default=None):
-    """node[key] as a float, an int or a 1-D float array; errors name the field.
-
-    JSON booleans are refused: bool is an int subclass, so ``int(True)``
-    would pass for 1.
-    """
+    """node[key] as a float, an int or a 1-D float array, from real numbers
+    only (no strings, no booleans); errors name the field."""
     value = _need(node, key) if default is None else node.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, list)
-                                   and any(isinstance(v, bool) for v in value)):
-        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     try:
-        out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
-        # an integer must not drop a fraction, and a coordinate list must be flat
-        if (out.ndim == 1) if kind is np.ndarray else (kind is float or out == value):
-            return out
-    except (TypeError, ValueError, OverflowError):
+        if kind is np.ndarray:
+            if isinstance(value, list) and all(map(_real, value)):
+                return np.array(value, dtype=float)
+        elif _real(value) and (kind is float or int(value) == value):
+            return kind(value)
+    except (ValueError, OverflowError):  # int(nan), int(inf), an integer past 1e308
         pass
     raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 

@@ -109,8 +109,6 @@ _SAME_CIRCLE = 1e-12
 #: they cut) are dropped: the lens they bound has an area of about
 #: (2e-10)^1.5 r^2, and its arcs are too short to probe
 _TANGENT = 1e-10
-#: radius of the circle about each centre whose integral orients its circle
-_ORIENT_RADIUS = 1e-3
 #: an exact area's stated error is this many eps times the integral of the
 #: size of omega's terms along the boundary arcs
 _AREA_ROUNDING = 64.0
@@ -120,7 +118,7 @@ class UnboundedRegionError(ValueError):
     """The region admits no bounding ball (e.g. a bare half space off the sphere)."""
 
 
-class RegionDepthError(RuntimeError):
+class RegionDepthError(ValueError):
     """Symmetrized nesting exceeds the evaluation depth cap."""
 
 
@@ -161,10 +159,6 @@ class Symmetrized:
 
     plane: Hyperplane
     inner: object
-
-
-#: any node of the region tree (geometry.Ball doubles as the leaf node)
-Region = Ball | HalfSpace | Union | Intersection | Difference | Symmetrized
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE)
@@ -733,10 +727,15 @@ def _check_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _real(value) -> bool:
+    """Whether value is a real number: a bool, though an int, is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(name: str, value) -> None:
-    """Raise ValueError, naming the value, unless it is finite and positive."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    """Raise ValueError, naming the value, unless it is a finite positive _real."""
+    if not (_real(value) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def volume_estimate(space: Space, region, samples: int,
@@ -814,27 +813,27 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(24)
 
 
-def _omega_integrals(space: Space, centers, frames, t, lo, hi, piece=_PIECE):
+def _omega_integrals(space: Space, centers, frames, t, lo, hi):
     """The integrals of omega and of the size of its two terms along each arc
     lo <= phi <= hi of the circle of radius t about its centre, from 24-point
-    Gauss-Legendre on pieces of at most ``piece``.
+    Gauss-Legendre on pieces of at most _PIECE.
 
     omega is (x0 dx1 - x1 dx0) / (1 + x_e) on S2 and H2, the Lambert
     azimuthal equal-area chart at the base point pulled back, and
     (x0 dx1 - x1 dx0) / 2 on R2, so a boundary walked with the region on its
     left, clear of the antipode of the base point, integrates to its area.
     """
-    pieces = np.maximum(np.ceil((hi - lo) / piece), 1).astype(int)
+    pieces = np.maximum(np.ceil((hi - lo) / _PIECE), 1).astype(int)
     arc = np.repeat(np.arange(lo.size), pieces)
     k = np.arange(arc.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     half = ((hi - lo) / (2.0 * pieces))[arc]
     nodes, weights = _gauss_legendre()
     phi = (lo[arc] + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
-    a, b = geodesic_coeffs(space, t[arc])
-    c, e = centers[arc], frames[arc]
-    x = _on_circles(space, c[:, None], e[:, None], t[arc][:, None], phi)
-    dx = b[:, None, None] * (np.cos(phi)[..., None] * e[:, None, 1]
-                             - np.sin(phi)[..., None] * e[:, None, 0])
+    # x in _on_circles' expression order, so the nodes have its bits
+    a, b = geodesic_coeffs(space, t[arc, None, None])
+    e, cos, sin = frames[arc, None], np.cos(phi)[..., None], np.sin(phi)[..., None]
+    x = a * centers[arc, None] + b * (cos * e[..., 0, :] + sin * e[..., 1, :])
+    dx = b * (cos * e[..., 1, :] - sin * e[..., 0, :])
     p, q = x[..., 0] * dx[..., 1], x[..., 1] * dx[..., 0]
     den = 2.0 if space.curvature == EUCLIDEAN else 1.0 + x[..., -1]
     w = half[:, None] * weights
@@ -857,10 +856,11 @@ def _arc_area(space: Space, region, centers, radii) -> VolumeEstimate:
     """The area of a region of S2, H2 or R2 whose boundary lies on the given
     circles: the sum of omega (``_omega_integrals``) along its boundary arcs
     (``_arcs``), each signed by the side the region lies on and by its
-    circle's orientation.  That is the sign of omega's integral around the
-    circle of radius _ORIENT_RADIUS about the same centre; a circle's own
-    integral would not do, as a disc of radius 2 on S2 may hold the antipode
-    of the base point.
+    circle's orientation in the chart, the sign of det F for the circle's
+    ``geometry.frame`` F: -1 for a Householder reflection on S2, +1 for the
+    identity, for a Lorentz boost on H2 and on R2.  On S2, omega's integral
+    around a region that holds the antipode of the base point is its area
+    less 4 pi, the sphere's.
 
     ``region`` may be any node ``contains`` evaluates, a Symmetrized chain
     too, if the circles hold its boundary: for S_H(A), those of A and their
@@ -872,11 +872,10 @@ def _arc_area(space: Space, region, centers, radii) -> VolumeEstimate:
     edge = np.flatnonzero(side)
     value, size = _omega_integrals(space, centers[circle[edge]], frames[circle[edge]],
                                    radii[circle[edge]], lo[edge], hi[edge])
-    n = radii.size
-    # a circle this small about its centre integrates in one piece
-    turning, _ = _omega_integrals(space, centers, frames, np.full(n, _ORIENT_RADIUS),
-                                  np.zeros(n), np.full(n, 2.0 * math.pi), piece=2.0 * math.pi)
-    area = float(np.sum(side[edge] * np.sign(turning)[circle[edge]] * value))
+    turning = np.sign(np.linalg.det(frames))
+    area = float(np.sum(side[edge] * turning[circle[edge]] * value))
+    if space.curvature == SPHERICAL and contains(space, region, -space.base_point):
+        area += 4.0 * math.pi
     return VolumeEstimate(value=area, std_error=_AREA_ROUNDING * _EPS * float(size.sum()),
                           samples_used=0)
 
@@ -885,10 +884,10 @@ def _arcs(space: Space, region, centers, radii):
     """The distinct circles, cut into arcs at their crossings, and the side of
     each arc the region lies on.
 
-    Returns (centers, frames, radii) of the distinct circles, with each
-    frame's rows 0 and 1 from ``geometry.frame``, then per arc its circle,
-    its angles lo <= phi <= hi and its side: 1 with the region inside the
-    circle, -1 outside, 0 for an arc that is no boundary.
+    Returns (centers, frames, radii) of the distinct circles, each frame
+    ``geometry.frame`` of its centre, then per arc its circle, its angles
+    lo <= phi <= hi and its side: 1 with the region inside the circle, -1
+    outside, 0 for an arc that is no boundary.
 
     - Circles whose centres and radii agree within _SAME_CIRCLE are one.
     - Circle i is x(phi) = a c + b (cos phi e1 + sin phi e2).  Its key
@@ -914,7 +913,7 @@ def _arcs(space: Space, region, centers, radii):
     keep = ~np.triu(same, 1).any(axis=0)
     centers, radii = centers[keep], radii[keep]
     n = radii.size
-    frames = frame(space, centers)[:, :2]
+    frames = frame(space, centers)
     a, b = geodesic_coeffs(space, radii)
     e1, e2 = frames[:, 0], frames[:, 1]
     if space.curvature == EUCLIDEAN:

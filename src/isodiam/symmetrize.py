@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .geometry import (
-    EUCLIDEAN,
     SPHERICAL,
     Ball,
     Hyperplane,
@@ -94,8 +93,7 @@ def choose_hyperplane(space: Space, strategy: Strategy, pair,
     if isinstance(strategy, RandomThroughPole):
         u = random_unit_tangent(space, pole, rng)
         orientation = 1 if rng.random() < 0.5 else -1
-        offset = float(np.dot(pole, u)) if space.curvature == EUCLIDEAN else 0.0
-        return Hyperplane(u, orientation, offset)
+        return Hyperplane(u, orientation)
     raise TypeError(f"unknown strategy {type(strategy).__name__}")
 
 

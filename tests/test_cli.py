@@ -14,7 +14,7 @@ from isodiam import experiments
 from isodiam.cli import main
 from isodiam.geometry import Ball, Space, ball_volume
 from isodiam.regionio import save_region
-from isodiam.regions import Difference, Intersection, Union
+from isodiam.regions import DEFAULT_DEPTH_CAP, Difference, Intersection, Union
 
 from conftest import dented_ball_region
 
@@ -415,9 +415,13 @@ class TestUsageErrors:
          "region: orientation must be +1 or -1, got 2"),
         ({"kind": "ball", "center": 5, "radius": 0.5},
          "region: center must be a list of numbers, got 5"),
+        ({"kind": "ball", "center": [0, 0, 1], "radius": "0.5"},
+         "region: radius must be a number, got '0.5'"),
+        ({"kind": "ball", "center": ["0", "0", "1"], "radius": 0.5},
+         "region: center must be a list of numbers, got ['0', '0', '1']"),
     ], ids=["off-quadric-center", "nan-radius", "zero-normal", "string-radius",
             "nan-orientation", "fractional-orientation", "string-center", "orientation-2",
-            "scalar-center"])
+            "scalar-center", "numeric-string-radius", "numeric-string-center"])
     def test_unconvertible_region_field_named(self, tmp_path, capsys, node, expected):
         bad = tmp_path / "field.json"
         bad.write_text(json.dumps({"space": {"curvature": 1, "dim": 2}, "region": node}))
@@ -427,6 +431,41 @@ class TestUsageErrors:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(f"region document error: {expected}")
+
+    @pytest.mark.parametrize("argv", [
+        ["diameter"],
+        ["volume", "--space", "sphere", "--dim", "2", "--samples", "1000"],
+        ["flow", "--steps", "2", "--out", "OUT"],
+    ], ids=["diameter", "volume", "flow"])
+    def test_over_deep_document_refused(self, tmp_path, capsys, argv):
+        node = {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}
+        for _ in range(DEFAULT_DEPTH_CAP + 1):
+            node = {"kind": "symmetrized", "normal": [1, 0, 0], "orientation": 1,
+                    "inner": node}
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({"space": {"curvature": 1, "dim": 2}, "region": node}))
+        out = tmp_path / "flow.csv"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        rc = main(argv + ["--region", str(deep), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: symmetrized nesting {DEFAULT_DEPTH_CAP + 1} "
+                                f"exceeds cap {DEFAULT_DEPTH_CAP}\n")
+        assert not out.exists()
+
+    def test_density_too_low_for_any_trim_cloud_refused(self, tmp_path, capsys):
+        # at 0.01 per unit area no trim cloud reaches 8 points, so every
+        # trial would otherwise take its first complexity-1 draw, a plain ball
+        out = tmp_path / "v.csv"
+        rc = main(["verify", "--space", "sphere", "--dim", "2", "--D", "1.0", "--trials", "100",
+                   "--seed", "1", "--density", "0.01", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: region density 0.01 expects fewer than 8 ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_fractional_space_not_truncated(self, tmp_path, capsys):
         bad = tmp_path / "space.json"

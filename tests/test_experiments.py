@@ -70,6 +70,17 @@ class TestRandomAdmissibleRegion:
         with pytest.raises(ValueError, match=message):
             random_admissible_region(S2, 1.2, complexity, substream(1))
 
+    def test_density_too_low_for_any_trim_cloud_refused(self):
+        # 0.01 per unit area expects 0.008 samples in the ball of radius 0.5,
+        # the largest region of diameter 1; seed 1's first draw is a union
+        with pytest.raises(ValueError, match="^region density 0.01 expects fewer than 8 "):
+            random_admissible_region(S2, 1.0, 4, substream(1), density=0.01)
+
+    def test_density_enough_for_a_trim_cloud_is_taken(self):
+        # 8.5 samples expected in the ball of radius 0.5, so no refusal
+        density = 8.5 / ball_volume(S2, 0.5)
+        random_admissible_region(S2, 1.0, 4, substream(1), density=density)
+
     def test_complexity_takes_numpy_integers(self):
         region = random_admissible_region(S2, 1.2, np.int64(1), substream(140))
         assert region_digest(region) == region_digest(
@@ -156,6 +167,14 @@ class TestVerifyIsodiametric:
         ("region_density", -3.0, "region_density must be finite and positive, got -3.0"),
         ("region_density", math.nan, "region_density must be finite and positive, got nan"),
         ("region_density", math.inf, "region_density must be finite and positive, got inf"),
+        ("region_density", True, "region_density must be finite and positive, got True"),
+        ("region_density", "600", "region_density must be finite and positive, got '600'"),
+        ("D", True, "diameter bound D must be finite and positive, got True"),
+        ("D", "1.2", "diameter bound D must be finite and positive, got '1.2'"),
+        ("sigma_threshold", True, "sigma_threshold must be finite and non-negative, got True"),
+        ("sigma_threshold", "3", "sigma_threshold must be finite and non-negative, got '3'"),
+        ("include_exact_ball", 1, "include_exact_ball must be a bool, got 1"),
+        ("include_exact_ball", "yes", "include_exact_ball must be a bool, got 'yes'"),
         ("complexity", 2.5, "complexity must be an integer, got 2.5"),
         ("complexity", True, "complexity must be an integer, got True"),
         ("complexity", 0, "complexity must be at least 1, got 0"),

@@ -157,6 +157,22 @@ class TestValidation:
             document_to_space_region(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("space, node, message", [
+        (S2, {"kind": "halfspace", "normal": [1, 0, "0"], "orientation": 1},
+         "region: normal must be a list of numbers, got [1, 0, '0']"),
+        (S2, {"kind": "halfspace", "normal": [1, 0, 0], "orientation": "1"},
+         "region: orientation must be an integer, got '1'"),
+        (E2, {"kind": "halfspace", "normal": [1, 0], "orientation": 1, "offset": "0.2"},
+         "region: offset must be a number, got '0.2'"),
+        (S2, {"kind": "ball", "center": [0, 0, 10 ** 400], "radius": 0.5},
+         f"region: center must be a list of numbers, got [0, 0, {10 ** 400}]"),
+    ], ids=["normal", "orientation", "offset", "huge-integer"])
+    def test_strings_are_never_numbers(self, space, node, message):
+        doc = {"space": {"curvature": space.curvature, "dim": 2}, "region": node}
+        with pytest.raises(RegionFormatError) as info:
+            document_to_space_region(doc)
+        assert str(info.value) == message
+
     def test_document_needs_space(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({"kind": "ball", "center": [0, 0, 1], "radius": 1.0}))

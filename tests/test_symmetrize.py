@@ -545,6 +545,8 @@ class TestCountsAndDensities:
         ("cloud_density", 0.0, "cloud_density must be finite and positive, got 0.0"),
         ("cloud_density", -5.0, "cloud_density must be finite and positive, got -5.0"),
         ("cloud_density", math.inf, "cloud_density must be finite and positive, got inf"),
+        ("cloud_density", True, "cloud_density must be finite and positive, got True"),
+        ("cloud_density", "1000", "cloud_density must be finite and positive, got '1000'"),
     ])
     def test_metrics_config_names_a_bad_value(self, field, value, message):
         with pytest.raises(ValueError, match=message):
