@@ -39,14 +39,49 @@ class HemisphereCertificate:
     min_margin: float
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |A x - b| over x >= 0 by Lawson and Hanson's active-set method,
+    within 3n least-squares solves on the free set."""
+    m, n = A.shape
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * float(np.abs(A).sum(axis=0).max())
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    solves = 0
+    while not free.all() and float((w := A.T @ (b - A @ x))[~free].max()) > tol:
+        free[np.argmax(np.where(free, -np.inf, w))] = True
+        while True:
+            solves += 1
+            if solves > 3 * n:
+                raise RuntimeError(f"NNLS did not converge within its cap of {3 * n} iterations")
+            s = np.zeros(n)
+            AF = A[:, free]
+            s[free] = np.linalg.lstsq(AF, b, rcond=None)[0]
+            # one refinement step: lstsq's SVD alone can leave AF^T r 10x a QR solve's
+            s[free] += np.linalg.lstsq(AF, b - AF @ s[free], rcond=None)[0]
+            if (s[free] > 0.0).all():
+                break
+            blocked = np.flatnonzero(free & (s <= 0.0))
+            # x >= 0 >= s on the blocked set, so x - s > 0 wherever x > 0
+            xb = x[blocked]
+            steps = np.divide(xb, xb - s[blocked], out=np.zeros_like(xb), where=xb > 0.0)
+            x += float(steps.min()) * (s - x)
+            x[blocked[np.argmin(steps)]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+        x = s
+    return x
+
+
 def min_norm_point(points) -> np.ndarray:
     """Point of the Euclidean convex hull closest to the origin.
 
     Lawson and Hanson's least-distance reduction (Solving Least Squares
     Problems, ch. 23) makes this one nonnegative least-squares problem: at the
     minimum of |P^T u|^2 + (sum u - 1)^2 over u >= 0, u / sum u are the hull
-    weights of the nearest point.  Returns the zero vector when the hull
-    contains the origin.
+    weights of the nearest point.  The points are first divided by the power
+    of two s nearest their largest norm, which is exact, so the result scales
+    with the points bit for bit and unit vectors are solved as given.
+    Returns the zero vector when the hull contains the origin.
 
     Parameters
     ----------
@@ -59,16 +94,20 @@ def min_norm_point(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) array of points")
-    # imported on first use, so that processes that solve no NNLS load no scipy.optimize
-    from scipy.optimize import nnls
-
+    bad = ~np.isfinite(P).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"point {i} is not finite: {P[i].tolist()}")
+    frac, exp = math.frexp(float(np.hypot.reduce(np.abs(P), axis=1, initial=0.0).max()))
+    scale = math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
+    P = P / scale
     target = np.zeros(P.shape[1] + 1)
     target[-1] = 1.0
-    u, _ = nnls(np.vstack([P.T, np.ones(P.shape[0])]), target)
+    u = _nnls(np.vstack([P.T, np.ones(P.shape[0])]), target)
     z = (u @ P) / u.sum()
     if float(z @ z) <= 1e-24:
         return np.zeros(P.shape[1])
-    return z
+    return z * scale
 
 
 def hemisphere_center(cloud) -> HemisphereCertificate | None:

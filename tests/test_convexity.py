@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodiam.convexity import (
     ball_convexity_probe,
@@ -104,6 +106,104 @@ class TestMinNormPoint:
 
     def test_single_point(self):
         assert np.allclose(min_norm_point([[2.0, 1.0]]), [2.0, 1.0])
+
+    @pytest.mark.parametrize("pts, exact", [
+        (np.eye(2), [0.5, 0.5]),
+        (np.eye(3), [1 / 3] * 3),
+        (np.eye(4), [0.25] * 4),
+        (np.eye(5), [0.2] * 5),
+        (np.eye(6), [1 / 6] * 6),
+        ([[1.0, -1.0], [1.0, 3.0]], [1.0, 0.0]),
+        ([[1.0, 1.0, -1.0], [1.0, 1.0, 3.0]], [1.0, 1.0, 0.0]),
+        ([[3.0, 1.0], [1.0, 3.0]], [2.0, 2.0]),
+    ], ids=["e1-e2", "e1-e3", "e1-e4", "e1-e5", "e1-e6", "segment-foot-2d",
+            "segment-foot-3d", "symmetric-pair"])
+    def test_closed_forms_within_two_ulps(self, pts, exact):
+        """The simplex of unit vectors, the foot of a segment and the
+        symmetric pair, to 2 ulps of the largest point norm."""
+        pts = np.asarray(pts, dtype=float)
+        ulp = np.spacing(np.linalg.norm(pts, axis=1).max())
+        assert np.abs(min_norm_point(pts) - exact).max() <= 2 * ulp
+
+    def test_tiny_points_keep_their_vertex(self):
+        # the absolute zero test and the unscaled reduction both gave [0, 0]
+        z = min_norm_point([[1e-13, 2e-13], [3e-13, 1e-13]])
+        assert np.array_equal(z, [1e-13, 2e-13])
+
+    def test_huge_points_stay_finite(self):
+        # the unscaled reduction gave [nan, nan]
+        z = min_norm_point([[1e200, 1e200], [2e200, 1e200]])
+        assert np.array_equal(z, [1e200, 1e200])
+
+    def test_scales_with_the_points_bit_for_bit(self):
+        rng = substream(85)
+        clouds = [
+            rng.normal(size=(30, 3)) + np.array([1.2, -0.4, 0.7]),
+            rng.normal(size=(9, 5)) * np.array([1e-3, 1.0, 1e3, 1.0, 1.0]) + 0.5,
+            np.array([[1e-13, 2e-13], [3e-13, 1e-13]]),
+            ANTIPODAL_SIX,
+        ]
+        for pts in clouds:
+            z = min_norm_point(pts)
+            for k in range(-60, 61):
+                assert np.array_equal(min_norm_point(np.ldexp(pts, k)), np.ldexp(z, k)), k
+
+    @pytest.mark.parametrize("pts, message", [
+        ([[np.nan, 0.0], [1.0, 1.0]], r"point 0 is not finite: \[nan, 0.0\]"),
+        ([[1.0, 1.0], [2.0, 0.5], [0.0, -np.inf]], r"point 2 is not finite: \[0.0, -inf\]"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_point_named(self, pts, message):
+        with pytest.raises(ValueError, match=message):
+            min_norm_point(pts)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        """A solve that never makes the entering weight positive cycles until
+        the cap of 3N passive-set solves, and no point is returned."""
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (-np.ones(a.shape[1]),))
+        with pytest.raises(RuntimeError, match="cap of 6 iterations"):
+            min_norm_point([[1.0, 0.0], [0.0, 1.0]])
+
+
+def scipy_min_norm_point(points):
+    """The least-distance reduction solved by ``scipy.optimize.nnls``: the
+    reference the numpy solve must be at least as exact as."""
+    from scipy.optimize import nnls
+
+    pts = np.asarray(points, dtype=float)
+    target = np.zeros(pts.shape[1] + 1)
+    target[-1] = 1.0
+    u, _ = nnls(np.vstack([pts.T, np.ones(pts.shape[0])]), target)
+    z = (u @ pts) / u.sum()
+    return np.zeros(pts.shape[1]) if float(z @ z) <= 1e-24 else z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(0.0, 3.0),
+       kind=st.sampled_from(["plain", "duplicates", "collinear", "origin-on-face"]))
+def test_at_least_as_exact_as_scipy(d, n, seed, shift, kind):
+    """Clouds with duplicated points, collinear points and the origin on a
+    face: the KKT gap min (p - z).z is no worse than the scipy solve's, and
+    |z| agrees with it and, for clouds of at most 8 points, with the
+    enumeration oracle, each to 4 ulps of the largest point norm."""
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        pts = rng.normal(size=d) + rng.uniform(-1.0, 2.0, size=(n, 1)) * rng.normal(size=d)
+    else:
+        pts = rng.normal(size=(n, d)) + shift * rng.normal(size=d)
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    elif kind == "origin-on-face":
+        pts[:, 0] = np.abs(pts[:, 0])
+        pts[: max(1, n // 4), 0] = 0.0
+    z = min_norm_point(pts)
+    z0 = scipy_min_norm_point(pts)
+    scale = float(np.linalg.norm(pts, axis=1).max())
+    tol = 4 * np.spacing(scale)
+    assert float(((pts - z) @ z).min()) >= float(((pts - z0) @ z0).min()) - tol * scale
+    assert abs(np.linalg.norm(z) - np.linalg.norm(z0)) <= tol
+    if n <= 8:
+        assert abs(np.linalg.norm(z) - np.linalg.norm(min_norm_oracle(pts))) <= tol
 
 
 class TestHemisphereCenter:

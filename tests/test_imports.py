@@ -1,9 +1,8 @@
 """Which subcommands load scipy, each checked in a fresh interpreter.
 
 scipy is most of isodiam's start-up time and memory, and only the kd-tree
-(``regions.NeighborIndex``) and the NNLS solve (``convexity.min_norm_point``)
-use it, importing it on first use.  The pytest process has long loaded
-scipy, so every check runs in a subprocess of its own.
+(``regions.NeighborIndex``) uses it, importing it on first use.  The pytest
+process has long loaded scipy, so every check runs in a subprocess of its own.
 """
 
 import json
@@ -67,8 +66,11 @@ def test_import_and_scipy_free_subcommands_load_no_scipy(cap_file):
          "--seed", "1"],
         ["ball-probe", "--space", "sphere", "--dim", "2", "--radius", "0.5",
          "--trials", "200", "--seed", "1"],
+        ["hemisphere", "--region", cap_file, "--density", "300", "--seed", "6"],
+        ["hull-check", "--region", cap_file, "--density", "300", "--hull-samples", "200",
+         "--seed", "8"],
     )
-    assert loaded == [[]] + [[0]] * 7
+    assert loaded == [[]] + [[0]] * 9
 
 
 def test_flow_loads_the_kd_tree_only(cap_file, tmp_path):
@@ -79,13 +81,3 @@ def test_flow_loads_the_kd_tree_only(cap_file, tmp_path):
     assert rc == 0
     assert "scipy.spatial" in loaded
     assert not any(m.startswith("scipy.optimize") for m in loaded)
-
-
-@pytest.mark.parametrize("argv", [
-    ["hemisphere", "--density", "300", "--seed", "6"],
-    ["hull-check", "--density", "300", "--hull-samples", "200", "--seed", "8"],
-], ids=["hemisphere", "hull-check"])
-def test_nnls_subcommands_load_scipy_optimize(cap_file, argv):
-    rc, *loaded = scipy_after(argv[:1] + ["--region", cap_file] + argv[1:])[1]
-    assert rc == 0
-    assert "scipy.optimize" in loaded
