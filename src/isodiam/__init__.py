@@ -35,7 +35,6 @@ from .geometry import (
 from .regionio import load_region, region_digest, save_region
 from .regions import (
     Difference,
-    HalfSpace,
     Intersection,
     PointCloud,
     Symmetrized,

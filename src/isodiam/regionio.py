@@ -1,15 +1,15 @@
 """Region description documents: a JSON tree that round-trips losslessly.
 
-Node kinds are "ball", "halfspace", "union", "intersection", "difference" and
+Node kinds are "ball", "union", "intersection", "difference" and
 "symmetrized"; coordinates are ambient.  The top-level document carries the
 space alongside the tree so files are self-contained:
 
     {"space": {"curvature": 1, "dim": 2}, "region": {"kind": "ball", ...}}
 
-Euclidean halfspace/symmetrized nodes carry an extra "offset" field (the
-hyperplane is <x, normal> = offset); it defaults to 0 and is omitted on the
-curved spaces.  Parsing checks each node against the space as it builds it,
-so every error names the path of the bad node, e.g. ``region.children[1].b``.
+Euclidean symmetrized nodes carry an extra "offset" field (the hyperplane is
+<x, normal> = offset); it defaults to 0 and is omitted on the curved spaces.
+Parsing checks each node against the space as it builds it, so every error
+names the path of the bad node, e.g. ``region.children[1].b``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .geometry import SPHERICAL, Ball, Hyperplane, Space, validate_ball, validate_hyperplane
-from .regions import Difference, HalfSpace, Intersection, Symmetrized, Union, _real
+from .regions import Difference, Intersection, Symmetrized, Union, _real
 
 
 class RegionFormatError(ValueError):
@@ -39,8 +39,6 @@ def region_to_dict(region) -> dict:
     if isinstance(region, Ball):
         return {"kind": "ball", "center": [float(v) for v in region.center],
                 "radius": float(region.radius)}
-    if isinstance(region, HalfSpace):
-        return {"kind": "halfspace", **_plane_fields(region.plane)}
     if isinstance(region, Union):
         return {"kind": "union", "children": [region_to_dict(c) for c in region.children]}
     if isinstance(region, Intersection):
@@ -104,8 +102,6 @@ def region_from_dict(space: Space, node: dict, path: str = "region"):
         kind = _need(node, "kind")
         if kind == "ball":
             return _ball_from(space, node)
-        if kind == "halfspace":
-            return HalfSpace(_plane_from(space, node))
         if kind in ("union", "intersection"):
             children = _need(node, "children")
             if not isinstance(children, list) or not children:

@@ -1,12 +1,12 @@
 """Exact membership oracles for compact sets, with sampling and Monte Carlo metrics.
 
-A region is an immutable CSG tree over geodesic balls and half spaces, plus
-symmetrization nodes realizing the two-point rearrangement.  Membership is
+A region is an immutable CSG tree over geodesic balls, plus symmetrization
+nodes realizing the two-point rearrangement: it is bounded, and on S2, H2 and
+R2 its boundary lies on its balls' circles and their mirrors.  Membership is
 evaluated exactly (no discretization) by an evaluator compiled once per node
 and cached; each Symmetrized level at most doubles the inner queries.  All
 randomness is confined to the sampled metrics, which quote their own standard
-errors.  On S2, H2 and R2 the area of a tree of balls is also exact
-(``exact_area``), integrated along its boundary arcs.
+errors.  The area of a tree of balls on S2, H2 or R2 is exact (``exact_area``).
 
 A flow's rebase certifies a few core balls inside its region, and the flow
 (``symmetrize``) carries them up its chain as plain ball children of a
@@ -25,8 +25,7 @@ Only the entries the screen cannot rank, those within 2 delta of the block's
 screened extreme, get their pair_key, and those keys pick the winner, so a
 search finds the pair an all-pairs pair_key scan finds.  Nearest
 neighbors, for the spacing and both Hausdorff directions, come from a
-kd-tree that each PointCloud builds once and keeps: O(n log n) per cloud,
-where a scan of all pairs was O(n^2).
+kd-tree that each PointCloud builds once and keeps: O(n log n) per cloud.
 The tree is on ambient coordinates on S^n and R^n, where the Euclidean
 distance is the chord, and on the spatial part on H^n, where it overstates
 the chord by at most cosh(rho) within rho of the base point, so a ball that
@@ -114,17 +113,8 @@ _TANGENT = 1e-10
 _AREA_ROUNDING = 64.0
 
 
-class UnboundedRegionError(ValueError):
-    """The region admits no bounding ball (e.g. a bare half space off the sphere)."""
-
-
 class RegionDepthError(ValueError):
     """Symmetrized nesting exceeds the evaluation depth cap."""
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpace:
-    plane: Hyperplane
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +246,6 @@ def _compile(space: Space, region):
     if isinstance(region, Ball):
         group = _ball_group(space, *_pack([region]))
         return lambda pts: group(pts)[0]
-    if isinstance(region, HalfSpace):
-        values = _plane_form(space, region.plane)
-        orientation = region.plane.orientation
-        return lambda pts: orientation * values(pts) >= -SIDE_TOL
     if isinstance(region, (Union, Intersection)):
         balls = [c for c in region.children if isinstance(c, Ball)]
         group = _ball_group(space, *_pack(balls)) if balls else None
@@ -368,31 +354,15 @@ def _enclose_balls(space: Space, balls) -> Ball:
 def bounding_ball(space: Space, region) -> Ball:
     """A ball guaranteed to contain the region; not necessarily minimal.
 
-    Raises UnboundedRegionError where no finite envelope exists (bare half
-    spaces off the sphere).  On the sphere the whole space is the radius-pi
-    ball, so everything is boundable there.
+    Every node has one, built from its children's: an intersection takes the
+    first smallest of theirs.
     """
     if isinstance(region, Ball):
         return region
-    if isinstance(region, HalfSpace):
-        if space.curvature != SPHERICAL:
-            raise UnboundedRegionError("half space has no bounding ball in this space")
-        p = region.plane.normal * float(region.plane.orientation)
-        return Ball(normalize_to_space(space, p), math.pi / 2.0)
     if isinstance(region, Union):
         return _enclose_balls(space, [bounding_ball(space, c) for c in region.children])
     if isinstance(region, Intersection):
-        best = None
-        for c in region.children:
-            try:
-                b = bounding_ball(space, c)
-            except UnboundedRegionError:
-                continue
-            if best is None or b.radius < best.radius:
-                best = b
-        if best is None:
-            raise UnboundedRegionError("intersection has no boundable child")
-        return best
+        return min((bounding_ball(space, c) for c in region.children), key=lambda b: b.radius)
     if isinstance(region, Difference):
         return bounding_ball(space, region.a)
     if isinstance(region, Symmetrized):
@@ -674,18 +644,24 @@ def _pairwise_extremes(space: Space, pts):
     return diam, bi, bj, float(np.mean(decode_key(space, keys)))
 
 
+def _checked_points(cloud, metric: str, which: str = "a cloud") -> np.ndarray:
+    """The cloud's points; a ValueError names an empty cloud or its first non-finite row."""
+    pts = _as_points(cloud)
+    if pts.shape[0] == 0:
+        raise ValueError(f"{metric} of an empty cloud")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{metric} of {which} with non-finite coordinates: "
+                         f"row {bad[0]} is {pts[bad[0]].tolist()}")
+    return pts
+
+
 def diameter(space: Space, cloud):
     """Exact max pairwise geodesic distance over the samples, with an attaining pair.
 
     A lower bound on the true diameter of the generating region.
     """
-    pts = _as_points(cloud)
-    if pts.shape[0] == 0:
-        raise ValueError("diameter of an empty cloud")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ValueError(f"diameter of a cloud with non-finite coordinates: "
-                         f"row {bad[0]} is {pts[bad[0]].tolist()}")
+    pts = _checked_points(cloud, "diameter")
     best, bi, bj = _farthest_pair(space, pts)
     return best, pts[bi].copy(), pts[bj].copy()
 
@@ -710,10 +686,8 @@ def hausdorff(space: Space, a, b) -> float:
     Each direction queries the other set's kd-tree; a PointCloud keeps its
     tree, so a reference cloud is indexed once however often it is compared.
     """
-    pa = _as_points(a)
-    pb = _as_points(b)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise ValueError("hausdorff of an empty cloud")
+    pa = _checked_points(a, "hausdorff", "the first cloud")
+    pb = _checked_points(b, "hausdorff", "the second cloud")
     return max(_directed(space, pa, _index(space, b)), _directed(space, pb, _index(space, a)))
 
 
@@ -749,13 +723,15 @@ def volume_estimate(space: Space, region, samples: int,
 
     A lone Ball, at any n, is its own envelope, and its volume is the closed
     form: ``ball_volume`` with a std_error of 0.0 and samples_used 0, as in
-    ``exact_area``.  It draws nothing, so its rng may be None and its
-    caller need not open a stream.  ``samples`` is checked either way.
+    ``exact_area``.  It draws nothing, so its rng may be None; any other
+    region needs one.  ``samples`` is checked either way.
     """
     samples = _check_count("samples", samples, 100)
     if isinstance(region, Ball):
         return VolumeEstimate(value=ball_volume(space, region.radius), std_error=0.0,
                               samples_used=0)
+    if rng is None:
+        raise ValueError(f"sampling the volume of a {type(region).__name__} needs a generator")
     env = bounding_ball(space, region)
     v_env = ball_volume(space, env.radius)
     hits = sum(int(np.count_nonzero(contains(space, region, pts)))

@@ -107,7 +107,6 @@ def two_point_symmetrize(space: Space, h: Hyperplane, region):
     records for the region's sample cloud.
     """
     validate_hyperplane(space, h)
-    bounding_ball(space, region)
     if isinstance(region, Ball) and side(space, h, region.center) == 0:
         return region
     return Symmetrized(h, region)

@@ -347,7 +347,8 @@ class TestUsageErrors:
          "space: curvature must be an integer, got True"),
         ({"curvature": 1, "dim": 2}, {"kind": "intersection", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
-            {"kind": "halfspace", "normal": [1, 0, 0], "orientation": True}]},
+            {"kind": "symmetrized", "normal": [1, 0, 0], "orientation": True,
+             "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}}]},
          "region.children[1]: orientation must be an integer, got True"),
         ({"curvature": 1, "dim": 2}, {"kind": "ball", "center": [0, 0, 1], "radius": True},
          "region: radius must be a number, got True"),
@@ -369,7 +370,8 @@ class TestUsageErrors:
         ("hyperbolic", {"kind": "ball", "center": [0, 0, 1], "radius": math.inf}),
         ("sphere", {"kind": "intersection", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
-            {"kind": "halfspace", "normal": [math.nan, 0, 0], "orientation": 1}]}),
+            {"kind": "symmetrized", "normal": [math.nan, 0, 0], "orientation": 1,
+             "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}}]}),
     ], ids=["nan-radius", "inf-radius", "nan-normal"])
     def test_non_finite_region_value_rejected(self, tmp_path, capsys, space, node):
         curvature = {"sphere": 1, "hyperbolic": -1}[space]
@@ -395,14 +397,16 @@ class TestUsageErrors:
          "region.children[1]: ball radius must be finite, got nan"),
         ({"kind": "intersection", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
-            {"kind": "halfspace", "normal": [0, 0, 0], "orientation": 1}]},
+            {"kind": "symmetrized", "normal": [0, 0, 0], "orientation": 1,
+             "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}}]},
          "region.children[1]: hyperplane normal must be nonzero"),
         ({"kind": "union", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": "wide"}]},
          "region.children[0]: radius must be a number, got 'wide'"),
         ({"kind": "intersection", "children": [
             {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
-            {"kind": "halfspace", "normal": [1, 0, 0], "orientation": math.nan}]},
+            {"kind": "symmetrized", "normal": [1, 0, 0], "orientation": math.nan,
+             "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}}]},
          "region.children[1]: orientation must be an integer, got nan"),
         ({"kind": "symmetrized", "normal": [1, 0, 0], "orientation": 1.5,
           "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}},
@@ -419,9 +423,14 @@ class TestUsageErrors:
          "region: radius must be a number, got '0.5'"),
         ({"kind": "ball", "center": ["0", "0", "1"], "radius": 0.5},
          "region: center must be a list of numbers, got ['0', '0', '1']"),
+        # a bare half space is unbounded, so it is no node kind
+        ({"kind": "intersection", "children": [
+            {"kind": "ball", "center": [0, 0, 1], "radius": 0.5},
+            {"kind": "halfspace", "normal": [1, 0, 0], "orientation": 1}]},
+         "region.children[1]: unknown node kind 'halfspace'\n"),
     ], ids=["off-quadric-center", "nan-radius", "zero-normal", "string-radius",
             "nan-orientation", "fractional-orientation", "string-center", "orientation-2",
-            "scalar-center", "numeric-string-radius", "numeric-string-center"])
+            "scalar-center", "numeric-string-radius", "numeric-string-center", "halfspace"])
     def test_unconvertible_region_field_named(self, tmp_path, capsys, node, expected):
         bad = tmp_path / "field.json"
         bad.write_text(json.dumps({"space": {"curvature": 1, "dim": 2}, "region": node}))

@@ -28,7 +28,6 @@ from isodiam.geometry import (
 )
 from isodiam.regions import (
     Difference,
-    HalfSpace,
     Intersection,
     Symmetrized,
     Union,
@@ -128,9 +127,8 @@ class TestDiscs:
     def test_other_nodes_and_dimensions_are_refused(self, space):
         ball = Ball(space.base_point, 0.5)
         plane = choose_hyperplane(space, RandomThroughPole(), None, substream(1))
-        for region in (HalfSpace(plane), Symmetrized(plane, ball),
-                       Union((ball, Symmetrized(plane, ball)))):
-            with pytest.raises(ValueError, match="Symmetrized|HalfSpace"):
+        for region in (Symmetrized(plane, ball), Union((ball, Symmetrized(plane, ball)))):
+            with pytest.raises(ValueError, match="Symmetrized"):
                 exact_area(space, region)
         s3 = Space(space.curvature, 3)
         with pytest.raises(ValueError, match="dimension 2, got 3"):

@@ -2,8 +2,8 @@
 
 The reference below follows the definitions one point at a time: geodesic
 distance for balls (one vector distance to the ball children of a union),
-``side`` for half spaces and the H^+ tie rule, and ``reflect`` for the
-mirror image under a symmetrization plane.  A flow carries its rebase's core
+and, under a symmetrization plane, ``side`` with the H^+ tie rule and
+``reflect`` for the mirror image.  A flow carries its rebase's core
 balls up the chain as plain ball children of a union over each level; those
 wrapped chains are checked against the reference over the plain chain,
 which never sees the cores.
@@ -36,7 +36,6 @@ from isodiam.geometry import (
 )
 from isodiam.regions import (
     Difference,
-    HalfSpace,
     Intersection,
     Symmetrized,
     Union,
@@ -64,8 +63,6 @@ SPACES = {f"{name}{n}": Space(curvature, n)
 def reference(space, region, x) -> bool:
     if isinstance(region, Ball):
         return bool(distance(space, x, region.center) <= region.radius)
-    if isinstance(region, HalfSpace):
-        return side(space, region.plane, x) >= 0
     if isinstance(region, Union):
         balls = [c for c in region.children if isinstance(c, Ball)]
         if balls and np.any(distance(space, x, np.stack([b.center for b in balls]))
@@ -100,16 +97,14 @@ def _base_region(space, kind, rng):
     if kind == 1:
         return Difference(balls[0], Union(tuple(balls[1:3])))
     if kind == 2:
-        return Intersection((balls[0], HalfSpace(random_plane(space, rng)), balls[1]))
+        return Intersection((balls[0], balls[1]))
     return Union((Difference(balls[0], balls[1]),
-                  Intersection((balls[2], HalfSpace(random_plane(space, rng)))), balls[3]))
+                  Intersection((balls[2], _random_ball(space, rng))), balls[3]))
 
 
 def _planes(region):
     if isinstance(region, Symmetrized):
         return [region.plane] + _planes(region.inner)
-    if isinstance(region, HalfSpace):
-        return [region.plane]
     if isinstance(region, (Union, Intersection)):
         return [p for c in region.children for p in _planes(c)]
     if isinstance(region, Difference):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodiam.geometry import Ball, Hyperplane, Space
+from isodiam.geometry import Ball, Hyperplane, Space, distance
 from isodiam.regionio import (
     RegionFormatError,
     document_to_space_region,
@@ -18,11 +18,11 @@ from isodiam.regionio import (
 )
 from isodiam.regions import (
     Difference,
-    HalfSpace,
     Intersection,
     Symmetrized,
     Union,
     bounding_ball,
+    contains,
     symmetrized_depth,
     uniform_in_ball,
 )
@@ -35,6 +35,7 @@ E2 = Space.euclidean(2)
 H2 = Space.hyperbolic(2)
 E = np.array([0.0, 0.0, 1.0])
 SPACES = {"R2": E2, "S2": S2, "H2": H2}
+ENVELOPE_SPACES = {**SPACES, "S3": Space.sphere(3), "H3": Space.hyperbolic(3)}
 
 
 def nested_region():
@@ -73,14 +74,12 @@ class TestRoundTrip:
 
     def test_euclidean_offset_round_trip(self, tmp_path):
         path = tmp_path / "e.json"
-        region = Intersection((
-            Ball(np.zeros(2), 2.0),
-            HalfSpace(Hyperplane(np.array([1.0, 0.0]), 1, offset=0.25)),
-        ))
+        region = Symmetrized(Hyperplane(np.array([1.0, 0.0]), 1, offset=0.25),
+                             Ball(np.zeros(2), 2.0))
         save_region(path, E2, region)
         _, back = load_region(path)
         assert region_to_dict(back) == region_to_dict(region)
-        assert back.children[1].plane.offset == 0.25
+        assert back.plane.offset == 0.25
 
     def test_symmetrized_layer_preserved(self, tmp_path):
         path = tmp_path / "s.json"
@@ -114,7 +113,8 @@ class TestValidation:
     def test_hyperbolic_normal_signature_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         doc = {"space": {"curvature": -1, "dim": 2},
-               "region": {"kind": "halfspace", "normal": [0.0, 0.0, 1.0], "orientation": 1}}
+               "region": {"kind": "symmetrized", "normal": [0.0, 0.0, 1.0], "orientation": 1,
+                          "inner": {"kind": "ball", "center": [0.0, 0.0, 1.0], "radius": 0.5}}}
         path.write_text(json.dumps(doc))
         with pytest.raises(RegionFormatError, match="B\\(p, p\\)"):
             load_region(path)
@@ -158,11 +158,14 @@ class TestValidation:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("space, node, message", [
-        (S2, {"kind": "halfspace", "normal": [1, 0, "0"], "orientation": 1},
+        (S2, {"kind": "symmetrized", "normal": [1, 0, "0"], "orientation": 1,
+              "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}},
          "region: normal must be a list of numbers, got [1, 0, '0']"),
-        (S2, {"kind": "halfspace", "normal": [1, 0, 0], "orientation": "1"},
+        (S2, {"kind": "symmetrized", "normal": [1, 0, 0], "orientation": "1",
+              "inner": {"kind": "ball", "center": [0, 0, 1], "radius": 0.5}},
          "region: orientation must be an integer, got '1'"),
-        (E2, {"kind": "halfspace", "normal": [1, 0], "orientation": 1, "offset": "0.2"},
+        (E2, {"kind": "symmetrized", "normal": [1, 0], "orientation": 1, "offset": "0.2",
+              "inner": {"kind": "ball", "center": [0, 0], "radius": 0.5}},
          "region: offset must be a number, got '0.2'"),
         (S2, {"kind": "ball", "center": [0, 0, 10 ** 400], "radius": 0.5},
          f"region: center must be a list of numbers, got [0, 0, {10 ** 400}]"),
@@ -215,18 +218,17 @@ class TestCoreUnion:
 
 
 def _random_tree(space, rng, depth):
-    """A random region tree with every node kind, at most ``depth`` levels deep."""
-    kind = int(rng.integers(0, 6 if depth > 0 else 2))
+    """A random region tree with every node kind, at most ``depth`` levels deep:
+    ball leaves under union, intersection, difference and symmetrized nodes."""
+    kind = int(rng.integers(0, 5 if depth > 0 else 1))
     if kind == 0:
         center = uniform_in_ball(space, Ball(space.base_point, 0.6), rng)
         return Ball(center, float(rng.uniform(0.1, 1.0)))
-    if kind == 1:
-        return HalfSpace(random_plane(space, rng))
-    if kind in (2, 3):
+    if kind in (1, 2):
         children = tuple(_random_tree(space, rng, depth - 1)
                          for _ in range(int(rng.integers(1, 4))))
-        return Union(children) if kind == 2 else Intersection(children)
-    if kind == 4:
+        return Union(children) if kind == 1 else Intersection(children)
+    if kind == 3:
         return Difference(_random_tree(space, rng, depth - 1), _random_tree(space, rng, depth - 1))
     return Symmetrized(random_plane(space, rng), _random_tree(space, rng, depth - 1))
 
@@ -318,3 +320,25 @@ class TestDocumentProperties:
         with pytest.raises(RegionFormatError) as excinfo:
             document_to_space_region(doc)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+
+class TestEnvelope:
+    """Every region a document can build is bounded: ``bounding_ball`` returns
+    a ball for every tree, and every member lies in it.  The draws reach 0.3
+    beyond the envelope (up to pi on S^n), so a member it misses is seen."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(space_name=st.sampled_from(sorted(ENVELOPE_SPACES)), depth=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bounding_ball_holds_every_member(self, space_name, depth, seed):
+        space = ENVELOPE_SPACES[space_name]
+        rng = substream(seed)
+        region = region_from_dict(space, region_to_dict(_random_tree(space, rng, depth)))
+        env = bounding_ball(space, region)
+        assert isinstance(env, Ball)
+        reach = env.radius + 0.3
+        if space.curvature == 1:
+            reach = min(reach, math.pi)
+        pts = uniform_in_ball(space, Ball(env.center, reach), rng, size=400)
+        members = pts[contains(space, region, pts)]
+        assert np.all(distance(space, members, env.center) <= env.radius + 1e-9)
